@@ -218,10 +218,6 @@ def main(argv=None) -> int:
         from repro.search import main as search_main
 
         return search_main(list(argv[1:]))
-    if argv and argv[0] == "tune":
-        from repro.tune.cli import main as tune_main
-
-        return tune_main(list(argv[1:]))
     args = build_parser().parse_args(argv)
     source = Path(args.file).read_text()
     defines = {}

@@ -13,7 +13,7 @@ Two levels of sharding, one determinism contract:
 Every fan-out shares one process-wide *persistent* worker pool
 (:mod:`repro.parallel.pool`, ``$REPRO_POOL_PERSIST``) and, for sharded
 launches, a zero-copy shared-memory data plane
-(``$REPRO_POOL_SHM``, DESIGN.md §17).
+(``$REPRO_POOL_SHM``, DESIGN.md §16).
 
 Both levels are required to be *bit-identical* to serial execution;
 :mod:`repro.parallel.diff` is the differential layer that enforces it.

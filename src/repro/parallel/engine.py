@@ -30,7 +30,7 @@ buffer pickled into every shard, sparse byte-diffs merged in shard
 order — deterministic even for kernels whose work-groups overlap
 writes) while still running on the persistent pool.
 
-Determinism contract (DESIGN.md §9, §17): for kernels whose work-groups
+Determinism contract (DESIGN.md §9, §16): for kernels whose work-groups
 are independent the merged result is bit-identical to a serial launch —
 same event streams, same buffer ids, same output bytes, same model
 cycles.  ``__local`` arena buffer ids appear in traces, so workers

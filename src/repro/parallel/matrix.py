@@ -232,6 +232,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                    help="write structured events as JSONL to this path")
     args = p.parse_args(argv)
 
+    from repro.perf.bench import validate_app_ids
+    from repro.perf.devices import DEVICES
     from repro.reporting import ascii_table, normalized_perf_table
     from repro.session import session_from_flags
 
@@ -239,10 +241,19 @@ def main(argv: Optional[List[str]] = None) -> int:
         [a.strip() for a in args.apps.split(",") if a.strip()]
         if args.apps else None
     )
+    devices = _parse_devices(args.devices)
+    try:
+        validate_app_ids(apps or ())
+    except ValueError as exc:
+        p.error(str(exc))
+    unknown = [d for d in devices if d not in DEVICES]
+    if unknown:
+        p.error(f"unknown device(s): {', '.join(unknown)}; "
+                f"known: {', '.join(DEVICES)}")
     with session_from_flags(args.config, args.trace_out):
         result = run_matrix(
             apps=apps,
-            devices=_parse_devices(args.devices),
+            devices=devices,
             workers=args.workers,
             scale=args.scale,
         )

@@ -1,7 +1,7 @@
 """The process-wide persistent worker pool.
 
 Every fan-out in the system — sharded launches, the experiment matrix,
-search candidate scoring, tune labeling, fuzz campaigns — used to build
+search candidate scoring, fuzz campaigns — used to build
 its own ``ProcessPoolExecutor`` and tear it down per call, paying the
 fork plus a cold interpreter in every worker each time.  This module
 owns **one** warm pool for the whole process: the first fan-out forks

@@ -51,9 +51,9 @@ from repro.ir.types import (
     VectorType,
 )
 from repro.ir.values import Argument, Constant, LocalArray, Value
-from repro.runtime.buffers import Buffer, Memory
+from repro.runtime.buffers import OFFSET_MASK, Buffer, Memory
 from repro.runtime.builtins import WORK_ITEM_QUERIES, WorkItemContext, eval_builtin
-from repro.runtime.errors import BarrierDivergenceError, RuntimeLaunchError
+from repro.runtime.errors import BarrierDivergenceError, MemoryFault, RuntimeLaunchError
 from repro.runtime.trace import GroupTrace, MemEvent
 
 
@@ -438,7 +438,6 @@ class GroupExecutor:
             return slot.copy() if slot.ndim == 2 else slot.copy()
         addrs = self.get(inst.ptr)
         buf_id, offs = Memory.split(np.where(mask, addrs, addrs[mask.argmax()] if mask.any() else 0))
-        buf = self.memory.buffers[buf_id]
         ty = inst.type
         self._record(inst, buf_id, offs, mask, is_store=False)
         if isinstance(ty, VectorType):
@@ -447,9 +446,13 @@ class GroupExecutor:
             base = offs // k
             lanes = np.arange(ty.count, dtype=np.int64)
             idx = base[:, None] + lanes[None, :]
-            return buf.view(dt)[idx]
-        dt = _np_type(ty)
-        return buf.view(dt)[offs // dt.itemsize]
+        else:
+            dt = _np_type(ty)
+            idx = offs // dt.itemsize
+        try:
+            return self.memory.buffers[buf_id].view(dt)[idx]
+        except (KeyError, IndexError):
+            raise self._fault("load", buf_id, offs) from None
 
     def _store(self, inst: Store, mask: np.ndarray) -> None:
         value = self.get(inst.value)
@@ -467,20 +470,42 @@ class GroupExecutor:
         if len(sel) == 0:
             return
         buf_id, offs = Memory.split(sel)
-        buf = self.memory.buffers[buf_id]
         ty = inst.value.type
         self._record(inst, buf_id, offs, mask, is_store=True, already_masked=True)
         if isinstance(ty, VectorType):
             dt = ty.element.numpy_dtype
             k = dt.itemsize
             idx = (offs // k)[:, None] + np.arange(ty.count, dtype=np.int64)[None, :]
-            buf.view(dt)[idx] = value[mask]
-            return
-        dt = _np_type(ty)
-        if dt == np.dtype(bool):
-            dt = np.dtype(np.uint8)
-            value = value.astype(np.uint8)
-        buf.view(dt)[offs // dt.itemsize] = value[mask].astype(dt, copy=False)
+            value = value[mask]
+        else:
+            dt = _np_type(ty)
+            if dt == np.dtype(bool):
+                dt = np.dtype(np.uint8)
+                value = value.astype(np.uint8)
+            idx = offs // dt.itemsize
+            value = value[mask].astype(dt, copy=False)
+        try:
+            self.memory.buffers[buf_id].view(dt)[idx] = value
+        except (KeyError, IndexError):
+            raise self._fault("store", buf_id, offs) from None
+
+    def _fault(self, access: str, buf_id: int, offs: np.ndarray) -> MemoryFault:
+        """The named error for an access outside its buffer (numpy's
+        ``IndexError``) or into no buffer at all (the registry's
+        ``KeyError``); the tape and codegen backends reach it through
+        their divert path."""
+        buffers = self.memory.buffers
+        offset = int(offs.max())
+        if offset > OFFSET_MASK // 2 and buf_id + 1 in buffers:
+            # a negative index: the address fell below the next buffer
+            buf_id, offset = buf_id + 1, offset - (OFFSET_MASK + 1)
+        buf = buffers.get(buf_id)
+        if buf is None:
+            return MemoryFault(f"{access} through dangling buffer id {buf_id}")
+        return MemoryFault(
+            f"{access} at byte offset {offset} is outside buffer "
+            f"{buf.name or buf.id} ({buf.nbytes} B)"
+        )
 
     def _record(
         self,

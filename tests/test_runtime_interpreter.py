@@ -293,3 +293,38 @@ __kernel void diverge(__global int* out) {
         gt, _ = self._execute_traced()
         # only the first (successful) barrier is counted
         assert gt.barriers == 1
+
+
+@pytest.mark.parametrize("backend", ["reference", "tape", "codegen"])
+def test_out_of_bounds_access_is_a_memory_fault(backend):
+    """A fuzz kernel whose Grover variant indexes below its input buffer
+    faults with a named error on every backend, not numpy's IndexError."""
+    import copy
+    import warnings
+
+    from repro.analysis import AnalysisUndecidedWarning
+    from repro.frontend import compile_source
+    from repro.fuzz.generate import generate_case
+    from repro.fuzz.oracle import input_data
+    from repro.runtime.errors import MemoryFault
+    from repro.session import Session
+
+    case = generate_case(1, 13)
+    variant = copy.deepcopy(compile_source(case.source(), cache=False)).kernel(
+        case.kernel_name
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AnalysisUndecidedWarning)
+        with Session(env={}, analyze=True) as gate:
+            gate.disable_local_memory(
+                variant, local_size=case.local_size, allow_partial=True
+            )
+    mem = Memory()
+    args = {
+        "out": mem.alloc(int(np.prod(case.global_size)) * 4, "out"),
+        "in": mem.from_array(input_data(case.in_elems), "in"),
+        "P": case.p_value,
+    }
+    with Session(env={}, exec_backend=backend, workers=1).activate():
+        with pytest.raises(MemoryFault, match=r"load at byte offset -\d+ is outside buffer in"):
+            launch(variant, case.global_size, case.local_size, args, memory=mem)

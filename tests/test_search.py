@@ -57,6 +57,33 @@ def test_padding_changes_the_modelled_cycles():
     assert padded.cycles < base.cycles
 
 
+def test_noop_extension_is_not_launched():
+    """An extension whose last rule rewrote nothing is its parent's
+    kernel: it comes back unpriced, with no launch and no error."""
+    with events.collect() as sink:
+        ev = evaluate_pipeline(
+            "NVD-MT", ("grover", "pad-local-arrays"), "test", 8, "Fermi"
+        )
+    # Grover removed the tile, so there is nothing left to pad
+    assert ev.rewrites == (1, 0)
+    assert ev.cycles == float("inf") and ev.error == ""
+    assert "launch_start" not in sink.kinds()
+
+    with events.collect() as sink:
+        r = _search(depth=2, rules=("pad-local-arrays", "grover"))
+    noop = [
+        e for e in sink.of_kind("search_candidate")
+        if e.payload["pipeline"] == ["grover", "pad-local-arrays"]
+    ]
+    assert len(noop) == 1
+    assert noop[0].payload["kept"] is False
+    assert noop[0].payload["cycles"] == -1.0
+    assert noop[0].payload["error"] == ""
+    for e in sink.events:
+        validate_event(e.kind, e.payload)
+    assert r.verified
+
+
 # ---------------------------------------------------------------------------
 # verification gates
 # ---------------------------------------------------------------------------
@@ -249,12 +276,29 @@ def test_cli_search_golden_drift_fails(tmp_path, capsys):
     assert "drifted" in capsys.readouterr().err
 
 
-def test_cli_search_rejects_unknown_app(capsys):
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["search", "--apps", "NOPE"], "unknown app"),
+        (["search", "--device", "Nope"], "unknown device"),
+        (["search", "--rules", "nope"], "unknown rule"),
+        (["search", "--beam", "0"], "--beam must be a positive integer"),
+        (["search", "--depth", "0"], "--depth must be a positive integer"),
+        (["matrix", "--apps", "NOPE"], "unknown app"),
+        (["matrix", "--devices", "Nope"], "unknown device"),
+    ],
+    ids=["app", "device", "rule", "beam", "depth", "matrix-app", "matrix-device"],
+)
+def test_cli_search_rejects_unknown_app(argv, message, capsys):
+    """Bad arguments exit 2 with a usage error before anything is priced."""
     from repro.cli import main
 
-    with pytest.raises(SystemExit):
-        main(["search", "--apps", "NOPE"])
-    assert "unknown app" in capsys.readouterr().err
+    with events.collect() as sink, pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not sink.events
 
 
 def test_session_search_entry_point():
@@ -274,21 +318,6 @@ def test_bench_search_tier():
     assert entry["searched_cycles"] <= entry["default_cycles"]
     assert isinstance(entry["pipeline"], list)
     assert entry["device"] == "Fermi"
-
-
-def test_bench_tune_tier():
-    from repro.perf.bench import bench_tune
-
-    with Session(env={}, search_depth=1).activate():
-        out = bench_tune(("NVD-MT",), workers=1)
-    entry = out["apps"]["NVD-MT"]
-    assert entry["verified"] is True
-    assert entry["pruned"] > 0
-    assert entry["scored_tuned"] < entry["scored_unpruned"]
-    assert 0.0 <= entry["prediction_accuracy"] <= 1.0
-    assert out["model_sha256"]
-    assert out["threshold"] == 0.25
-    assert out["pruned"] == entry["pruned"]
 
 
 def test_cli_passes_lists_rule_metadata(capsys):

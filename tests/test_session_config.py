@@ -45,8 +45,6 @@ def test_registry_covers_every_historical_env_var():
         "REPRO_SEARCH_SAMPLE_GROUPS",
         "REPRO_SEARCH_DEVICE",
         "REPRO_CODEGEN_CACHE_DIR",
-        "REPRO_TUNE_MODEL",
-        "REPRO_TUNE_THRESHOLD",
         "REPRO_POOL_PERSIST",
         "REPRO_POOL_SHM",
     }

@@ -1,4 +1,4 @@
-"""The zero-copy shared-memory execution plane (DESIGN.md §17).
+"""The zero-copy shared-memory execution plane (DESIGN.md §16).
 
 Three contracts:
 
@@ -9,8 +9,8 @@ Three contracts:
 * **hygiene** — no ``/dev/shm`` segment and no spill fd survives a
   launch on any exit path: success, a worker faulting mid-shard, or a
   ``KeyboardInterrupt`` landing in the gather loop;
-* **reuse** — search scoring and tune labeling ride the persistent
-  pool and reproduce their serial results bit-for-bit.
+* **reuse** — search scoring rides the persistent pool and reproduces
+  its serial results bit-for-bit.
 """
 
 from __future__ import annotations
@@ -201,7 +201,7 @@ def test_no_segments_or_fds_leak_after_interrupt(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# reuse: search scoring and tune labeling on the persistent pool
+# reuse: search scoring on the persistent pool
 # ---------------------------------------------------------------------------
 
 
@@ -219,16 +219,3 @@ def test_search_reuses_pool_and_reproduces_serial_winners():
     assert s.winner.pipeline == p.winner.pipeline
     assert s.winner.cycles == p.winner.cycles
     assert s.baseline.cycles == p.baseline.cycles
-
-
-def test_label_corpus_reuses_pool_and_reproduces_serial_labels():
-    from repro.tune.label import label_corpus
-
-    kw = dict(
-        sources=("fuzz",), depth=1, scale="test",
-        sample_groups=4, fuzz_count=2,
-    )
-    serial = label_corpus(workers=1, **kw)
-    parallel = label_corpus(workers=2, **kw)
-    assert worker_pool._SHARED is not None
-    assert serial == parallel  # bit-for-bit labels, deterministic order

@@ -1,4 +1,4 @@
-"""The process-wide persistent worker pool (DESIGN.md §17).
+"""The process-wide persistent worker pool (DESIGN.md §16).
 
 Worker processes must survive across fan-outs — consecutive matrices,
 fuzz campaigns and sharded launches reuse the *same pids* instead of
