@@ -12,6 +12,10 @@ Per vectorised memory event the work-group is cut into warps:
 * **local** (scratch-pad) accesses cost the bank-conflict degree of the
   warp: the maximum number of *distinct words* wanted from one bank.
 
+Both rules are applied to a whole work-group at once: its events are
+concatenated, tagged with their event index and lexsorted, so one
+sorted pass per address-space class replaces a sort per event.
+
 Compute cost is issue-throughput-bound; the final group cost is
 ``compute + (1 - latency_hiding) * memory`` — multithreading overlaps
 most memory time with compute.
@@ -66,36 +70,45 @@ class GPUModel:
         specs.append((s.l2_kb / s.compute_units, s.l2_assoc, s.line_size, "L2"))
         return make_hierarchy(specs, prefetch=False, backend=self.backend)
 
-    def _spm_degrees(self, ev: MemEvent) -> np.ndarray:
-        """Bank-conflict degree per warp: the maximum number of distinct
-        words wanted from one bank (broadcast of the same word is free)."""
-        s = self.spec
-        warps = ev.lanes // s.warp_size
-        words = ev.offsets // 4
-        banks = words % s.spm_banks
-        # distinct (warp, bank, word) requests, lexicographically sorted
-        tri = np.unique(np.stack([warps, banks, words], axis=1), axis=0)
-        # word count per (warp, bank) run, then max over each warp's banks
-        wb_change = np.empty(len(tri), dtype=bool)
-        wb_change[0] = True
-        wb_change[1:] = np.any(tri[1:, :2] != tri[:-1, :2], axis=1)
-        wb_starts = np.flatnonzero(wb_change)
-        counts = np.diff(np.append(wb_starts, len(tri)))
-        warp_of = tri[wb_starts, 0]
-        w_change = np.empty(len(warp_of), dtype=bool)
-        w_change[0] = True
-        w_change[1:] = warp_of[1:] != warp_of[:-1]
-        return np.maximum.reduceat(counts, np.flatnonzero(w_change))
+    def _spm_cycles(self, local: List[MemEvent]) -> float:
+        """Scratch-pad cost of all local events of a group.
 
-    def _transaction_lines(self, ev: MemEvent) -> np.ndarray:
-        """Coalesce a global/constant event into per-warp segment
-        transactions: one line id per distinct ``segment``-byte block
-        touched by each warp, warp-major, segments ascending."""
+        Per (event, warp) the bank-conflict degree is the maximum number
+        of *distinct words* wanted from one bank (a broadcast of the
+        same word is free).  One lexsort on (event, warp, bank, word)
+        puts every (event, warp, bank) run in order; its distinct words
+        are the run's word boundaries, and the degree is the maximum of
+        those counts over the warp's banks.
+        """
         s = self.spec
-        warps = ev.lanes // s.warp_size
-        segs = ev.offsets // s.segment
-        pairs = np.unique(np.stack([warps, segs], axis=1), axis=0)
-        return (np.int64(ev.buffer_id) << 40) | pairs[:, 1].astype(np.int64)
+        ev = _event_index(local)
+        warps = np.concatenate([e.lanes for e in local]) // s.warp_size
+        words = np.concatenate([e.offsets for e in local]) // 4
+        banks = words % s.spm_banks
+        order = np.lexsort((words, banks, warps, ev))
+        ev, warps, banks, words = ev[order], warps[order], banks[order], words[order]
+        new_warp = _run_starts(ev, warps)
+        new_bank = new_warp | _run_starts(banks)
+        new_word = new_bank | _run_starts(words)
+        bank_starts = np.flatnonzero(new_bank)
+        distinct = np.add.reduceat(new_word.astype(np.int64), bank_starts)
+        degrees = np.maximum.reduceat(distinct, np.flatnonzero(new_warp[bank_starts]))
+        return int(degrees.sum()) * s.cost_spm
+
+    def _transactions(self, other: List[MemEvent]) -> np.ndarray:
+        """Coalesce global/constant events into per-warp segment
+        transactions: one line id per distinct ``segment``-byte block
+        touched by each warp, event-major, then warp-major, segments
+        ascending (the order the events were issued in)."""
+        s = self.spec
+        ev = _event_index(other)
+        warps = np.concatenate([e.lanes for e in other]) // s.warp_size
+        segs = np.concatenate([e.offsets for e in other]) // s.segment
+        order = np.lexsort((segs, warps, ev))
+        ev, warps, segs = ev[order], warps[order], segs[order]
+        first = _run_starts(ev, warps, segs)
+        buffers = np.array([e.buffer_id for e in other], np.int64)
+        return (buffers[ev[first]] << 40) | segs[first].astype(np.int64)
 
     def time_group(self, gt: GroupTrace) -> GPUGroupCost:
         if self.memoize:
@@ -110,18 +123,17 @@ class GPUModel:
                     )
                 return cached
         s = self.spec
-        spm_cycles = 0.0
-        streams: List[np.ndarray] = []
+        local: List[MemEvent] = []
+        other: List[MemEvent] = []
         for ev in gt.events:
-            if ev.space == AddressSpace.LOCAL:
-                spm_cycles += int(self._spm_degrees(ev).sum()) * s.cost_spm
-            else:
-                streams.append(self._transaction_lines(ev))
+            if ev.count:
+                (local if ev.space == AddressSpace.LOCAL else other).append(ev)
+        spm_cycles = self._spm_cycles(local) if local else 0.0
 
         mem_cycles = 0.0
         transactions = 0
-        if streams:
-            stream = np.concatenate(streams)
+        if other:
+            stream = self._transactions(other)
             transactions = len(stream)
             counts = self._caches().run(stream)
             level_costs = (
@@ -154,3 +166,18 @@ class GPUModel:
             groups=len(trace.groups),
         )
         return cycles
+
+
+def _event_index(evs: List[MemEvent]) -> np.ndarray:
+    """The index of its event for every lane of the concatenated events."""
+    return np.repeat(np.arange(len(evs)), [e.count for e in evs])
+
+
+def _run_starts(*keys: np.ndarray) -> np.ndarray:
+    """Mask of the rows of sorted ``keys`` that start a new run of equal
+    key tuples (the first row always does)."""
+    start = np.zeros(len(keys[0]), dtype=bool)
+    start[0] = True
+    for k in keys:
+        start[1:] |= k[1:] != k[:-1]
+    return start

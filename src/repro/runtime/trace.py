@@ -28,6 +28,7 @@ import hashlib
 import pickle
 import tempfile
 import time
+import weakref
 import zlib
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -140,13 +141,16 @@ class GroupTrace:
             )
         offs = np.concatenate([e.offsets for e in sel])
         lanes = np.concatenate([e.lanes for e in sel])
-        bufs = np.concatenate([np.full(e.count, e.buffer_id, np.int64) for e in sel])
-        sizes = np.concatenate([np.full(e.count, e.elem_size, np.int32) for e in sel])
-        stores = np.concatenate([np.full(e.count, e.is_store, bool) for e in sel])
-        spc = np.concatenate(
-            [np.full(e.count, int(e.space), np.int8) for e in sel]
-        )
-        phases = np.concatenate([np.full(e.count, e.phase, np.int64) for e in sel])
+        counts = [e.count for e in sel]
+
+        def per_access(values, dtype):
+            return np.repeat(np.array(values, dtype), counts)
+
+        bufs = per_access([e.buffer_id for e in sel], np.int64)
+        sizes = per_access([e.elem_size for e in sel], np.int32)
+        stores = per_access([e.is_store for e in sel], bool)
+        spc = per_access([int(e.space) for e in sel], np.int8)
+        phases = per_access([e.phase for e in sel], np.int64)
         # stable sort by (phase, lane) keeps program order within each
         # lane's phase sub-stream
         order = np.lexsort((lanes, phases))
@@ -261,7 +265,7 @@ def _records_nbytes(records: List[tuple]) -> int:
 class _Segment:
     """One spillable unit: the events (or raw records) of one batch."""
 
-    __slots__ = ("store", "nbytes", "disk", "resident")
+    __slots__ = ("store", "nbytes", "disk", "resident", "__weakref__")
 
     def __init__(self, store: "TraceSpillStore", nbytes: int) -> None:
         self.store = store
@@ -386,6 +390,11 @@ class TraceSpillStore:
     stays under the mark (each spilled blob is written exactly once;
     re-eviction after a read costs no new I/O).  Every spill step emits
     a ``trace_spill`` event with byte and wall-time fields.
+
+    The store holds its segments weakly: a segment lives as long as a
+    group's :class:`LazyEvents` reads it, and holds the store.  A strong
+    back-reference would make every trace a reference cycle, freed only
+    by the cyclic garbage collector, long after its last reader is gone.
     """
 
     def __init__(self, limit_bytes: int, kernel: str = "kernel") -> None:
@@ -395,7 +404,8 @@ class TraceSpillStore:
         self.peak_resident_bytes = 0
         self.spilled_bytes = 0
         self.spill_count = 0
-        self._resident: Dict[_Segment, None] = {}  # insertion-ordered
+        #: resident segment -> its bytes, oldest first
+        self._resident: Dict[weakref.ref, int] = {}
         self._file = None
         self._closed = False
 
@@ -490,7 +500,7 @@ class TraceSpillStore:
 
     # -- residency ---------------------------------------------------------
     def _track(self, seg: _Segment) -> None:
-        self._resident[seg] = None
+        self._resident[weakref.ref(seg)] = seg.nbytes
         self.resident_bytes += seg.nbytes
         self._enforce()
         self.peak_resident_bytes = max(
@@ -500,7 +510,11 @@ class TraceSpillStore:
     def _enforce(self, protect: Optional[_Segment] = None) -> None:
         if self.resident_bytes <= self.limit_bytes:
             return
-        for seg in [s for s in self._resident if s is not protect]:
+        for ref, nbytes in list(self._resident.items()):
+            if ref() is None:  # its trace was dropped: the bytes are free
+                del self._resident[ref]
+                self.resident_bytes -= nbytes
+        for seg in [r() for r in self._resident if r() is not protect]:
             if self.resident_bytes <= self.limit_bytes:
                 break
             self._spill(seg)
@@ -525,7 +539,7 @@ class TraceSpillStore:
             written = len(blob)
         seg._drop()
         seg.resident = False
-        del self._resident[seg]
+        del self._resident[weakref.ref(seg)]
         self.resident_bytes -= seg.nbytes
         self.spilled_bytes += written
         self.spill_count += 1
@@ -549,7 +563,7 @@ class TraceSpillStore:
         self._file.seek(off)
         seg._restore(pickle.loads(zlib.decompress(self._file.read(length))))
         seg.resident = True
-        self._resident[seg] = None
+        self._resident[weakref.ref(seg)] = seg.nbytes
         self.resident_bytes += seg.nbytes
         self._enforce(protect=seg)
         self.peak_resident_bytes = max(

@@ -117,7 +117,15 @@ def test_serialization_filters_spaces():
     ]
     gt = GroupTrace((0,), 1, events=events)
     assert len(gt.serialized((AddressSpace.GLOBAL,))) == 1
-    assert len(gt.serialized((AddressSpace.GLOBAL, AddressSpace.LOCAL))) == 2
+    stream = gt.serialized((AddressSpace.GLOBAL, AddressSpace.LOCAL))
+    assert len(stream) == 2
+    np.testing.assert_array_equal(
+        stream.spaces, [int(AddressSpace.GLOBAL), int(AddressSpace.LOCAL)]
+    )
+    # per-access columns keep the dtypes of the empty stream
+    empty = GroupTrace((0,), 1).serialized((AddressSpace.GLOBAL,))
+    for name in ("offsets", "buffer_ids", "sizes", "stores", "spaces"):
+        assert getattr(stream, name).dtype == getattr(empty, name).dtype, name
 
 
 def test_line_ids_disambiguate_buffers():

@@ -12,7 +12,9 @@ launch produces a trace far larger than the mark.
 
 from __future__ import annotations
 
+import gc
 import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -113,6 +115,32 @@ def test_adopt_skips_empty_and_none_traces():
     store.adopt(None)
     store.adopt_group_lists({0: None, 1: GroupTrace((1,), 4)})
     assert store.spill_count == 0 and store.resident_bytes == 0
+
+
+def test_dropped_trace_is_freed_without_the_cycle_collector():
+    g = _group(0)
+    store = TraceSpillStore(limit_bytes=1 << 30, kernel="unit")
+    store.adopt_group_lists({0: g})
+    segment = weakref.ref(g.events._segment)
+    owner = weakref.ref(store)
+    gc.disable()
+    try:
+        del g, store
+        assert segment() is None and owner() is None
+    finally:
+        gc.enable()
+
+
+def test_dropped_segments_leave_the_resident_count():
+    per_group = sum(e.offsets.nbytes + e.lanes.nbytes for e in _group(0).events)
+    store = TraceSpillStore(limit_bytes=3 * per_group // 2, kernel="unit")
+    first = _group(0)
+    store.adopt_group_lists({0: first})
+    del first  # nothing can read its segment any more: nothing to spill
+    second = _group(1)
+    store.adopt_group_lists({0: second})
+    assert store.spill_count == 0
+    assert store.resident_bytes <= store.limit_bytes
 
 
 def test_close_releases_the_spill_file_and_is_idempotent():
