@@ -199,7 +199,6 @@ def analyze_source(
                 memory=mem,
                 local_arg_sizes=local_arg_sizes,
                 collect_trace=True,
-                workers=1,
             )
             trace = res.trace
         except BarrierDivergenceError as exc:

@@ -12,6 +12,7 @@ from repro.core import GroverPass, GroverReport
 from repro.frontend import compile_kernel
 from repro.ir.function import Function
 from repro.runtime import KernelTrace, Memory, launch
+from repro.runtime.errors import RuntimeLaunchError
 
 
 @dataclass
@@ -40,13 +41,9 @@ def run_app(
     scale: str = "test",
     collect_trace: bool = False,
     sample_groups: Optional[int] = None,
-    workers: Optional[int] = None,
     **grover_kwargs,
 ) -> AppRun:
-    """Compile (optionally transform) and execute one application.
-
-    ``workers`` shards the launch over processes; see ``launch``.
-    """
+    """Compile (optionally transform) and execute one application."""
     kernel, report = compile_app(app, variant, **grover_kwargs)
     return execute_app(
         app,
@@ -55,7 +52,6 @@ def run_app(
         scale=scale,
         collect_trace=collect_trace,
         sample_groups=sample_groups,
-        workers=workers,
         report=report,
     )
 
@@ -73,10 +69,18 @@ def execute_app(
     """Execute an already-compiled kernel for ``app``.
 
     Splitting execution from :func:`compile_app` lets the differential
-    suite launch one kernel object serially *and* sharded — transformed
+    suite launch one kernel object under several backends — transformed
     kernels get fresh instruction ids at every compile, so event-stream
     bit-identity is only defined per compiled kernel.
+
+    ``workers`` is accepted for old callers and is serial-only: ``None``
+    or 1; any other value raises :class:`RuntimeLaunchError`.
     """
+    if workers is not None and (isinstance(workers, bool) or workers != 1):
+        raise RuntimeLaunchError(
+            f"workers={workers!r}: launches run serially; fan out whole "
+            "cases instead (repro.parallel.run_matrix)"
+        )
     problem = app.make_problem(scale)
 
     mem = Memory()
@@ -105,7 +109,6 @@ def execute_app(
         local_arg_sizes=problem.local_arg_sizes or None,
         collect_trace=collect_trace,
         sample_groups=sample_groups,
-        workers=workers,
     )
     for name, expected in problem.expected.items():
         out_arrays[name] = (

@@ -46,7 +46,6 @@ def _run_traced(
     inputs: Dict[str, object],
     sample_groups: Optional[int],
     local_arg_sizes: Optional[Dict[str, int]] = None,
-    workers: Optional[int] = None,
 ):
     mem = Memory()
     args: Dict[str, object] = {}
@@ -61,7 +60,6 @@ def _run_traced(
         local_arg_sizes=local_arg_sizes,
         collect_trace=True,
         sample_groups=sample_groups,
-        workers=workers,
     )
     return res.trace
 
@@ -77,15 +75,12 @@ def autotune(
     arrays: Optional[Sequence[str]] = None,
     sample_groups: Optional[int] = 4,
     local_arg_sizes: Optional[Dict[str, int]] = None,
-    workers: Optional[int] = None,
 ) -> TuneResult:
     """Measure the kernel with and without local memory; keep the winner.
 
     ``inputs`` maps argument names to numpy arrays (buffers are created
     and filled) or scalars.  Output buffers are included simply as
-    zero-filled arrays of the right shape.  ``workers`` shards each
-    measurement launch over processes (bit-identical results; see
-    :mod:`repro.parallel`).
+    zero-filled arrays of the right shape.
     """
     dev_name = device if isinstance(device, str) else device.name
 
@@ -96,7 +91,7 @@ def autotune(
     except GroverError as exc:
         t_with = _run_traced(
             original, global_size, local_size, inputs, sample_groups,
-            local_arg_sizes, workers,
+            local_arg_sizes,
         )
         c_with = estimate_cost(t_with, device)
         return TuneResult(
@@ -111,11 +106,11 @@ def autotune(
 
     t_with = _run_traced(
         original, global_size, local_size, inputs, sample_groups,
-        local_arg_sizes, workers,
+        local_arg_sizes,
     )
     t_without = _run_traced(
         transformed, global_size, local_size, inputs, sample_groups,
-        local_arg_sizes, workers,
+        local_arg_sizes,
     )
     c_with = estimate_cost(t_with, device)
     c_without = estimate_cost(t_without, device)

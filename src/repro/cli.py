@@ -10,9 +10,7 @@ Subcommands:
   (see :mod:`repro.perf.bench`): times compile→launch→trace→cycles for
   the headline workloads and writes ``BENCH_pipeline.json``; with
   ``--workers N`` it also times (and differentially verifies) the
-  sharded launches and the parallel experiment matrix on the warm
-  persistent pool, reporting the one-time ``pool_warmup_s`` apart from
-  steady-state repeats plus shared-memory and kernel-cache counters.
+  experiment matrix fanned out case by case over the warm pool.
 * ``python -m repro.cli matrix [...]`` — the (app × device) experiment
   matrix (Table IV / Fig. 10 / extension-GPU scoring), optionally
   fanned out with ``--workers N`` (see :mod:`repro.parallel.matrix`).
@@ -35,7 +33,9 @@ Subcommands:
 
 Every subcommand (and the default kernel command) accepts ``--config
 FILE`` (a JSON session config, see :mod:`repro.session.config`) and
-``--trace-out PATH`` (structured JSONL event stream).
+``--trace-out PATH`` (structured JSONL event stream).  Bad arguments —
+an unreadable file, a non-positive count — are usage errors: exit 2,
+no traceback.
 """
 
 from __future__ import annotations
@@ -103,6 +103,22 @@ def add_session_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
+def require_positive(p: argparse.ArgumentParser, *flags) -> None:
+    """``p.error`` (exit 2) for any ``(flag, value)`` pair whose value is
+    set but below 1."""
+    for flag, value in flags:
+        if value is not None and value < 1:
+            p.error(f"{flag} must be a positive integer, got {value}")
+
+
+def read_source(p: argparse.ArgumentParser, path: str) -> str:
+    """The text of ``path``, or ``p.error`` when it cannot be read."""
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        p.error(f"cannot read {path}: {exc.strerror or exc}")
+
+
 def passes_main(argv=None) -> int:
     """``repro passes``: inspect the pass registry, or run a pipeline
     over a source file and print per-pass statistics."""
@@ -148,7 +164,7 @@ def passes_main(argv=None) -> int:
         ]
         if rule_infos:
             print()
-            print("rewrite rules (probe/apply/legality/features protocol):")
+            print("rewrite rules (probe/apply/legality protocol):")
             for info in rule_infos:
                 print(f"  {info.name}")
                 print(f"    arbiter:  {info.legality_arbiter}")
@@ -159,7 +175,7 @@ def passes_main(argv=None) -> int:
     for d in args.defines:
         name, _, value = d.partition("=")
         defines[name] = value or "1"
-    source = Path(args.run).read_text()
+    source = read_source(p, args.run)
     with session_from_flags(args.config, args.trace_out) as session:
         # lower to virgin IR (no pipeline yet) so the per-pass stats show
         # what each pass actually does, not an idempotent re-run
@@ -218,8 +234,9 @@ def main(argv=None) -> int:
         from repro.search import main as search_main
 
         return search_main(list(argv[1:]))
-    args = build_parser().parse_args(argv)
-    source = Path(args.file).read_text()
+    p = build_parser()
+    args = p.parse_args(argv)
+    source = read_source(p, args.file)
     defines = {}
     for d in args.defines:
         name, _, value = d.partition("=")

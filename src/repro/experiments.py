@@ -6,7 +6,7 @@ model; results are memoised process-wide because pytest-benchmark runs
 each benchmark body several times.
 
 ``figure10``/``table4`` accept ``workers=N`` to fan the matrix out over
-the process-pool engine (:func:`repro.parallel.run_matrix`); parallel
+the warm worker pool, one app per case (:func:`repro.parallel.run_matrix`); parallel
 values are bit-identical to serial ones and are folded into the same
 process-wide memo, so mixed serial/parallel callers stay consistent.
 """

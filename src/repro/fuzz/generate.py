@@ -22,8 +22,8 @@ sound:
 1. every generated index is in bounds for its buffer (no
    :class:`~repro.runtime.errors.MemoryFault` can occur), and
 2. each work-item writes global memory only at ``out[gi]`` — work-groups
-   are independent, which is exactly the precondition of the parallel
-   engine's bit-identity contract.
+   are independent, which is exactly the precondition of the batched
+   backends' bit-identity contract.
 
 Generation is a pure function of ``(root_seed, index)``: the same seed
 reproduces byte-identical sources in any process (asserted by

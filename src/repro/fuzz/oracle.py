@@ -130,7 +130,7 @@ def _run_backend(
     mem = Memory()
     out = mem.alloc(total * 4, "out")
     inb = mem.from_array(in_data, "in")
-    exec_s = Session(env={}, exec_backend=backend, workers=1, tape_batch=256)
+    exec_s = Session(env={}, exec_backend=backend, tape_batch=256)
     sink = events.CollectorSink()
     events.attach(sink)
     try:
@@ -141,7 +141,6 @@ def _run_backend(
             {"out": out, "in": inb, "P": p_value},
             memory=mem,
             collect_trace=True,
-            workers=1,
         )
     except (BarrierDivergenceError, MemoryFault, RuntimeLaunchError) as exc:
         return {
@@ -188,7 +187,7 @@ def run_source(
 ) -> OracleOutcome:
     """Judge one kernel source with all four arbiters (see module doc)."""
     out = OracleOutcome()
-    session = Session(env={}, workers=1)
+    session = Session(env={})
     try:
         session.compile_kernel(source, kernel_name)
     except FrontendError as exc:
@@ -296,7 +295,7 @@ def run_source(
     # -- 3. Grover through the analyze veto gate ---------------------------
     static_blocking = bool(static.races or static.divergences)
     gkernel = session.compile_kernel(source, kernel_name)
-    veto_s = Session(env={}, workers=1, analyze=True)
+    veto_s = Session(env={}, analyze=True)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -390,7 +389,7 @@ def _check_transform_semantics(
     mem = Memory()
     outb = mem.alloc(total * 4, "out")
     inb = mem.from_array(in_data, "in")
-    exec_s = Session(env={}, exec_backend="reference", workers=1)
+    exec_s = Session(env={}, exec_backend="reference")
     try:
         exec_s.launch(
             transformed_kernel,
@@ -398,7 +397,6 @@ def _check_transform_semantics(
             tuple(local_size),
             {"out": outb, "in": inb, "P": p_value},
             memory=mem,
-            workers=1,
         )
     except (BarrierDivergenceError, MemoryFault, RuntimeLaunchError) as exc:
         out.mismatches.append(

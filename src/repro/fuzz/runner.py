@@ -2,7 +2,7 @@
 
 ``run_fuzz`` fans the per-case work (generation + the full four-arbiter
 oracle + optional minimization) out over the same process-pool engine
-the experiment matrix uses (:mod:`repro.parallel.engine`), gathers
+the experiment matrix uses (:mod:`repro.parallel.pool`), gathers
 results in deterministic input order, writes a minimized ``.cl``
 reproducer for every mismatch, and optionally promotes novel verdict
 shapes into the committed corpus.  Every case emits a schema-validated
@@ -29,7 +29,7 @@ from repro.fuzz.generate import FuzzCase, generate_case
 from repro.fuzz.oracle import Mismatch, OracleOutcome, run_case
 from repro.fuzz.shrink import shrink_case
 from repro.parallel import pool as worker_pool
-from repro.parallel.engine import make_pool, resolve_workers
+from repro.parallel.pool import make_pool, resolve_workers
 from repro.session import events
 
 __all__ = ["CaseResult", "FuzzOptions", "FuzzRunResult", "main", "run_fuzz"]
@@ -155,17 +155,14 @@ def run_fuzz(options: FuzzOptions) -> FuzzRunResult:
     if pool is None:
         results = [_run_one(p) for p in payloads]
     else:
-        try:
-            futures = [pool.submit(_run_one_in_worker, p) for p in payloads]
-            for payload, fut in zip(payloads, futures):
-                try:
-                    results.append(fut.result())
-                except Exception:
-                    # pool infrastructure died (a deterministic kernel
-                    # error never escapes the oracle): redo serially
-                    results.append(_run_one(payload))
-        finally:
-            pool.release()
+        futures = [pool.submit(_run_one_in_worker, p) for p in payloads]
+        for payload, fut in zip(payloads, futures):
+            try:
+                results.append(fut.result())
+            except Exception:
+                # pool infrastructure died (a deterministic kernel
+                # error never escapes the oracle): redo serially
+                results.append(_run_one(payload))
 
     run = FuzzRunResult(
         options=options, results=results, workers=n_workers
@@ -241,7 +238,7 @@ def _write_reproducer(out_dir: str, r: CaseResult) -> str:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    from repro.cli import add_session_flags
+    from repro.cli import add_session_flags, require_positive
     from repro.session import session_from_flags
 
     p = argparse.ArgumentParser(
@@ -286,6 +283,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     add_session_flags(p)
     args = p.parse_args(argv)
+    require_positive(p, ("--count", args.count), ("--workers", args.workers))
 
     options = FuzzOptions(
         seed=args.seed,

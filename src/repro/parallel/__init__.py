@@ -1,22 +1,18 @@
-"""Sharded parallel experiment engine (DESIGN.md §9).
+"""Case-level parallelism and the differential layer (DESIGN.md §9).
 
-Two levels of sharding, one determinism contract:
+The paper's evaluation is a grid of independent cases — 11 apps × 2
+variants × 6 devices — so that is where the parallelism lives: whole
+cases fan out over one process-wide warm worker pool
+(:mod:`repro.parallel.pool`).  :func:`run_matrix` fans the (app ×
+device) grid of Table IV / Fig. 10 / the extension-GPU scoring out one
+application per case (:mod:`repro.parallel.matrix`); search candidate
+scoring and fuzz campaigns share the same pool.  A single kernel launch
+always runs serially in the process that issued it.
 
-* **work-group shards** — ``launch(..., workers=N)`` splits the
-  canonical pick list into contiguous ranges executed by shared-nothing
-  worker processes and merges traces and buffer writes back in shard
-  order (:mod:`repro.parallel.engine`, :mod:`repro.parallel.sharding`);
-* **experiment cases** — :func:`run_matrix` fans the (app × device)
-  grid of Table IV / Fig. 10 / the extension-GPU scoring out over a
-  pool, one application per case (:mod:`repro.parallel.matrix`).
-
-Every fan-out shares one process-wide *persistent* worker pool
-(:mod:`repro.parallel.pool`, ``$REPRO_POOL_PERSIST``) and, for sharded
-launches, a zero-copy shared-memory data plane
-(``$REPRO_POOL_SHM``, DESIGN.md §16).
-
-Both levels are required to be *bit-identical* to serial execution;
-:mod:`repro.parallel.diff` is the differential layer that enforces it.
+Fanned-out results are required to be *bit-identical* to serial
+execution; :mod:`repro.parallel.diff` is the differential layer that
+enforces it (and the one the execution backends are checked against).
+``REPRO_WORKERS`` is the number of cases fanned out at once;
 ``REPRO_WORKERS=1`` forces everything serial.
 """
 
@@ -28,10 +24,15 @@ from repro.parallel.diff import (
     assert_traces_equal,
     trace_mismatch,
 )
-from repro.parallel.engine import WORKERS_ENV, make_pool, resolve_workers
 from repro.parallel.matrix import MatrixResult, run_matrix
-from repro.parallel.pool import WorkerPool, acquire, shutdown_shared
-from repro.parallel.sharding import merge_group_traces, select_groups, shard_ranges
+from repro.parallel.pool import (
+    WORKERS_ENV,
+    WorkerPool,
+    acquire,
+    make_pool,
+    resolve_workers,
+    shutdown_shared,
+)
 
 __all__ = [
     "DifferentialMismatch",
@@ -44,11 +45,8 @@ __all__ = [
     "assert_outputs_equal",
     "assert_traces_equal",
     "make_pool",
-    "merge_group_traces",
     "resolve_workers",
     "run_matrix",
-    "select_groups",
-    "shard_ranges",
     "shutdown_shared",
     "trace_mismatch",
 ]

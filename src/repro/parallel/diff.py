@@ -1,11 +1,13 @@
-"""Differential-equivalence layer: serial vs parallel, field by field.
+"""Differential-equivalence layer: two executions, field by field.
 
-The parallel engine's contract is *bit-identity*: a sharded launch must
-produce exactly the trace, outputs and model cycles a serial launch
-produces.  This module is the single arbiter of that contract — the
-differential test suite, ``repro bench`` and the matrix harness all
-compare through it, so a violation always surfaces as the same readable
-"first mismatch" description instead of a deep assertion failure.
+The fast paths' contract is *bit-identity*: the tape and codegen
+backends must produce exactly the trace, outputs and model cycles of
+the reference interpreter, and a fanned-out experiment matrix exactly
+the serial grid.  This module is the single arbiter of that contract —
+the differential test suite, ``repro bench``, search verification and
+the fuzz oracle all compare through it, so a violation always surfaces
+as the same readable "first mismatch" description instead of a deep
+assertion failure.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from repro.runtime.trace import KernelTrace, MemEvent
 
 
 class DifferentialMismatch(AssertionError):
-    """Serial and parallel executions disagreed (with the field that did)."""
+    """Two executions disagreed (with the field that did)."""
 
 
 def _event_mismatch(a: MemEvent, b: MemEvent) -> Optional[str]:

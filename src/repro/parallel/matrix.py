@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.parallel import pool as worker_pool
-from repro.parallel.engine import make_pool, resolve_workers
+from repro.parallel.pool import make_pool, resolve_workers
 from repro.runtime.errors import (
     BarrierDivergenceError,
     MemoryFault,
@@ -139,38 +139,35 @@ def run_matrix(
         min(n_workers, len(app_ids)), factory=make_pool
     ) if (n_workers > 1 and len(app_ids) > 1) else None
     if pool is not None:
-        try:
-            futures = {
-                app_id: pool.submit(_matrix_case, app_id, dev_names, scale)
-                for app_id in app_ids
-            }
-            for app_id in app_ids:  # input order, not completion order
-                try:
-                    _, vals = futures[app_id].result()
-                except (RuntimeLaunchError, MemoryFault, BarrierDivergenceError) as exc:
-                    # deterministic kernel-execution failure: a serial
-                    # retry would fail identically — surface it instead
-                    # of burning a retry on it
-                    raise RuntimeLaunchError(
-                        f"matrix case {app_id!r} failed deterministically "
-                        f"({type(exc).__name__}: {exc}); not retrying"
-                    ) from exc
-                except Exception as exc:
-                    # pool infrastructure failure (broken pool, lost
-                    # worker, pickling): recompute serially in the parent;
-                    # KeyboardInterrupt/SystemExit propagate untouched
-                    if retries <= 0:
-                        raise
-                    result.retried[app_id] = f"{type(exc).__name__}: {exc}"
-                    events.emit(
-                        "matrix_case_retried",
-                        app=app_id,
-                        reason=result.retried[app_id],
-                    )
-                    _, vals = _matrix_case(app_id, dev_names, scale)
-                per_app[app_id] = vals
-        finally:
-            pool.release()
+        futures = {
+            app_id: pool.submit(_matrix_case, app_id, dev_names, scale)
+            for app_id in app_ids
+        }
+        for app_id in app_ids:  # input order, not completion order
+            try:
+                _, vals = futures[app_id].result()
+            except (RuntimeLaunchError, MemoryFault, BarrierDivergenceError) as exc:
+                # deterministic kernel-execution failure: a serial
+                # retry would fail identically — surface it instead
+                # of burning a retry on it
+                raise RuntimeLaunchError(
+                    f"matrix case {app_id!r} failed deterministically "
+                    f"({type(exc).__name__}: {exc}); not retrying"
+                ) from exc
+            except Exception as exc:
+                # pool infrastructure failure (broken pool, lost
+                # worker, pickling): recompute serially in the parent;
+                # KeyboardInterrupt/SystemExit propagate untouched
+                if retries <= 0:
+                    raise
+                result.retried[app_id] = f"{type(exc).__name__}: {exc}"
+                events.emit(
+                    "matrix_case_retried",
+                    app=app_id,
+                    reason=result.retried[app_id],
+                )
+                _, vals = _matrix_case(app_id, dev_names, scale)
+            per_app[app_id] = vals
     else:
         for app_id in app_ids:
             _, vals = _matrix_case(app_id, dev_names, scale)
@@ -232,6 +229,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                    help="write structured events as JSONL to this path")
     args = p.parse_args(argv)
 
+    from repro.cli import require_positive
     from repro.perf.bench import validate_app_ids
     from repro.perf.devices import DEVICES
     from repro.reporting import ascii_table, normalized_perf_table
@@ -250,6 +248,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if unknown:
         p.error(f"unknown device(s): {', '.join(unknown)}; "
                 f"known: {', '.join(DEVICES)}")
+    require_positive(p, ("--workers", args.workers))
     with session_from_flags(args.config, args.trace_out):
         result = run_matrix(
             apps=apps,

@@ -1,57 +1,116 @@
 """The process-wide persistent worker pool.
 
-Every fan-out in the system — sharded launches, the experiment matrix,
-search candidate scoring, fuzz campaigns — used to build
-its own ``ProcessPoolExecutor`` and tear it down per call, paying the
-fork plus a cold interpreter in every worker each time.  This module
-owns **one** warm pool for the whole process: the first fan-out forks
-it, later fan-outs reuse the same worker processes (and everything warm
-inside them: unpickled kernels, the codegen module cache, on-disk
-artifact handles), and it is torn down when the session that first
-acquired it closes — or at interpreter exit, whichever comes first.
+Every fan-out in the system — the experiment matrix, search candidate
+scoring, fuzz campaigns — fans whole, independent cases out over
+**one** warm pool: the first fan-out forks it, later fan-outs reuse the
+same worker processes (and everything warm inside them: the compile
+cache, the codegen module cache, on-disk artifact handles), and it is
+torn down when the session that first acquired it closes — or at
+interpreter exit, whichever comes first.
 
-``acquire(n, factory)`` hands out a :class:`WorkerPool` handle:
-
-* with ``pool_persist`` (``$REPRO_POOL_PERSIST``, default on) the handle
-  wraps the shared executor; ``release()`` is a no-op.  The pool is
-  recycled — old executor shut down, a fresh one forked, a
-  ``pool_recycle`` event emitted — when it is broken (a worker died),
-  too small for the request, or the factory changed (tests monkeypatch
-  their module's ``make_pool``).
-* with ``pool_persist=0`` the handle owns a private executor and
-  ``release()`` shuts it down — the pre-pool behaviour.
+``acquire(n, factory)`` hands out the shared :class:`WorkerPool`.  The
+pool is recycled — old executor shut down, a fresh one forked, a
+``pool_recycle`` event emitted — when it is broken (a worker died), too
+small for the request, or the factory changed (tests monkeypatch their
+module's ``make_pool``).
 
 ``factory`` is the *caller's* ``make_pool`` reference so the
 ``pool_fallback`` observability (and the test doubles patched over it)
 keep working unchanged; a factory returning ``None`` makes ``acquire``
 return ``None`` and the caller falls back to its serial loop.
 
-The module also keeps the fan-out statistics the bench reports:
-tasks dispatched, shared-memory bytes published, and per-worker warm
-kernel-cache hit/miss counts (keyed by worker pid).
+``resolve_workers`` normalises every ``workers=`` argument: ``None``
+means the session's ``workers`` setting (``$REPRO_WORKERS``), the
+number of cases fanned out at once; 1 is serial.
 """
 
 from __future__ import annotations
 
 import atexit
+import multiprocessing
 import time
+import warnings
 import weakref
-from typing import Callable, Dict, Optional
+from concurrent.futures import ProcessPoolExecutor
+from typing import Callable, Optional
 
 from repro.session import events
 
-__all__ = ["WorkerPool", "acquire", "shutdown_shared", "session_closed",
-           "stats", "reset_stats", "note_task", "note_publish"]
+__all__ = ["PoolFallbackWarning", "WORKERS_ENV", "WorkerPool", "acquire",
+           "make_pool", "resolve_workers", "session_closed",
+           "shutdown_shared"]
+
+#: environment default for every ``workers=None`` entry point; setting
+#: ``REPRO_WORKERS=1`` is the global escape hatch that forces serial
+#: execution everywhere without touching call sites (registered in
+#: :mod:`repro.session.config` as the ``workers`` variable)
+WORKERS_ENV = "REPRO_WORKERS"
+
+
+class PoolFallbackWarning(RuntimeWarning):
+    """A fan-out silently degraded to serial execution."""
+
+
+def resolve_workers(workers: Optional[int] = None) -> int:
+    """Normalise a ``workers`` argument to an ``int >= 1``.
+
+    ``None`` falls back to the session's ``workers`` setting
+    (``$REPRO_WORKERS``, a ``--config`` file, ...), then to 1 (serial).
+    Anything that is not a positive integer — including bools and
+    numeric strings passed programmatically — raises ``ValueError``.
+    """
+    if workers is None:
+        from repro.session import current_session
+
+        return current_session().get("workers")
+    if isinstance(workers, bool) or not isinstance(workers, int):
+        raise ValueError(
+            f"workers must be a positive integer or None, got {workers!r}"
+        )
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    return workers
+
+
+def make_pool(n_workers: int) -> Optional[ProcessPoolExecutor]:
+    """A process pool, or ``None`` when one cannot be created here.
+
+    Prefers the cheap ``fork`` start method where the platform offers
+    it.  Pool-creation failures (restricted sandboxes, missing
+    semaphores) are a *fallback* condition, not an error — callers run
+    serially instead; the failure is reported as a ``pool_fallback``
+    event, or as a :class:`PoolFallbackWarning` when no sink listens
+    (never both, never neither).
+
+    Fan-outs do not call this directly: they pass it (or a
+    module-local alias of it) to :func:`acquire` as the factory, so the
+    warm pool is reused instead of forked per call.
+    """
+    try:
+        methods = multiprocessing.get_all_start_methods()
+        ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
+        return ProcessPoolExecutor(max_workers=n_workers, mp_context=ctx)
+    except Exception as exc:
+        error = f"{type(exc).__name__}: {exc}"
+        if events.bus_active():
+            events.emit("pool_fallback", where="make_pool",
+                        reason="process pool unavailable", error=error)
+        else:
+            warnings.warn(
+                "parallel execution fell back to serial in make_pool: "
+                f"process pool unavailable ({error})",
+                PoolFallbackWarning,
+                stacklevel=2,
+            )
+        return None
 
 
 class WorkerPool:
-    """Handle around one executor; persistent handles share it."""
+    """Handle around the shared executor."""
 
-    def __init__(self, executor, n_workers: int, persistent: bool,
-                 factory: Callable) -> None:
+    def __init__(self, executor, n_workers: int, factory: Callable) -> None:
         self._executor = executor
         self.n_workers = n_workers
-        self.persistent = persistent
         self.factory = factory
 
     def submit(self, fn, *args, **kwargs):
@@ -67,69 +126,17 @@ class WorkerPool:
         """Pids of the live worker processes (empty before first task)."""
         return tuple(sorted(getattr(self._executor, "_processes", {}) or ()))
 
-    def release(self) -> None:
-        """Caller is done with this fan-out; persistent pools stay warm."""
-        if not self.persistent:
-            self._shutdown()
-
     def _shutdown(self) -> None:
         shutdown = getattr(self._executor, "shutdown", None)
         if shutdown is not None:
             shutdown(wait=True, cancel_futures=True)
 
 
-#: the shared pool (persistent mode), created by the first fan-out
+#: the shared pool, created by the first fan-out
 _SHARED: Optional[WorkerPool] = None
 #: weakref to the Session whose close() tears the shared pool down
 _OWNER: Optional["weakref.ref"] = None
 _ATEXIT_REGISTERED = False
-
-#: fan-out statistics for `repro bench` (see module docstring)
-_STATS: Dict[str, object] = {}
-
-
-def reset_stats() -> None:
-    global _STATS
-    _STATS = {
-        "tasks": 0,
-        "shm_bytes_published": 0,
-        # worker pid -> {"tasks", "kernel_cache_hits", "kernel_cache_misses"}
-        "per_worker": {},
-    }
-
-
-reset_stats()
-
-
-def stats() -> Dict[str, object]:
-    """A snapshot of the fan-out counters (deep enough to mutate safely)."""
-    return {
-        "tasks": _STATS["tasks"],
-        "shm_bytes_published": _STATS["shm_bytes_published"],
-        "per_worker": {pid: dict(c) for pid, c in _STATS["per_worker"].items()},
-    }
-
-
-def note_task(pid: int, kernel_cache_hit: Optional[bool] = None) -> None:
-    _STATS["tasks"] += 1
-    per = _STATS["per_worker"].setdefault(
-        pid, {"tasks": 0, "kernel_cache_hits": 0, "kernel_cache_misses": 0}
-    )
-    per["tasks"] += 1
-    if kernel_cache_hit is True:
-        per["kernel_cache_hits"] += 1
-    elif kernel_cache_hit is False:
-        per["kernel_cache_misses"] += 1
-
-
-def note_publish(nbytes: int) -> None:
-    _STATS["shm_bytes_published"] += int(nbytes)
-
-
-def _persist_default() -> bool:
-    from repro.session import current_session
-
-    return bool(current_session().get("pool_persist"))
 
 
 def _claim_owner() -> None:
@@ -142,19 +149,10 @@ def _claim_owner() -> None:
     _OWNER = weakref.ref(current_session())
 
 
-def acquire(n_workers: int, factory: Callable,
-            persist: Optional[bool] = None) -> Optional[WorkerPool]:
-    """A pool handle sized for ``n_workers``, or ``None`` (serial fallback,
-    already observed by ``factory``)."""
+def acquire(n_workers: int, factory: Callable) -> Optional[WorkerPool]:
+    """The shared pool, sized for at least ``n_workers``, or ``None``
+    (serial fallback, already observed by ``factory``)."""
     global _SHARED, _ATEXIT_REGISTERED
-    if persist is None:
-        persist = _persist_default()
-    if not persist:
-        executor = factory(n_workers)
-        if executor is None:
-            return None
-        return WorkerPool(executor, n_workers, persistent=False, factory=factory)
-
     pool = _SHARED
     if pool is not None:
         reason = None
@@ -174,7 +172,7 @@ def acquire(n_workers: int, factory: Callable,
     executor = factory(n_workers)
     if executor is None:
         return None
-    _SHARED = WorkerPool(executor, n_workers, persistent=True, factory=factory)
+    _SHARED = WorkerPool(executor, n_workers, factory=factory)
     _claim_owner()
     if not _ATEXIT_REGISTERED:
         atexit.register(shutdown_shared)

@@ -14,19 +14,12 @@ fast backend — with memoization off — reproduces the oracle's per-group
 hit/miss/prefetch counts exactly; a mismatch is a hard failure, not a
 recorded number.
 
-With ``--workers N`` (N > 1) two parallel stages are added, both
-differentially verified before their wall-clock is recorded: a sharded
-launch per app and the Table IV experiment matrix serial-vs-fanned-out
-(``parallel_matrix``, values asserted equal float-for-float).  Since
-schema 7 the sharded-launch stage separates one-time costs from
-steady state: ``pool_warmup_s`` is the first fan-out (worker fork if
-the persistent pool is cold, arena publication, cold per-worker kernel
-caches) and ``launch_trace_parallel_s`` is the minimum of up to three
-warm repeats — the number a long sweep actually pays per launch.  The
-per-app ``pool`` block records ``shm_bytes_published`` and per-worker
-task/kernel-cache-hit counters from :mod:`repro.parallel.pool`.
-``host_cpus`` is recorded alongside — on a single-core host the
-parallel numbers measure overhead, not speedup.
+With ``--workers N`` (N > 1) the Table IV experiment matrix is timed
+serial-vs-fanned-out, one app per case (``parallel_matrix``, values
+asserted equal float-for-float before the wall-clock is recorded).
+Launches themselves always run serially.  ``host_cpus`` is recorded
+alongside — on a single-core host the parallel numbers measure
+overhead, not speedup.
 """
 
 from __future__ import annotations
@@ -58,7 +51,7 @@ DEFAULT_SAMPLE_GROUPS = 16
 #: total): large enough that per-launch costs (tape compile, the pilot
 #: group) amortise the way they do in a real Table IV sweep
 TRACE_SAMPLE_GROUPS = 256
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 #: scale the ``--search`` tier searches at: candidate scoring compiles
 #: and executes dozens of kernels per app, so it runs the small grids
 SEARCH_SCALE = "test"
@@ -194,7 +187,6 @@ def bench_app(
     scale: str = "bench",
     sample_groups: int = DEFAULT_SAMPLE_GROUPS,
     variants: Sequence[str] = ("with", "without"),
-    workers: int = 1,
     trace_sample_groups: int = TRACE_SAMPLE_GROUPS,
 ) -> Dict:
     """Time each pipeline stage for one app; returns a JSON-ready dict."""
@@ -215,8 +207,7 @@ def bench_app(
 
     # -- launch + trace -------------------------------------------------------
     # one kernel object per variant: event-stream bit-identity (inst ids
-    # included) is defined per compiled kernel, and the parallel stage
-    # below must diff against the very same object.  Host problem setup
+    # included) is defined per compiled kernel.  Host problem setup
     # happens outside the timer; each backend is timed on the identical
     # workload and the tape trace must equal the reference trace
     # bit-for-bit before either number is recorded.
@@ -261,52 +252,6 @@ def bench_app(
         ).trace
         for var in variants
     }
-
-    # -- launch + trace, sharded over workers ---------------------------------
-    if workers > 1:
-        from repro.parallel import pool as worker_pool
-
-        worker_pool.reset_stats()
-
-        def _parallel_pass() -> float:
-            t0 = time.perf_counter()
-            par_traces = {
-                var: execute_app(
-                    app, kernels[var], variant=var, scale=scale,
-                    collect_trace=True, sample_groups=sample_groups,
-                    workers=workers,
-                ).trace
-                for var in variants
-            }
-            dt = time.perf_counter() - t0
-            for var in variants:  # differential gate before recording
-                assert_traces_equal(
-                    traces[var], par_traces[var],
-                    f"{app_id}[{var}] workers={workers}",
-                )
-            return dt
-
-        # first fan-out pays the one-time costs: the pool fork (when the
-        # persistent pool is cold), arena publication into fresh page
-        # cache, cold per-worker kernel caches
-        out["stages"]["pool_warmup_s"] = _parallel_pass()
-        dt = None
-        for _ in range(TIMED_REPEATS):
-            dt_i = _parallel_pass()
-            dt = dt_i if dt is None else min(dt, dt_i)
-            if dt_i >= REPEAT_UNDER_S:
-                break
-        out["stages"]["launch_trace_parallel_s"] = dt
-        out["launch_workers"] = workers
-        stats = worker_pool.stats()
-        out["pool"] = {
-            "tasks": stats["tasks"],
-            "shm_bytes_published": stats["shm_bytes_published"],
-            "per_worker": {
-                str(pid): counts
-                for pid, counts in sorted(stats["per_worker"].items())
-            },
-        }
 
     # -- trace -> cycles ------------------------------------------------------
     cpu_spec, gpu_spec = devices.SNB, devices.FERMI
@@ -480,7 +425,7 @@ def run_bench(
         "apps": {},
     }
     for app_id in apps:
-        results["apps"][app_id] = bench_app(app_id, scale, sample_groups, workers=workers)
+        results["apps"][app_id] = bench_app(app_id, scale, sample_groups)
     if smoke:
         results["smoke"] = bench_smoke(sample_groups=sample_groups)
     if workers > 1:
@@ -502,9 +447,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("--scale", default="bench", help="problem scale")
     p.add_argument("--sample-groups", type=int, default=DEFAULT_SAMPLE_GROUPS)
     p.add_argument("--workers", type=int, default=None,
-                   help="also time sharded launches and the parallel "
-                   "experiment matrix with this many workers "
-                   "(default: $REPRO_WORKERS, then 1 = serial only)")
+                   help="also time the experiment matrix fanned out over "
+                   "this many workers (default: $REPRO_WORKERS, then "
+                   "1 = serial only)")
     p.add_argument("--search", action="store_true",
                    help="also beam-search rewrite-rule pipelines per app "
                    "and record winning pipeline + searched-vs-default "
@@ -517,9 +462,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                    help="write structured events as JSONL to this path")
     args = p.parse_args(argv)
 
-    from repro.parallel.engine import resolve_workers
+    from repro.cli import require_positive
+    from repro.parallel.pool import resolve_workers
     from repro.session import session_from_flags
 
+    require_positive(p, ("--sample-groups", args.sample_groups),
+                     ("--workers", args.workers))
     app_ids = [a.strip() for a in args.apps.split(",") if a.strip()]
     try:
         validate_app_ids(app_ids)
@@ -576,10 +524,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         if matrix["host_cpus"] < 2:
             print(
                 "# note: single-cpu host — parallel wall-clock measures "
-                "overhead, not speedup (pool_warmup_s already isolates the "
-                "one-time fork + shm-publish cost; launch_trace_parallel_s "
-                "is the min of warm repeats); rerun on a multi-core host "
-                "for real scaling numbers"
+                "overhead, not speedup; rerun on a multi-core host for "
+                "real scaling numbers"
             )
     return 0
 

@@ -4,8 +4,8 @@ The paper's transformation — reversing the ``GL -> LS ... barrier ... LL``
 software-cache pattern — is *one* semantics-preserving rewrite, and its
 own evaluation shows it wins only a third of the time.  This package
 makes "a rewrite" a first-class object (:class:`RewriteRule`): an
-applicability probe, an in-place ``apply``, a named legality arbiter and
-static cost features, so the pipeline-search engine
+applicability probe, an in-place ``apply`` and a named legality
+arbiter, so the pipeline-search engine
 (:mod:`repro.search`) can compose and score *sequences* of rewrites
 instead of hard-coding one heuristic.
 

@@ -19,11 +19,11 @@ applied per rewrite site instead of per kernel.
 from __future__ import annotations
 
 import copy
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.ir.function import Function
 from repro.ir.instructions import is_barrier
-from repro.rules.base import RewriteRule, RuleContext, base_features, register_rule
+from repro.rules.base import RewriteRule, RuleContext, register_rule
 
 __all__ = ["BarrierEliminationRule"]
 
@@ -91,11 +91,6 @@ class BarrierEliminationRule(RewriteRule):
                 changed = True
                 break
         return removed
-
-    def cost_features(self, fn: Function, ctx: RuleContext) -> Dict[str, int]:
-        feats = base_features(fn)
-        feats["barrier_sites"] = len(_barrier_positions(fn))
-        return feats
 
 
 register_rule(BarrierEliminationRule())

@@ -13,10 +13,7 @@ everything a search engine needs to reason about it:
   Grover pass is: either the rule consults it internally per rewrite
   site (``eliminate-barriers``), or the analyzer vets the whole kernel
   around the application (:meth:`RewriteRule.veto`, mirroring
-  ``Session.disable_local_memory``'s ``$REPRO_ANALYZE`` gate);
-* ``cost_features(fn, ctx)`` — deterministic static features of the
-  kernel as the rule sees it (local bytes, barrier count, ...), the
-  inputs a learned cost model would train on.
+  ``Session.disable_local_memory``'s ``$REPRO_ANALYZE`` gate).
 
 Rules are stateless and deterministic: applying the same rule to the
 same IR under the same :class:`RuleContext` always performs the same
@@ -29,8 +26,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.ir.function import Function
-from repro.ir.instructions import Load, is_barrier
-from repro.ir.types import AddressSpace
 
 __all__ = [
     "RULE_REGISTRY",
@@ -84,10 +79,6 @@ class RewriteRule:
         """Transform ``fn`` in place; returns the rewrite count."""
         raise NotImplementedError
 
-    def cost_features(self, fn: Function, ctx: RuleContext) -> Dict[str, int]:
-        """Deterministic static features of ``fn`` (sorted-key dict)."""
-        return base_features(fn)
-
     # -- the analyzer gate ----------------------------------------------------
     def veto(self, fn: Function, ctx: RuleContext, stage: str) -> None:
         """Raise :class:`~repro.analysis.RaceDetected` on a decided race
@@ -106,35 +97,6 @@ class RewriteRule:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<RewriteRule {self.name}>"
-
-
-def base_features(fn: Function) -> Dict[str, int]:
-    """Rule-independent static features shared by every rule."""
-    loads_local = loads_global = stores_local = stores_global = barriers = 0
-    from repro.ir.instructions import Store
-
-    for inst in fn.instructions():
-        if is_barrier(inst):
-            barriers += 1
-        elif isinstance(inst, Load):
-            if inst.addrspace == AddressSpace.LOCAL:
-                loads_local += 1
-            elif inst.addrspace == AddressSpace.GLOBAL:
-                loads_global += 1
-        elif isinstance(inst, Store):
-            if inst.addrspace == AddressSpace.LOCAL:
-                stores_local += 1
-            elif inst.addrspace == AddressSpace.GLOBAL:
-                stores_global += 1
-    return {
-        "barriers": barriers,
-        "global_loads": loads_global,
-        "global_stores": stores_global,
-        "local_arrays": len(fn.local_arrays),
-        "local_bytes": sum(la.nbytes for la in fn.local_arrays),
-        "local_loads": loads_local,
-        "local_stores": stores_local,
-    }
 
 
 #: every registered rule by name (insertion-ordered)

@@ -2,16 +2,14 @@
 
 ``apply`` is the registered ``grover`` pass body, verbatim: the port
 must be bit-identical on every app (the golden-report suite pins this),
-so the rule adds only metadata — the probe, the legality-arbiter name
-and the cost features — around the exact historical call.
+so the rule adds only metadata — the probe and the legality-arbiter
+name — around the exact historical call.
 """
 
 from __future__ import annotations
 
-from typing import Dict
-
 from repro.ir.function import Function
-from repro.rules.base import RewriteRule, RuleContext, base_features, register_rule
+from repro.rules.base import RewriteRule, RuleContext, register_rule
 
 __all__ = ["DisableLocalMemoryRule"]
 
@@ -53,11 +51,6 @@ class DisableLocalMemoryRule(RewriteRule):
             return 0  # nothing to disable — makes the pass idempotent
         report = GroverPass(allow_partial=True).run(fn)
         return sum(len(r.lls) for r in report.transformed)
-
-    def cost_features(self, fn: Function, ctx: RuleContext) -> Dict[str, int]:
-        feats = base_features(fn)
-        feats["candidate_arrays"] = len(fn.local_arrays)
-        return feats
 
 
 register_rule(DisableLocalMemoryRule())

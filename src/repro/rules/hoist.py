@@ -28,7 +28,7 @@ Legality:
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import List, Set
 
 from repro.core.candidates import base_object
 from repro.ir.cfg import dominators, natural_loops
@@ -45,7 +45,7 @@ from repro.ir.instructions import (
 )
 from repro.ir.types import AddressSpace
 from repro.ir.values import Argument
-from repro.rules.base import RewriteRule, RuleContext, base_features, register_rule
+from repro.rules.base import RewriteRule, RuleContext, register_rule
 
 __all__ = ["GlobalLoadHoistRule"]
 
@@ -156,19 +156,6 @@ class GlobalLoadHoistRule(RewriteRule):
                     pre.insert_before(anchor, inst)
                     hoisted += 1
         return hoisted
-
-    def cost_features(self, fn: Function, ctx: RuleContext) -> Dict[str, int]:
-        feats = base_features(fn)
-        loops = natural_loops(fn)
-        feats["loops"] = len(loops)
-        feats["in_loop_global_loads"] = sum(
-            1
-            for loop in loops
-            for bb in loop.body
-            for inst in bb.instructions
-            if isinstance(inst, Load) and inst.addrspace == AddressSpace.GLOBAL
-        )
-        return feats
 
 
 register_rule(GlobalLoadHoistRule())

@@ -25,13 +25,13 @@ pipeline search scores.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.ir.function import Function
 from repro.ir.instructions import GEP
 from repro.ir.types import ArrayType
 from repro.ir.values import LocalArray
-from repro.rules.base import RewriteRule, RuleContext, base_features, register_rule
+from repro.rules.base import RewriteRule, RuleContext, register_rule
 
 __all__ = ["LocalArrayPaddingRule", "BANK_LINE_BYTES"]
 
@@ -139,26 +139,6 @@ class LocalArrayPaddingRule(RewriteRule):
                 if lo < 0 or hi > dim - 1:
                     return False
         return True
-
-    def cost_features(self, fn: Function, ctx: RuleContext) -> Dict[str, int]:
-        feats = base_features(fn)
-        feats["multi_dim_local_arrays"] = sum(
-            1
-            for la in fn.local_arrays
-            if isinstance(la.array_type.element, ArrayType)
-        )
-        feats["bank_aliasing_arrays"] = sum(
-            1
-            for la in fn.local_arrays
-            if isinstance(la.array_type.element, ArrayType)
-            and (
-                _innermost(la.array_type).count
-                * _innermost(la.array_type).element.size
-            )
-            % BANK_LINE_BYTES
-            == 0
-        )
-        return feats
 
 
 register_rule(LocalArrayPaddingRule())

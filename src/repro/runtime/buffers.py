@@ -22,34 +22,15 @@ _PAD = 16
 
 
 class Buffer:
-    """A contiguous allocation in one of the OpenCL memory spaces.
+    """A contiguous allocation in one of the OpenCL memory spaces."""
 
-    ``data`` lets a caller hand in an external ``uint8`` backing store of
-    at least the padded length — how worker shards mount zero-copy views
-    of a :class:`ShmArena` segment instead of private copies.
-    """
-
-    def __init__(
-        self,
-        mem: "Memory",
-        buf_id: int,
-        nbytes: int,
-        name: str = "",
-        data: Optional[np.ndarray] = None,
-    ) -> None:
+    def __init__(self, mem: "Memory", buf_id: int, nbytes: int, name: str = "") -> None:
         self.mem = mem
         self.id = buf_id
         self.nbytes = nbytes
         self.name = name
         padded = (nbytes + _PAD - 1) // _PAD * _PAD
-        if data is None:
-            data = np.zeros(padded, dtype=np.uint8)
-        elif data.dtype != np.uint8 or len(data) < padded:
-            raise ValueError(
-                f"external backing for buffer {name or buf_id} must be "
-                f">= {padded} uint8 bytes, got {len(data)} x {data.dtype}"
-            )
-        self.data = data
+        self.data = np.zeros(padded, dtype=np.uint8)
         #: cached dtype views of the backing store
         self._views: Dict[np.dtype, np.ndarray] = {}
 
@@ -121,102 +102,3 @@ class Memory:
         if len(ids) and not (ids == first).all():
             raise MemoryFault("access spans multiple buffers")
         return first, (addrs & OFFSET_MASK).astype(np.int64)
-
-
-class ShmArena:
-    """Every buffer argument of one launch in a single POSIX shared-memory
-    segment.
-
-    The parent publishes the canonical bytes once (``publish``); worker
-    shards ``attach`` and mount zero-copy :class:`Buffer` views with the
-    parent's buffer ids (``attach_memory``), so every shard's writes land
-    directly in the segment.  Work-group independence — the contract the
-    differential suite enforces — means shards write disjoint byte
-    ranges, so the parent's post-launch merge is a single ``readback``
-    copy per buffer instead of per-shard diff application.
-
-    Blocks are laid out at ``_PAD``-aligned offsets in ascending buffer-id
-    order, each block the padded length of its buffer, so any element-size
-    view of a block is as legal as it is on the private backing store.
-
-    Lifecycle: exactly one process (the parent) owns the name and must
-    call ``unlink``; every attachment calls ``close``.  ``close`` with a
-    live numpy view swallows the ``BufferError`` — the mapping then lives
-    until the views die, which leaks address space, never the segment.
-    """
-
-    def __init__(self, shm, layout: Dict[int, tuple], total_bytes: int) -> None:
-        self._shm = shm
-        #: buffer id -> (offset, nbytes, padded length, name)
-        self._layout = layout
-        self.total_bytes = total_bytes
-
-    @property
-    def name(self) -> str:
-        return self._shm.name
-
-    @classmethod
-    def publish(cls, name: str, buffers: Dict[int, "Buffer"]) -> "ShmArena":
-        from multiprocessing import shared_memory
-
-        layout: Dict[int, tuple] = {}
-        off = 0
-        for buf_id in sorted(buffers):
-            buf = buffers[buf_id]
-            padded = len(buf.data)
-            layout[buf_id] = (off, buf.nbytes, padded, buf.name)
-            off += padded  # padded lengths are _PAD multiples -> aligned
-        shm = shared_memory.SharedMemory(name=name, create=True, size=max(off, 1))
-        arena = cls(shm, layout, off)
-        view = np.ndarray((max(off, 1),), dtype=np.uint8, buffer=shm.buf)
-        for buf_id, (o, _nb, padded, _name) in layout.items():
-            view[o : o + padded] = buffers[buf_id].data[:padded]
-        del view
-        return arena
-
-    def spec(self) -> dict:
-        """Picklable attachment recipe shipped to worker shards."""
-        return {
-            "name": self._shm.name,
-            "layout": self._layout,
-            "total": self.total_bytes,
-        }
-
-    @classmethod
-    def attach(cls, spec: dict) -> "ShmArena":
-        from multiprocessing import shared_memory
-
-        shm = shared_memory.SharedMemory(name=spec["name"])
-        return cls(shm, spec["layout"], spec["total"])
-
-    def attach_memory(self, mem: "Memory") -> None:
-        """Mount one zero-copy :class:`Buffer` per block into ``mem``,
-        under the parent's buffer ids."""
-        for buf_id in sorted(self._layout):
-            off, nbytes, padded, name = self._layout[buf_id]
-            data = np.ndarray(
-                (padded,), dtype=np.uint8, buffer=self._shm.buf, offset=off
-            )
-            mem.buffers[buf_id] = Buffer(mem, buf_id, nbytes, name, data=data)
-
-    def readback(self, buffers: Dict[int, "Buffer"]) -> None:
-        """Copy every block's final bytes into the parent's canonical
-        buffers (only ever called after *all* shards succeeded)."""
-        view = np.ndarray(
-            (max(self.total_bytes, 1),), dtype=np.uint8, buffer=self._shm.buf
-        )
-        for buf_id, (off, _nb, padded, _name) in self._layout.items():
-            buffers[buf_id].data[:padded] = view[off : off + padded]
-        del view
-
-    def close(self) -> None:
-        try:
-            self._shm.close()
-        except BufferError:  # a view outlived its launch; see docstring
-            pass
-
-    def unlink(self) -> None:
-        try:
-            self._shm.unlink()
-        except FileNotFoundError:  # already swept by failure cleanup
-            pass

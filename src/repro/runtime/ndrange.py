@@ -11,11 +11,10 @@ subset of work-groups — used by the performance models, which extrapolate
 from homogeneous groups (set it only when the output buffers don't
 matter).
 
-``workers=N`` shards the launch over N worker processes (contiguous
-ranges of the canonical pick list, merged back in shard order); the
-result is bit-identical to serial execution for kernels whose
-work-groups are independent — the contract enforced by the
-differential suite (see :mod:`repro.parallel` and DESIGN.md §9).
+A launch always runs in the calling process.  Parallelism lives one
+level up, in whole independent cases — an (app, device) cell of the
+experiment matrix, a search candidate, a fuzz case — fanned out over
+the warm worker pool (see :mod:`repro.parallel` and DESIGN.md §9).
 """
 
 from __future__ import annotations
@@ -30,8 +29,6 @@ from repro.ir.function import Function
 from repro.session import events
 from repro.ir.types import AddressSpace, PointerType
 from repro.ir.values import Argument, LocalArray
-from repro.parallel.engine import resolve_workers
-from repro.parallel.sharding import select_groups
 from repro.runtime.buffers import Buffer, Memory
 from repro.runtime.builtins import WorkItemContext
 from repro.runtime.errors import RuntimeLaunchError
@@ -46,6 +43,24 @@ class LaunchResult:
     trace: Optional[KernelTrace]
     groups_executed: int
     work_items: int
+
+
+def select_groups(total_groups: int, sample_groups=None) -> np.ndarray:
+    """The canonical flat-group pick list of a launch.
+
+    With ``sample_groups`` set, the picks are an evenly spread subset of
+    exactly ``min(sample_groups, total_groups)`` groups (the linspace
+    picks are strictly increasing once rounded, so deduplication never
+    shrinks the subset).
+    """
+    if sample_groups is not None:
+        if sample_groups < 1:
+            raise ValueError(f"sample_groups must be >= 1, got {sample_groups}")
+        if sample_groups < total_groups:
+            return np.unique(
+                np.linspace(0, total_groups - 1, sample_groups).round().astype(int)
+            )
+    return np.arange(total_groups)
 
 
 def _normalize(size: Sequence[int]) -> Tuple[int, ...]:
@@ -64,8 +79,6 @@ def launch(
     local_arg_sizes: Optional[Dict[str, int]] = None,
     collect_trace: bool = False,
     sample_groups: Optional[int] = None,
-    workers: Optional[int] = None,
-    _group_slice: Optional[Tuple[int, int]] = None,
 ) -> LaunchResult:
     """Execute ``kernel`` over the NDRange.
 
@@ -81,13 +94,9 @@ def launch(
     reported as ``LaunchResult.groups_executed`` and, when tracing, as
     ``KernelTrace.sampled_groups``.
 
-    ``workers`` (default: ``$REPRO_WORKERS``, then 1) shards the
-    executed groups over that many processes; results are bit-identical
-    to ``workers=1``.  Bad values raise :class:`RuntimeLaunchError`; an
-    unavailable pool silently falls back to serial execution.
-
-    ``_group_slice`` is the engine-internal half-open range of the pick
-    list a worker shard executes; user code never passes it.
+    The launch runs serially in this process whatever
+    ``$REPRO_WORKERS`` says: that setting fans out whole cases (see
+    :mod:`repro.parallel`), never the groups of one launch.
 
     Local and private (``alloca``) arenas are allocated once and reused
     (re-zeroed) across work-groups — group semantics are identical to a
@@ -95,10 +104,6 @@ def launch(
     """
     if not kernel.is_kernel:
         raise RuntimeLaunchError(f"{kernel.name} is not a kernel")
-    try:
-        n_workers = resolve_workers(workers)
-    except ValueError as exc:
-        raise RuntimeLaunchError(str(exc)) from None
     gsize = _normalize(global_size)
     lsize = _normalize(local_size)
     if len(gsize) != len(lsize):
@@ -151,49 +156,20 @@ def launch(
     groups_per_dim = tuple(gsize[d] // lsize[d] for d in range(ndim))
     total_groups = int(np.prod(groups_per_dim))
 
-    # which groups to execute (one shared definition — worker shards
-    # recompute the identical pick list from the same inputs)
+    # which groups to execute
     try:
         picks = select_groups(total_groups, sample_groups)
     except ValueError as exc:
         raise RuntimeLaunchError(str(exc)) from None
 
     t_start = time.perf_counter()
-    if _group_slice is None:
-        events.emit(
-            "launch_start",
-            kernel=kernel.name,
-            global_size=list(gsize),
-            local_size=list(lsize),
-            total_groups=total_groups,
-            workers=n_workers,
-        )
-
-    if _group_slice is not None:
-        lo, hi = _group_slice
-        if not (0 <= lo < hi <= len(picks)):
-            raise RuntimeLaunchError(
-                f"_group_slice {_group_slice} outside picks [0, {len(picks)})"
-            )
-        picks = picks[lo:hi]
-    elif n_workers > 1:
-        from repro.parallel.engine import parallel_launch
-
-        result = parallel_launch(
-            kernel, gsize, lsize, args, memory, local_arg_sizes,
-            collect_trace, sample_groups, picks, total_groups, n_workers,
-        )
-        if result is not None:
-            events.emit(
-                "launch_end",
-                kernel=kernel.name,
-                groups_executed=result.groups_executed,
-                work_items=result.work_items,
-                wall_ms=(time.perf_counter() - t_start) * 1e3,
-                error="",
-            )
-            return result
-        # pool unavailable or payload not shippable -> serial fallback
+    events.emit(
+        "launch_start",
+        kernel=kernel.name,
+        global_size=list(gsize),
+        local_size=list(lsize),
+        total_groups=total_groups,
+    )
 
     from repro.session import current_session
 
@@ -284,15 +260,14 @@ def launch(
         # eager way)
         if store is not None:
             store.close()
-        if _group_slice is None:
-            events.emit(
-                "launch_end",
-                kernel=kernel.name,
-                groups_executed=0,
-                work_items=work_items,
-                wall_ms=(time.perf_counter() - t_start) * 1e3,
-                error=f"{type(exc).__name__}: {exc}",
-            )
+        events.emit(
+            "launch_end",
+            kernel=kernel.name,
+            groups_executed=0,
+            work_items=work_items,
+            wall_ms=(time.perf_counter() - t_start) * 1e3,
+            error=f"{type(exc).__name__}: {exc}",
+        )
         raise
     except BaseException:
         # KeyboardInterrupt/SystemExit: no launch_end event (the launch
@@ -311,13 +286,12 @@ def launch(
     trace = (
         KernelTrace(group_traces, total_groups, lsize, gsize) if collect_trace else None
     )
-    if _group_slice is None:
-        events.emit(
-            "launch_end",
-            kernel=kernel.name,
-            groups_executed=len(picks),
-            work_items=work_items,
-            wall_ms=(time.perf_counter() - t_start) * 1e3,
-            error="",
-        )
+    events.emit(
+        "launch_end",
+        kernel=kernel.name,
+        groups_executed=len(picks),
+        work_items=work_items,
+        wall_ms=(time.perf_counter() - t_start) * 1e3,
+        error="",
+    )
     return LaunchResult(trace=trace, groups_executed=len(picks), work_items=work_items)

@@ -33,9 +33,8 @@ group finishes on the reference scalar path via
 :meth:`GroupExecutor.resume_block` — starting at the exact instruction
 that diverged, so no side effect is re-applied.
 
-Like the sharded parallel engine (DESIGN.md §9), batching reorders the
-side effects of *different* groups; results are bit-identical to serial
-execution for kernels whose work-groups are independent — the OpenCL
+Batching reorders the side effects of *different* groups; results are
+bit-identical to group-by-group execution for kernels whose work-groups are independent — the OpenCL
 execution model's own requirement, enforced by the differential suite.
 """
 

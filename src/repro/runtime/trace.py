@@ -18,8 +18,8 @@ pickled, compressed and appended to an anonymous temp file; a group's
 ``events`` then becomes a :class:`LazyEvents` sequence that streams the
 segment back on first access (at most the accessed segment plus the
 resident tail is ever in RAM).  Consumers are oblivious: ``LazyEvents``
-implements the full read-only sequence protocol, and pickling one (for
-worker shards) materialises it into a plain list.
+implements the full read-only sequence protocol, and pickling one
+materialises it into a plain list.
 """
 
 from __future__ import annotations
@@ -353,7 +353,7 @@ class LazyEvents(Sequence):
 
     Quacks like the plain ``List[MemEvent]`` it replaces (``len``,
     iteration, indexing); pickling materialises it into a real list so
-    traces shipped between worker processes stay self-contained.
+    a pickled trace stays self-contained.
     """
 
     __slots__ = ("_segment", "_slot")
@@ -473,31 +473,6 @@ class TraceSpillStore:
         self._track(seg)
         return out
 
-    def adopt_compressed(self, blob: bytes, nbytes: int) -> _ListSegment:
-        """Adopt one already-compressed segment (a worker shard's trace,
-        see :func:`compress_group_lists`) without decompressing it.
-
-        The blob — byte-identical to what :meth:`_spill` would have
-        written for the same events — goes straight to the spill file as
-        a pre-spilled :class:`_ListSegment`; ``nbytes`` is the resident
-        size its events will account for once a reader rehydrates them.
-        Wrap the segment's slots in :class:`LazyEvents` to expose them.
-        """
-        if self._closed:
-            raise RuntimeError(f"TraceSpillStore for {self.kernel!r} is closed")
-        seg = _ListSegment.__new__(_ListSegment)
-        seg._events = None
-        _Segment.__init__(seg, self, int(nbytes))
-        if self._file is None:
-            self._file = tempfile.TemporaryFile(prefix="repro-trace-spill-")
-        self._file.seek(0, 2)
-        seg.disk = (self._file.tell(), len(blob))
-        self._file.write(blob)
-        seg.resident = False
-        self.spilled_bytes += len(blob)
-        self.spill_count += 1
-        return seg
-
     # -- residency ---------------------------------------------------------
     def _track(self, seg: _Segment) -> None:
         self._resident[weakref.ref(seg)] = seg.nbytes
@@ -569,22 +544,3 @@ class TraceSpillStore:
         self.peak_resident_bytes = max(
             self.peak_resident_bytes, self.resident_bytes
         )
-
-
-def compress_group_lists(groups: Sequence[GroupTrace]) -> Tuple[bytes, int]:
-    """Serialize one shard's traces into the spill-segment wire format.
-
-    Returns ``(blob, nbytes)``: the blob is exactly what
-    :meth:`TraceSpillStore._spill` writes for a :class:`_ListSegment`
-    whose slot ``i`` holds ``groups[i]``'s events, so the parent can
-    append it to its own spill file via
-    :meth:`TraceSpillStore.adopt_compressed` and rehydration yields
-    bit-identical :class:`MemEvent` streams.  ``nbytes`` is the resident
-    accounting size of the materialised events.
-    """
-    payload = {slot: list(gt.events) for slot, gt in enumerate(groups)}
-    nbytes = sum(_events_nbytes(v) for v in payload.values())
-    blob = zlib.compress(
-        pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL), 1
-    )
-    return blob, nbytes

@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.parallel import pool as worker_pool
-from repro.parallel.engine import make_pool, resolve_workers
+from repro.parallel.pool import make_pool, resolve_workers
 from repro.session import events
 
 __all__ = [
@@ -175,7 +175,7 @@ def evaluate_pipeline(
     :class:`~repro.ir.verifier.VerificationError` means a rule emitted
     IR the compiler itself rejects — a rule bug that a serial rerun
     would reproduce identically, never something to discard quietly
-    (mirrors the PR 4 parallel-engine contract).
+    (mirrors the experiment matrix's no-retry contract).
     ``KeyboardInterrupt``/``SystemExit`` always propagate.
     """
     from repro.frontend.errors import FrontendError
@@ -192,7 +192,7 @@ def evaluate_pipeline(
         problem = app.make_problem(scale)
         # a fresh, environment-isolated session: scoring must not depend
         # on the caller's REPRO_* environment (determinism contract)
-        with Session(env={}, workers=1, exec_backend="codegen").activate():
+        with Session(env={}, exec_backend="codegen").activate():
             kernel, _ = compile_app(app, "with")
             rewrites = _apply_pipeline(kernel, pipeline, problem.local_size)
             if pipeline and rewrites[-1] == 0:
@@ -204,7 +204,6 @@ def evaluate_pipeline(
                 scale=scale,
                 collect_trace=True,
                 sample_groups=sample_groups,
-                workers=1,
             )
             cost = estimate_cost(run.trace, device_name)
         return CandidateEval(app_id, pipeline, rewrites, cost.cycles, device_name)
@@ -288,7 +287,7 @@ def verify_pipeline(
     app = get_app(app_id)
     problem = app.make_problem(scale)
     try:
-        with Session(env={}, workers=1, exec_backend="codegen").activate():
+        with Session(env={}, exec_backend="codegen").activate():
             kernel, _ = compile_app(app, "with")
             _apply_pipeline(kernel, pipeline, problem.local_size)
             if pipeline:  # the analyzer veto gate (empty pipeline: a no-op)
@@ -301,17 +300,17 @@ def verify_pipeline(
             baseline_kernel, _ = compile_app(app, "with")
             base = execute_app(
                 app, baseline_kernel, variant="with", scale=scale,
-                collect_trace=False, workers=1,
+                collect_trace=False,
             )
         runs = {}
         for backend in ("reference", "tape", "codegen"):
-            with Session(env={}, workers=1, exec_backend=backend).activate():
+            with Session(env={}, exec_backend=backend).activate():
                 # full grid, no sampling: sampled launches execute only
                 # the sampled groups, and verification must compare the
                 # complete output of every work-group
                 runs[backend] = execute_app(
                     app, kernel, variant="with", scale=scale,
-                    collect_trace=True, workers=1,
+                    collect_trace=True,
                 )
         ref = runs["reference"]
         for backend in ("tape", "codegen"):
@@ -492,12 +491,8 @@ def run_search(options: SearchOptions) -> SearchRunResult:
         else None
     )
     run = SearchRunResult(options=options, workers=n_workers)
-    try:
-        for app_id in apps:
-            run.results.append(search_app(app_id, options, pool))
-    finally:
-        if pool is not None:
-            pool.release()
+    for app_id in apps:
+        run.results.append(search_app(app_id, options, pool))
     run.wall_s = time.perf_counter() - t0
     return run
 
@@ -537,7 +532,7 @@ def render_search(run: SearchRunResult) -> str:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    from repro.cli import add_session_flags
+    from repro.cli import add_session_flags, require_positive
     from repro.perf.bench import validate_app_ids
     from repro.perf.devices import DEVICES
     from repro.rules import rule_names
@@ -594,11 +589,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"known: {', '.join(rule_names())}")
     if args.device is not None and args.device not in DEVICES:
         p.error(f"unknown device {args.device!r}; known: {', '.join(DEVICES)}")
-    for flag, value in (("--beam", args.beam), ("--depth", args.depth),
-                        ("--sample-groups", args.sample_groups),
-                        ("--workers", args.workers)):
-        if value is not None and value < 1:
-            p.error(f"{flag} must be a positive integer, got {value}")
+    require_positive(p, ("--beam", args.beam), ("--depth", args.depth),
+                     ("--sample-groups", args.sample_groups),
+                     ("--workers", args.workers))
 
     options = SearchOptions(
         apps=app_ids,

@@ -2,7 +2,7 @@
 
 Historically each subsystem read its own environment variable deep
 inside the module that used it (``REPRO_CACHE_BACKEND`` in
-``perf/fastcache.py``, ``REPRO_WORKERS`` in ``parallel/engine.py``, ...),
+``perf/fastcache.py``, ``REPRO_WORKERS`` in the worker pool, ...),
 which made typos silent: ``REPRO_PREF_MEMO=0`` simply did nothing.
 Every variable is now declared here — name, environment variable, type,
 default, docstring — and :func:`validate_environ` rejects unknown
@@ -136,27 +136,9 @@ _VARS = (
         type="int",
         default=1,
         minimum=1,
-        doc="Default worker-process count for sharded launches and the "
-        "experiment matrix; 1 forces serial execution everywhere.",
-    ),
-    ConfigVar(
-        name="pool_persist",
-        env="REPRO_POOL_PERSIST",
-        type="bool",
-        default=True,
-        doc="Keep one warm worker pool alive across launches, the "
-        "experiment matrix, search scoring and fuzz sharding (0 "
-        "reverts to a fresh pool per fan-out).",
-    ),
-    ConfigVar(
-        name="pool_shm",
-        env="REPRO_POOL_SHM",
-        type="bool",
-        default=True,
-        doc="Publish launch buffers into POSIX shared memory so worker "
-        "shards attach zero-copy views and write their owned output "
-        "ranges in place (0 reverts to the pickled-copy + sparse-diff "
-        "plane; use it for kernels whose work-groups overlap writes).",
+        doc="How many whole cases (matrix cells, search candidates, "
+        "fuzz cases) to fan out at once; 1 forces serial execution "
+        "everywhere.  Launches always run serially.",
     ),
     ConfigVar(
         name="compile_cache_size",

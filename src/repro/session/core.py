@@ -7,7 +7,7 @@ cache-simulation backend and the default worker count, and exposes every
 pipeline entry point — ``compile_source``, ``disable_local_memory``,
 ``run_app``, ``launch``, ``run_matrix``, ``autotune``, ``figure10``,
 ``table4``, ``bench`` — as methods that run with the session active, so
-config lookups deep inside ``perf/fastcache.py`` or ``parallel/engine.py``
+config lookups deep inside ``perf/fastcache.py`` or ``parallel/pool.py``
 see *this* session's values.
 
 The historical module-level functions remain as thin shims that delegate
@@ -307,8 +307,9 @@ class Session:
 
     # -- runtime ---------------------------------------------------------------
     def launch(self, *args, **kwargs):
-        """Session-configured ``repro.runtime.launch`` (workers default,
-        backend choice and events resolve against this session)."""
+        """Session-configured ``repro.runtime.launch`` (backend choice,
+        trace spilling and events resolve against this session; the
+        launch itself is always serial)."""
         from repro.runtime.ndrange import launch
 
         with self.activate():

@@ -2,7 +2,7 @@
 
 Every stage of the compile -> transform -> launch -> model pipeline emits
 *typed* events (``compile_start``, ``pass_applied``, ``cache_hit``,
-``launch_sharded``, ``pool_fallback``, ``model_memo_hit``, ...) through a
+``launch_start``, ``pool_fallback``, ``model_memo_hit``, ...) through a
 single process-wide :class:`EventBus`.  Emission is a no-op unless a sink
 is attached, so instrumented hot paths cost one predicate when nobody is
 listening.
@@ -19,9 +19,9 @@ Every event kind carries a declared payload schema in :data:`EVENT_SCHEMA`;
 smoke job validates an emitted trace end to end).
 
 Fork safety: the bus records the attaching process id and goes inactive in
-forked workers, so a sharded launch never interleaves worker writes into
-the parent's JSONL stream (worker-side stages are reported by the parent
-as ``launch_sharded`` / shard summaries instead).
+forked workers, so a fanned-out case never interleaves worker writes into
+the parent's JSONL stream (the parent reports each case's result
+instead).
 """
 
 from __future__ import annotations
@@ -94,30 +94,11 @@ EVENT_SCHEMA: Dict[str, Dict[str, Tuple[type, ...]]] = {
         "global_size": (list,),
         "local_size": (list,),
         "total_groups": (int,),
-        "workers": (int,),
     },
-    "launch_sharded": {"kernel": (str,), "shards": (int,), "workers": (int,)},
     "pool_fallback": {"where": (str,), "reason": (str,), "error": (str,)},
     # persistent worker pool: forked once, reused across fan-outs
     "pool_start": {"workers": (int,), "wall_ms": (int, float)},
     "pool_recycle": {"reason": (str,), "workers": (int,)},
-    # one dispatched shard: queue time (submit -> worker pickup) and
-    # worker-side execution wall separately, so dispatch overhead is
-    # visible next to useful work
-    "pool_task": {
-        "kernel": (str,),
-        "shard": (int,),
-        "groups": (int,),
-        "dispatch_ms": (int, float),
-        "wall_ms": (int, float),
-    },
-    # launch buffers published once into a shared-memory arena
-    "shm_publish": {
-        "kernel": (str,),
-        "buffers": (int,),
-        "bytes": (int,),
-        "wall_ms": (int, float),
-    },
     "group_executed": {"group_id": (list,), "work_items": (int,)},
     "launch_end": {
         "kernel": (str,),

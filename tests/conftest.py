@@ -109,7 +109,6 @@ def _fresh_worker_pool():
     from repro.parallel import pool as worker_pool
 
     worker_pool.shutdown_shared()
-    worker_pool.reset_stats()
 
 
 @pytest.fixture

@@ -44,7 +44,6 @@ def _traced_launch(
     *,
     backend,
     tape_batch=256,
-    workers=None,
     sample_groups=None,
     trace_spill_mb=None,
     codegen_cache_dir=None,
@@ -72,7 +71,7 @@ def _traced_launch(
     with Session(**overrides).activate():
         res = launch(
             kernel, gsize, lsize, args, memory=mem,
-            collect_trace=True, sample_groups=sample_groups, workers=workers,
+            collect_trace=True, sample_groups=sample_groups,
         )
     outputs = {
         name: bufs[name].read(np.dtype(dtype), int(np.prod(shape))).reshape(shape)
@@ -103,7 +102,7 @@ __kernel void aff(__global float* out, __global const float* in)
 @settings(max_examples=8, deadline=None)
 @given(coeffs=st.tuples(*[st.integers(0, 7) for _ in range(7)]))
 def test_codegen_matches_reference_on_random_affine_kernels(coeffs):
-    """Random affine access patterns, workers {1,2} x spill {off,on}."""
+    """Random affine access patterns, spill {off,on}."""
     defines = dict(zip(("CA", "CB", "CC", "CD", "CE", "CF", "CG"), coeffs))
     kernel = compile_kernel(_AFFINE_SOURCE, defines=defines)
     rng = np.random.default_rng(1234)
@@ -120,15 +119,14 @@ def test_codegen_matches_reference_on_random_affine_kernels(coeffs):
     assert_traces_equal(ref_trace, tape_trace, f"tape coeffs={coeffs}")
     assert_outputs_equal(ref_out, tape_out, f"tape coeffs={coeffs}")
 
-    for workers in (1, 2):
-        for spill_mb in (None, 1):
-            ctx = f"coeffs={coeffs} workers={workers} spill={spill_mb}"
-            trace, out = _traced_launch(
-                kernel, spec, (128,), (16,), outs,
-                backend="codegen", workers=workers, trace_spill_mb=spill_mb,
-            )
-            assert_traces_equal(ref_trace, trace, ctx)
-            assert_outputs_equal(ref_out, out, ctx)
+    for spill_mb in (None, 1):
+        ctx = f"coeffs={coeffs} spill={spill_mb}"
+        trace, out = _traced_launch(
+            kernel, spec, (128,), (16,), outs,
+            backend="codegen", trace_spill_mb=spill_mb,
+        )
+        assert_traces_equal(ref_trace, trace, ctx)
+        assert_outputs_equal(ref_out, out, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +176,7 @@ def test_divergent_groups_divert_from_generated_module(tape_batch):
     assert sum(e.payload["evicted"] for e in replays) == len(evicts)
 
 
-def test_divergence_composes_with_sampling_and_workers():
+def test_divergence_composes_with_sampling():
     kernel = compile_kernel(_EVICT_SOURCE)
     rng = np.random.default_rng(11)
     data = rng.standard_normal(256).astype(np.float32)
@@ -188,12 +186,11 @@ def test_divergence_composes_with_sampling_and_workers():
         kernel, spec, (256,), (16,), outs,
         backend="reference", sample_groups=9,
     )
-    for workers in (1, 2):
-        trace, _ = _traced_launch(
-            kernel, spec, (256,), (16,), outs,
-            backend="codegen", workers=workers, sample_groups=9,
-        )
-        assert_traces_equal(ref_trace, trace, f"codegen evict workers={workers}")
+    trace, _ = _traced_launch(
+        kernel, spec, (256,), (16,), outs,
+        backend="codegen", sample_groups=9,
+    )
+    assert_traces_equal(ref_trace, trace, "codegen evict sampled")
 
 
 # ---------------------------------------------------------------------------

@@ -1,30 +1,28 @@
-"""Launch error paths for the sharded engine.
+"""Error paths around fan-out and the serial-only launch.
 
-Bad ``workers`` values and worker crashes mid-shard must surface as
-:class:`RuntimeLaunchError` — with the failing flat group range for
-crashes — never as a raw ``multiprocessing`` traceback or a bare
-``ValueError`` from deep inside the pool plumbing.
+Bad ``workers`` values surface as named errors — ``ValueError`` from
+:func:`resolve_workers`, :class:`RuntimeLaunchError` from
+``execute_app`` (serial-only) — never as a hang or a raw traceback from
+deep inside the pool plumbing.  The experiment matrix retries only pool
+infrastructure failures, never deterministic kernel errors, and never
+swallows an interrupt.
 """
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
 
+from repro.apps.harness import compile_app, execute_app
+from repro.apps.registry import get_app
 from repro.frontend import compile_kernel
-from repro.parallel.engine import WORKERS_ENV, resolve_workers
+from repro.parallel.pool import WORKERS_ENV, resolve_workers
 from repro.runtime import Memory, launch
 from repro.runtime.errors import MemoryFault, RuntimeLaunchError
 
-_SOURCE = r"""
-__kernel void copy(__global float* out, __global const float* in)
-{
-    out[get_global_id(0)] = in[get_global_id(0)];
-}
-"""
-
-# groups other than group 0 read far outside the input buffer, so the
-# fault happens mid-shard in a worker that already ran one group fine
+# groups other than group 0 read far outside the input buffer
 _FAULTY_SOURCE = r"""
 __kernel void faulty(__global float* out, __global const float* in)
 {
@@ -36,16 +34,13 @@ __kernel void faulty(__global float* out, __global const float* in)
 """
 
 
-def _launch_with(source, workers, groups=4, lsize=8):
+def _launch_with(source, groups=4, lsize=8):
     kernel = compile_kernel(source)
     n = groups * lsize
     mem = Memory()
     data = np.arange(n, dtype=np.float32)
     args = {"in": mem.from_array(data, "in"), "out": mem.alloc(data.nbytes, "out")}
-    return launch(
-        kernel, (n,), (lsize,), args, memory=mem,
-        collect_trace=True, workers=workers,
-    )
+    return launch(kernel, (n,), (lsize,), args, memory=mem, collect_trace=True)
 
 
 # ---------------------------------------------------------------------------
@@ -53,10 +48,28 @@ def _launch_with(source, workers, groups=4, lsize=8):
 # ---------------------------------------------------------------------------
 
 
+def test_launch_has_no_workers_parameter():
+    assert "workers" not in inspect.signature(launch).parameters
+
+
 @pytest.mark.parametrize("bad", [0, -1, 2.5, "two", True, False])
 def test_bad_workers_raise_launch_error(bad):
+    """``execute_app`` keeps its ``workers`` keyword for old callers but
+    runs serially: anything but ``None``/1 is a named launch error."""
+    app = get_app("NVD-MT")
+    kernel, _ = compile_app(app)
     with pytest.raises(RuntimeLaunchError, match="workers"):
-        _launch_with(_SOURCE, workers=bad)
+        execute_app(app, kernel, workers=bad)
+
+
+def test_execute_app_accepts_serial_workers():
+    app = get_app("NVD-MT")
+    kernel, _ = compile_app(app)
+    want = execute_app(app, kernel).outputs
+    for workers in (None, 1):
+        got = execute_app(app, kernel, workers=workers).outputs
+        for name in want:
+            np.testing.assert_array_equal(got[name], want[name])
 
 
 @pytest.mark.parametrize("bad", [0, -1, 2.5, "two", True])
@@ -88,43 +101,14 @@ def test_invalid_env_raises(monkeypatch, bad):
         resolve_workers(None)
 
 
-def test_invalid_env_surfaces_as_launch_error(monkeypatch):
-    monkeypatch.setenv(WORKERS_ENV, "banana")
-    with pytest.raises(RuntimeLaunchError, match=WORKERS_ENV):
-        _launch_with(_SOURCE, workers=None)
-
-
-# ---------------------------------------------------------------------------
-# worker crash mid-shard
-# ---------------------------------------------------------------------------
-
-
 def test_serial_fault_is_the_raw_error():
     with pytest.raises((MemoryFault, IndexError)) as excinfo:
-        _launch_with(_FAULTY_SOURCE, workers=1)
+        _launch_with(_FAULTY_SOURCE)
     assert not isinstance(excinfo.value, RuntimeLaunchError)
 
 
-def test_worker_fault_names_the_failing_group_range():
-    with pytest.raises(RuntimeLaunchError) as excinfo:
-        _launch_with(_FAULTY_SOURCE, workers=2)
-    msg = str(excinfo.value)
-    assert "flat groups" in msg  # the failing group range is named
-    assert "IndexError" in msg or "MemoryFault" in msg  # cause survives
-    assert "shard" in msg
-
-
-def test_worker_fault_range_covers_the_faulting_group():
-    """With 4 groups over 2 workers, only shard 0 contains the healthy
-    group 0; whichever shard fails, its reported range must exclude a
-    range that is only group 0."""
-    with pytest.raises(RuntimeLaunchError) as excinfo:
-        _launch_with(_FAULTY_SOURCE, workers=2, groups=4)
-    assert "flat groups 0..0" not in str(excinfo.value)
-
-
 # ---------------------------------------------------------------------------
-# ISSUE-4 exception narrowing: KeyboardInterrupt/SystemExit propagate,
+# matrix exception narrowing: KeyboardInterrupt/SystemExit propagate,
 # deterministic kernel errors are not retried as pool failures
 # ---------------------------------------------------------------------------
 
@@ -143,32 +127,8 @@ class _FakePool:
     def __init__(self, exc):
         self._exc = exc
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *a):
-        return False
-
     def submit(self, fn, *args, **kwargs):
         return _FakeFuture(self._exc)
-
-
-def test_launch_wraps_worker_exceptions_as_launch_error(monkeypatch):
-    import repro.parallel.engine as engine
-
-    monkeypatch.setattr(engine, "make_pool", lambda n: _FakePool(RuntimeError("boom")))
-    with pytest.raises(RuntimeLaunchError, match="died: RuntimeError: boom"):
-        _launch_with(_SOURCE, workers=2)
-
-
-@pytest.mark.parametrize("exc_type", [KeyboardInterrupt, SystemExit])
-def test_launch_lets_interrupts_propagate(monkeypatch, exc_type):
-    import repro.parallel.engine as engine
-
-    monkeypatch.setattr(engine, "make_pool", lambda n: _FakePool(exc_type()))
-    with pytest.raises(exc_type) as excinfo:
-        _launch_with(_SOURCE, workers=2)
-    assert not isinstance(excinfo.value, RuntimeLaunchError)
 
 
 def _run_small_matrix(monkeypatch, exc):

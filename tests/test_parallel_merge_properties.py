@@ -1,10 +1,9 @@
-"""Property/fuzz tests for the sharding and merge layer.
+"""Property tests for a launch's canonical group pick list.
 
-Hypothesis-style seeded loops (explicit ``np.random.default_rng`` seeds,
-no wall-clock randomness): whatever the group count, shard boundaries,
-``sample_groups`` subset or worker completion order, the merged result
-must equal the canonical serial one.  The pure functions are fuzzed
-directly; one small real kernel closes the loop end-to-end.
+Seeded loops (explicit ``np.random.default_rng`` seeds, no wall-clock
+randomness): whatever the group count and ``sample_groups`` subset,
+:func:`~repro.runtime.ndrange.select_groups` returns a strictly
+increasing, in-range subset of exactly the requested size.
 """
 
 from __future__ import annotations
@@ -12,44 +11,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.ir.types import AddressSpace
-from repro.parallel.sharding import merge_group_traces, select_groups, shard_ranges
-from repro.runtime.trace import GroupTrace, MemEvent
+from repro.runtime.ndrange import select_groups
 
 SEEDS = range(12)
-
-
-# ---------------------------------------------------------------------------
-# shard_ranges
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_shard_ranges_partition_everything_exactly_once(seed):
-    rng = np.random.default_rng(seed)
-    n_items = int(rng.integers(0, 200))
-    shards = int(rng.integers(1, 20))
-    ranges = shard_ranges(n_items, shards)
-
-    assert len(ranges) == min(shards, n_items)
-    covered = [i for lo, hi in ranges for i in range(lo, hi)]
-    assert covered == list(range(n_items))
-    sizes = [hi - lo for lo, hi in ranges]
-    if sizes:
-        assert all(s >= 1 for s in sizes)
-        assert max(sizes) - min(sizes) <= 1  # near-equal load
-
-
-def test_shard_ranges_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        shard_ranges(10, 0)
-    with pytest.raises(ValueError):
-        shard_ranges(-1, 2)
-
-
-# ---------------------------------------------------------------------------
-# select_groups
-# ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -64,115 +28,3 @@ def test_select_groups_subset_properties(seed):
     assert picks[0] >= 0 and picks[-1] < total
     if sample >= total:
         assert np.array_equal(picks, np.arange(total))
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_select_groups_independent_of_sharding(seed):
-    """Sharding the pick list and concatenating the slices is a no-op —
-    the invariant that lets every worker recompute its parent's picks."""
-    rng = np.random.default_rng(seed)
-    total = int(rng.integers(1, 500))
-    sample = int(rng.integers(1, 64)) if rng.random() < 0.7 else None
-    picks = select_groups(total, sample)
-    shards = int(rng.integers(1, 9))
-    rejoined = np.concatenate(
-        [picks[lo:hi] for lo, hi in shard_ranges(len(picks), shards)]
-    ) if len(picks) else picks
-    assert np.array_equal(rejoined, picks)
-
-
-# ---------------------------------------------------------------------------
-# merge_group_traces
-# ---------------------------------------------------------------------------
-
-
-def _random_group_trace(rng: np.random.Generator, flat_id: int) -> GroupTrace:
-    gt = GroupTrace((flat_id,), work_items=int(rng.integers(1, 16)))
-    for _ in range(int(rng.integers(0, 4))):
-        n = int(rng.integers(1, 8))
-        gt.events.append(
-            MemEvent(
-                space=AddressSpace.GLOBAL if rng.random() < 0.8 else AddressSpace.LOCAL,
-                is_store=bool(rng.random() < 0.5),
-                buffer_id=int(rng.integers(1, 5)),
-                offsets=rng.integers(0, 1 << 12, n).astype(np.int64),
-                lanes=np.arange(n, dtype=np.int64),
-                elem_size=int(rng.choice([1, 4, 8])),
-                phase=int(rng.integers(0, 3)),
-                inst_id=int(rng.integers(0, 100)),
-            )
-        )
-    gt.inst_count = int(rng.integers(0, 1000))
-    gt.barriers = int(rng.integers(0, 4))
-    return gt
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_merge_is_independent_of_shard_size_and_completion_order(seed):
-    rng = np.random.default_rng(seed)
-    canonical = [_random_group_trace(rng, i) for i in range(int(rng.integers(1, 60)))]
-
-    for _ in range(5):  # several shardings of the same canonical list
-        shards = int(rng.integers(1, 9))
-        pieces = [
-            (idx, canonical[lo:hi])
-            for idx, (lo, hi) in enumerate(shard_ranges(len(canonical), shards))
-        ]
-        order = rng.permutation(len(pieces))  # workers finish in any order
-        merged = merge_group_traces([pieces[i] for i in order])
-        assert merged == canonical
-
-
-def test_merge_rejects_duplicate_shard_indices():
-    with pytest.raises(ValueError):
-        merge_group_traces([(0, []), (1, []), (0, [])])
-
-
-# ---------------------------------------------------------------------------
-# end-to-end: a real kernel fuzzed over geometry, sampling and workers
-# ---------------------------------------------------------------------------
-
-_FUZZ_SOURCE = r"""
-#define L 8
-__kernel void scale2(__global float* out, __global const float* in)
-{
-    __local float stage[L];
-    int li = get_local_id(0);
-    stage[li] = in[get_global_id(0)];
-    barrier(CLK_LOCAL_MEM_FENCE);
-    out[get_global_id(0)] = stage[(li + 1) % L] * 2.0f;
-}
-"""
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_real_kernel_fuzzed_shards_match_serial(seed):
-    from repro.frontend import compile_kernel
-    from repro.parallel.diff import assert_outputs_equal, assert_traces_equal
-    from repro.runtime import Memory, launch
-
-    rng = np.random.default_rng(seed)
-    kernel = compile_kernel(_FUZZ_SOURCE)
-    n_groups = int(rng.integers(2, 24))
-    gsize = (8 * n_groups,)
-    sample = int(rng.integers(1, n_groups + 3)) if rng.random() < 0.5 else None
-    data = rng.standard_normal(gsize[0]).astype(np.float32)
-
-    def run(workers):
-        mem = Memory()
-        args = {
-            "in": mem.from_array(data, "in"),
-            "out": mem.alloc(data.nbytes, "out"),
-        }
-        res = launch(
-            kernel, gsize, (8,), args, memory=mem,
-            collect_trace=True, sample_groups=sample, workers=workers,
-        )
-        return res.trace, {"out": args["out"].read(np.float32, gsize[0])}
-
-    trace_s, out_s = run(1)
-    for workers in (int(rng.integers(2, 6)),):
-        trace_p, out_p = run(workers)
-        ctx = f"seed={seed} groups={n_groups} sample={sample} workers={workers}"
-        assert_traces_equal(trace_s, trace_p, ctx)
-        assert_outputs_equal(out_s, out_p, ctx)

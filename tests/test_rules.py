@@ -115,32 +115,6 @@ def test_get_rule_unknown_name():
         get_rule("no-such-rule")
 
 
-def test_cost_features_are_deterministic_ints():
-    src = """
-    __kernel void k(__global float *out, __global float *in, int P) {
-        __local float tmp[64];
-        int lid = get_local_id(0);
-        tmp[lid] = in[lid];
-        barrier(CLK_LOCAL_MEM_FENCE);
-        out[get_global_id(0)] = tmp[lid] + (float)P;
-    }
-    """
-    kernel = _compile(src)
-    ctx = RuleContext(local_size=(64,))
-    for rule in RULE_REGISTRY.values():
-        feats = rule.cost_features(kernel, ctx)
-        assert feats == rule.cost_features(kernel, ctx)
-        assert all(isinstance(v, int) for v in feats.values())
-        for key in ("barriers", "local_arrays", "local_bytes"):
-            assert key in feats
-    assert RULE_REGISTRY["grover"].cost_features(kernel, ctx)[
-        "candidate_arrays"
-    ] == 1
-    assert RULE_REGISTRY["eliminate-barriers"].cost_features(kernel, ctx)[
-        "barrier_sites"
-    ] == 1
-
-
 def test_veto_raises_on_decided_race():
     from repro.analysis import RaceDetected
 
@@ -308,9 +282,17 @@ __kernel void hoisty(__global float *out, __global float *in, int P) {
 
 
 def _in_loop_global_loads(fn) -> int:
-    return RULE_REGISTRY["hoist-global-loads"].cost_features(
-        fn, RuleContext()
-    )["in_loop_global_loads"]
+    from repro.ir.cfg import natural_loops
+    from repro.ir.instructions import Load
+    from repro.ir.types import AddressSpace
+
+    return sum(
+        1
+        for loop in natural_loops(fn)
+        for bb in loop.body
+        for inst in bb.instructions
+        if isinstance(inst, Load) and inst.addrspace == AddressSpace.GLOBAL
+    )
 
 
 def test_hoist_moves_invariant_load_out_of_loop():

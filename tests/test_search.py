@@ -118,9 +118,6 @@ class _StubRule:
     def apply(self, kernel, ctx):
         raise self._exc
 
-    def cost_features(self, kernel, ctx):
-        return {}
-
 
 def _install_stub_rule(monkeypatch, exc):
     import repro.rules as rules_mod
@@ -286,8 +283,18 @@ def test_cli_search_golden_drift_fails(tmp_path, capsys):
         (["search", "--depth", "0"], "--depth must be a positive integer"),
         (["matrix", "--apps", "NOPE"], "unknown app"),
         (["matrix", "--devices", "Nope"], "unknown device"),
+        (["matrix", "--workers", "0"], "--workers must be a positive integer"),
+        (["bench", "--workers", "0"], "--workers must be a positive integer"),
+        (["bench", "--sample-groups", "0"],
+         "--sample-groups must be a positive integer"),
+        (["fuzz", "--workers", "0"], "--workers must be a positive integer"),
+        (["fuzz", "--count", "-3"], "--count must be a positive integer"),
+        (["nope.cl"], "cannot read nope.cl"),
+        (["passes", "--run", "missing.cl"], "cannot read missing.cl"),
     ],
-    ids=["app", "device", "rule", "beam", "depth", "matrix-app", "matrix-device"],
+    ids=["app", "device", "rule", "beam", "depth", "matrix-app", "matrix-device",
+         "matrix-workers", "bench-workers", "bench-sample-groups",
+         "fuzz-workers", "fuzz-count", "kernel-file", "passes-file"],
 )
 def test_cli_search_rejects_unknown_app(argv, message, capsys):
     """Bad arguments exit 2 with a usage error before anything is priced."""
@@ -311,7 +318,7 @@ def test_session_search_entry_point():
 def test_bench_search_tier():
     from repro.perf.bench import SCHEMA_VERSION, bench_search
 
-    assert SCHEMA_VERSION == 7
+    assert SCHEMA_VERSION == 8
     with Session(env={}, search_depth=1).activate():
         out = bench_search(("NVD-MT",), workers=1)
     entry = out["apps"]["NVD-MT"]

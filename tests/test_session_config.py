@@ -45,8 +45,6 @@ def test_registry_covers_every_historical_env_var():
         "REPRO_SEARCH_SAMPLE_GROUPS",
         "REPRO_SEARCH_DEVICE",
         "REPRO_CODEGEN_CACHE_DIR",
-        "REPRO_POOL_PERSIST",
-        "REPRO_POOL_SHM",
     }
     # name <-> env spelling is a bijection
     assert len(REGISTRY) == len(ENV_REGISTRY)

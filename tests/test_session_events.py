@@ -53,9 +53,7 @@ def test_schema_validated_when_active():
 
 def test_bools_are_not_ints_in_schema():
     with pytest.raises(EventSchemaError):
-        validate_event(
-            "launch_sharded", {"kernel": "k", "shards": True, "workers": 1}
-        )
+        validate_event("pool_start", {"workers": True, "wall_ms": 1.0})
 
 
 def test_seq_is_monotonic_per_bus():
@@ -242,16 +240,16 @@ def test_jsonl_sink_roundtrips_schema(tmp_path):
 
 
 def _break_pools(monkeypatch):
-    from repro.parallel import engine
+    from repro.parallel import pool
 
     def boom(*a, **k):
         raise OSError("semaphores unavailable")
 
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", boom)
+    monkeypatch.setattr(pool, "ProcessPoolExecutor", boom)
 
 
 def test_make_pool_failure_emits_event_when_sink_attached(monkeypatch):
-    from repro.parallel.engine import make_pool
+    from repro.parallel.pool import make_pool
 
     _break_pools(monkeypatch)
     with collect() as sink:
@@ -265,63 +263,21 @@ def test_make_pool_failure_emits_event_when_sink_attached(monkeypatch):
 
 
 def test_make_pool_failure_warns_without_sink(monkeypatch):
-    from repro.parallel.engine import PoolFallbackWarning, make_pool
+    from repro.parallel.pool import PoolFallbackWarning, make_pool
 
     _break_pools(monkeypatch)
     with pytest.warns(PoolFallbackWarning, match="make_pool"):
         assert make_pool(2) is None
 
 
-def test_parallel_launch_with_broken_pool_still_correct(monkeypatch):
-    """A sharded launch degrades to serial, warns, and stays bit-correct."""
-    from repro.parallel.engine import PoolFallbackWarning
+def test_matrix_with_broken_pool_still_correct(monkeypatch):
+    """A fanned-out matrix degrades to serial, warns, and stays bit-exact."""
+    from repro.parallel.matrix import run_matrix
+    from repro.parallel.pool import PoolFallbackWarning
 
+    kw = dict(apps=["AMD-MM", "AMD-MT"], devices=["SNB"], scale="test")
+    serial = run_matrix(workers=1, **kw)
     _break_pools(monkeypatch)
-    a = np.arange(32 * 32, dtype=np.float32)
     with pytest.warns(PoolFallbackWarning):
-        _, out = run_scalar_kernel(
-            MT_SOURCE,
-            {"in": a, "W": 32, "H": 32},
-            (32, 32), (16, 16),
-            {"out": (np.float32, (32, 32))},
-        )
-        # run_scalar_kernel launches serially; force the parallel path too
-        from repro.frontend import compile_kernel
-        from repro.runtime import Memory, launch
-
-        kernel = compile_kernel(MT_SOURCE)
-        mem = Memory()
-        args = {
-            "out": mem.alloc(32 * 32 * 4, "out"),
-            "in": mem.from_array(a, "in"),
-            "W": 32, "H": 32,
-        }
-        launch(kernel, (32, 32), (16, 16), args, memory=mem, workers=4)
-        got = args["out"].read(np.float32, 32 * 32).reshape(32, 32)
-    np.testing.assert_array_equal(got, a.reshape(32, 32).T)
-
-
-def test_too_few_groups_is_event_only_never_a_warning():
-    """The structural can't-shard case must not cry wolf."""
-    from repro.frontend import compile_kernel
-    from repro.runtime import Memory, launch
-
-    kernel = compile_kernel(MT_SOURCE)
-    a = np.arange(16 * 16, dtype=np.float32)
-
-    def go():
-        mem = Memory()
-        args = {
-            "out": mem.alloc(16 * 16 * 4, "out"),
-            "in": mem.from_array(a, "in"),
-            "W": 16, "H": 16,
-        }
-        launch(kernel, (16, 16), (16, 16), args, memory=mem, workers=4)
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        go()  # one group, no sink: silent serial fallback, no warning
-    with collect() as sink:
-        go()
-    ev = sink.of_kind("pool_fallback")
-    assert len(ev) == 1 and ev[0].payload["where"] == "shard_ranges"
+        fanned = run_matrix(workers=2, **kw)
+    assert fanned.values == serial.values

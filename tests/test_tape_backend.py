@@ -46,7 +46,6 @@ def _traced_launch(
     *,
     backend,
     tape_batch=256,
-    workers=None,
     sample_groups=None,
 ):
     """Launch under ``backend`` and return (trace, outputs dict)."""
@@ -67,7 +66,7 @@ def _traced_launch(
     with Session(exec_backend=backend, tape_batch=tape_batch).activate():
         res = launch(
             kernel, gsize, lsize, args, memory=mem,
-            collect_trace=True, sample_groups=sample_groups, workers=workers,
+            collect_trace=True, sample_groups=sample_groups,
         )
     outputs = {
         name: bufs[name].read(np.dtype(dtype), int(np.prod(shape))).reshape(shape)
@@ -122,7 +121,7 @@ __kernel void aff(__global float* out, __global const float* in)
 @settings(max_examples=8, deadline=None)
 @given(coeffs=st.tuples(*[st.integers(0, 7) for _ in range(7)]))
 def test_tape_matches_reference_on_random_affine_kernels(coeffs):
-    """Random affine access patterns, batch {1,4,all} x workers {1,2}."""
+    """Random affine access patterns, batch {1,4,all}."""
     defines = dict(zip(("CA", "CB", "CC", "CD", "CE", "CF", "CG"), coeffs))
     kernel = compile_kernel(_AFFINE_SOURCE, defines=defines)
     rng = np.random.default_rng(1234)
@@ -136,14 +135,13 @@ def test_tape_matches_reference_on_random_affine_kernels(coeffs):
     assert len(ref_trace.groups) == 8
 
     for tape_batch in (1, 4, 8):
-        for workers in (1, 2):
-            ctx = f"coeffs={coeffs} batch={tape_batch} workers={workers}"
-            trace, out = _traced_launch(
-                kernel, spec, (128,), (16,), outs,
-                backend="tape", tape_batch=tape_batch, workers=workers,
-            )
-            assert_traces_equal(ref_trace, trace, ctx)
-            assert_outputs_equal(ref_out, out, ctx)
+        ctx = f"coeffs={coeffs} batch={tape_batch}"
+        trace, out = _traced_launch(
+            kernel, spec, (128,), (16,), outs,
+            backend="tape", tape_batch=tape_batch,
+        )
+        assert_traces_equal(ref_trace, trace, ctx)
+        assert_outputs_equal(ref_out, out, ctx)
 
     # the dynamic byte-replay arbiter reaches identical verdicts on both
     tape_trace, _ = _traced_launch(
@@ -200,7 +198,7 @@ def test_divergent_groups_evict_to_scalar_path(tape_batch):
     assert sum(e.payload["evicted"] for e in replays) == len(evicts)
 
 
-def test_eviction_composes_with_sampling_and_workers():
+def test_eviction_composes_with_sampling():
     kernel = compile_kernel(_EVICT_SOURCE)
     rng = np.random.default_rng(11)
     data = rng.standard_normal(256).astype(np.float32)
@@ -210,12 +208,11 @@ def test_eviction_composes_with_sampling_and_workers():
         kernel, spec, (256,), (16,), outs,
         backend="reference", sample_groups=9,
     )
-    for workers in (1, 2):
-        trace, _ = _traced_launch(
-            kernel, spec, (256,), (16,), outs,
-            backend="tape", workers=workers, sample_groups=9,
-        )
-        assert_traces_equal(ref_trace, trace, f"evict workers={workers}")
+    trace, _ = _traced_launch(
+        kernel, spec, (256,), (16,), outs,
+        backend="tape", sample_groups=9,
+    )
+    assert_traces_equal(ref_trace, trace, "evict sampled")
 
 
 # ---------------------------------------------------------------------------

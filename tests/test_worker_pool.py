@@ -1,45 +1,37 @@
-"""The process-wide persistent worker pool (DESIGN.md §16).
+"""The process-wide persistent worker pool.
 
 Worker processes must survive across fan-outs — consecutive matrices,
-fuzz campaigns and sharded launches reuse the *same pids* instead of
-forking a pool per call — and the pool must recycle itself when a
-worker dies, grow for wider fan-outs, honour ``pool_persist=0``, and
-be torn down by the session that first acquired it.
+fuzz campaigns and search runs reuse the *same pids* instead of forking
+a pool per call — and the pool must recycle itself when a worker dies,
+grow for wider fan-outs, and be torn down by the session that first
+acquired it.  A fan-out under ``REPRO_WORKERS=2`` must finish and match
+the serial grid exactly.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
-import numpy as np
 import pytest
 
-from repro.frontend import compile_kernel
 from repro.parallel import pool as worker_pool
-from repro.parallel.engine import make_pool
-from repro.runtime import Memory, launch
+from repro.parallel.pool import make_pool
 from repro.session import Session, events
 
-_SOURCE = r"""
-__kernel void copy(__global float* out, __global const float* in)
-{
-    out[get_global_id(0)] = in[get_global_id(0)];
-}
-"""
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def _launch_copy(kernel, workers=2, groups=4, lsize=8):
-    n = groups * lsize
-    mem = Memory()
-    data = np.arange(n, dtype=np.float32)
-    args = {"in": mem.from_array(data, "in"), "out": mem.alloc(data.nbytes, "out")}
-    launch(
-        kernel, (n,), (lsize,), args, memory=mem,
-        collect_trace=True, workers=workers,
-    )
-    return args["out"].read(np.float32, n)
+def _fan_out(workers=2, tasks=4):
+    """Run ``tasks`` trivial tasks on the shared pool; their pids."""
+    pool = worker_pool.acquire(workers, factory=make_pool)
+    assert pool is not None
+    return [f.result() for f in [pool.submit(os.getpid) for _ in range(tasks)]]
 
 
 def _shared_pids():
@@ -87,39 +79,20 @@ def test_fuzz_campaigns_reuse_worker_processes(tmp_path):
     assert pids1 == pids2
 
 
-def test_sharded_launches_reuse_workers_and_warm_kernels():
-    worker_pool.reset_stats()
-    kernel = compile_kernel(_SOURCE)
-    out1 = _launch_copy(kernel, workers=2)
-    _, pids1 = _shared_pids()
-    out2 = _launch_copy(kernel, workers=2)
-    _, pids2 = _shared_pids()
-    assert pids1 == pids2
-    np.testing.assert_array_equal(out1, out2)
+def test_search_reuses_pool_and_reproduces_serial_winners():
+    from repro.search import SearchOptions, run_search
 
-    stats = worker_pool.stats()
-    assert stats["tasks"] == 4  # 2 launches x 2 shards
-    hits = sum(c["kernel_cache_hits"] for c in stats["per_worker"].values())
-    misses = sum(c["kernel_cache_misses"] for c in stats["per_worker"].values())
-    # each worker unpickles the kernel at most once; every further task
-    # on that worker finds it warm
-    assert misses <= len(pids1)
-    assert hits >= stats["tasks"] - len(pids1)
-    assert hits >= 1
-
-
-def test_generation_change_invalidates_warm_kernels():
-    worker_pool.reset_stats()
-    kernel = compile_kernel(_SOURCE)
-    with Session(tape_batch=64).activate():
-        _launch_copy(kernel, workers=2)
-    with Session(tape_batch=128).activate():  # new shard config generation
-        _launch_copy(kernel, workers=2)
-    stats = worker_pool.stats()
-    misses = sum(c["kernel_cache_misses"] for c in stats["per_worker"].values())
-    # the config change forces at least one re-unpickle somewhere even
-    # though kernel bytes are identical
-    assert misses >= 2
+    serial = run_search(
+        SearchOptions(apps=("NVD-MT",), scale="test", workers=1)
+    )
+    parallel = run_search(
+        SearchOptions(apps=("NVD-MT",), scale="test", workers=2)
+    )
+    assert worker_pool._SHARED is not None  # scoring went through the pool
+    s, p = serial.results[0], parallel.results[0]
+    assert s.winner.pipeline == p.winner.pipeline
+    assert s.winner.cycles == p.winner.cycles
+    assert s.baseline.cycles == p.baseline.cycles
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +101,7 @@ def test_generation_change_invalidates_warm_kernels():
 
 
 def test_pool_recycles_after_worker_death():
-    kernel = compile_kernel(_SOURCE)
-    _launch_copy(kernel, workers=2)
+    _fan_out()
     pool1, pids1 = _shared_pids()
 
     os.kill(pids1[-1], signal.SIGKILL)
@@ -139,9 +111,9 @@ def test_pool_recycles_after_worker_death():
     assert pool1.broken
 
     with events.collect() as sink:
-        out = _launch_copy(kernel, workers=2)  # acquire() must recycle
-    np.testing.assert_array_equal(out, np.arange(32, dtype=np.float32))
-    pool2, _ = _shared_pids()
+        pids = _fan_out()  # acquire() must recycle
+    pool2, pids2 = _shared_pids()
+    assert set(pids) <= set(pids2) and pids1[-1] not in pids2
     assert pool2 is not pool1
     recycles = sink.of_kind("pool_recycle")
     assert len(recycles) == 1
@@ -150,7 +122,7 @@ def test_pool_recycles_after_worker_death():
 
 def test_pool_grows_for_wider_fanout():
     p2 = worker_pool.acquire(2, factory=make_pool)
-    assert p2 is not None and p2.persistent
+    assert p2 is not None
     with events.collect() as sink:
         p4 = worker_pool.acquire(4, factory=make_pool)
     assert p4 is not None and p4.n_workers == 4
@@ -172,46 +144,65 @@ def test_factory_change_recycles():
 
 
 # ---------------------------------------------------------------------------
-# persistence switch and ownership
+# ownership
 # ---------------------------------------------------------------------------
 
 
-def test_persist_off_is_ephemeral():
-    with Session(pool_persist=False).activate():
-        kernel = compile_kernel(_SOURCE)
-        out = _launch_copy(kernel, workers=2)
-        np.testing.assert_array_equal(out, np.arange(32, dtype=np.float32))
-        assert worker_pool._SHARED is None  # nothing kept warm
-
-        pool = worker_pool.acquire(2, factory=make_pool)
-        assert pool is not None and not pool.persistent
-        pool.release()  # ephemeral: release is a real shutdown
-        assert worker_pool._SHARED is None
-
-
 def test_owning_session_close_tears_down_pool():
-    kernel = compile_kernel(_SOURCE)
     with Session():  # __exit__ calls close(), unlike activate()
-        _launch_copy(kernel, workers=2)
+        _fan_out()
         assert worker_pool._SHARED is not None
     # Session.close() ran on exit; the owner takes the pool with it
     assert worker_pool._SHARED is None
 
 
 def test_non_owner_session_close_leaves_pool_warm():
-    kernel = compile_kernel(_SOURCE)
-    _launch_copy(kernel, workers=2)  # default session owns the pool
+    _fan_out()  # default session owns the pool
     pool1, _ = _shared_pids()
     with Session().activate():
-        _launch_copy(kernel, workers=2)
+        _fan_out()
     assert worker_pool._SHARED is pool1  # inner session was not the owner
 
 
 def test_pool_start_event_emitted_once_per_pool():
-    kernel = compile_kernel(_SOURCE)
     with events.collect() as sink:
-        _launch_copy(kernel, workers=2)
-        _launch_copy(kernel, workers=2)
+        _fan_out()
+        _fan_out()
     starts = sink.of_kind("pool_start")
     assert len(starts) == 1
     assert starts[0].payload["workers"] == 2
+
+
+# ---------------------------------------------------------------------------
+# fan-out under REPRO_WORKERS: finishes, matches serial
+# ---------------------------------------------------------------------------
+
+
+def _matrix_cli_grid(tmp_path, workers: str) -> dict:
+    out = tmp_path / f"grid-{workers}.json"
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    env["REPRO_WORKERS"] = workers
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "matrix", "--scale", "test",
+         "--json", str(out)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(out.read_text())
+
+
+def test_matrix_cli_under_repro_workers_matches_serial(tmp_path):
+    """Every matrix worker inherits ``workers=2`` from the environment;
+    the run must still finish (each case launches serially inside its
+    worker) and reproduce the serial grid float for float."""
+    try:
+        fanned = _matrix_cli_grid(tmp_path, "2")
+    except subprocess.TimeoutExpired:
+        pytest.fail("REPRO_WORKERS=2 repro matrix did not finish in 60 s")
+    serial = _matrix_cli_grid(tmp_path, "1")
+    assert fanned["workers"] == 2 and serial["workers"] == 1
+    assert fanned["values"] == serial["values"]
+    assert fanned["counts"] == serial["counts"]
