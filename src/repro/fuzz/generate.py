@@ -284,7 +284,8 @@ def _phase_stmt(g: _Gen, arrays: List[Tuple[str, int]]) -> Stmt:
         return Block(f"if (li < {c})", [_simple_stmt(g, arrays)])
     if kind == "guard_group":
         # uniform within a group, varies across groups: the canonical
-        # pilot-schedule eviction trigger for the tape/codegen backends
+        # eviction trigger for the tape/codegen backends (a group that
+        # leaves the recorded schedule)
         g.features.add("guard-group-varying")
         b = rng.randint(0, 1)
         return Block(f"if ((wi & 1) == {b})", [_simple_stmt(g, arrays)])

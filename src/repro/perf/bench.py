@@ -48,8 +48,9 @@ from repro.session import Session, current_session
 DEFAULT_APPS = ("NVD-MT", "NVD-MM-B", "PAB-ST")
 DEFAULT_SAMPLE_GROUPS = 16
 #: groups executed by the timed launch+trace tier (capped at the app's
-#: total): large enough that per-launch costs (tape compile, the pilot
-#: group) amortise the way they do in a real Table IV sweep
+#: total): large enough that per-launch costs (tape recording and
+#: compile, the codegen pilot group) amortise the way they do in a real
+#: Table IV sweep
 TRACE_SAMPLE_GROUPS = 256
 SCHEMA_VERSION = 8
 #: scale the ``--search`` tier searches at: candidate scoring compiles
@@ -126,8 +127,9 @@ def _timed_launch(kernel, app, scale: str, sample_groups: int, backend: str):
     A 2-group warm-up launch runs first (identical for both backends)
     so process-cold costs — module imports, numpy dispatch caches —
     don't land inside whichever backend happens to be timed first.
-    The tape pilot and compile are *not* warmed away: the timed launch
-    pays them in full, as any real sweep iteration would.
+    The tape recording and compile (and codegen's pilot) are *not*
+    warmed away: the timed launch pays them in full, as any real sweep
+    iteration would.
 
     Launches that finish under :data:`REPEAT_UNDER_S` are re-run up to
     :data:`TIMED_REPEATS` times and the minimum is reported: on a

@@ -73,8 +73,8 @@ from repro.ir.values import Argument, Constant, LocalArray, Value
 from repro.runtime.buffers import OFFSET_BITS, Buffer, Memory
 from repro.runtime.builtins import WorkItemContext
 from repro.runtime.errors import RuntimeLaunchError
-from repro.runtime.interpreter import _np_type
-from repro.runtime.tape import TapeExecutor, _RecordingExecutor, _Step
+from repro.runtime.interpreter import GroupExecutor, _np_type, block_weights
+from repro.runtime.tape import TapeExecutor, _Step
 from repro.runtime.trace import GroupTrace, TraceSpillStore
 from repro.session import events
 
@@ -90,7 +90,7 @@ __all__ = [
 
 #: bumped whenever the shape of generated code changes — part of every
 #: cache key, so stale disk artifacts from older versions never load
-CODEGEN_VERSION = 5
+CODEGEN_VERSION = 6
 
 #: maximum operator-fusion depth of one emitted expression
 _FUSE_DEPTH = 8
@@ -993,7 +993,7 @@ class _SourceGen:
             )
             self._emit("try:")
             self._emit(f"    {vname} = _mem[{bname}].view({el}).take({bi})")
-            self._emit("except IndexError:")
+            self._emit("except (IndexError, KeyError):")
             if record:
                 self._emit("    del _rec[-1]")
             self._emit(f"    {self._divert(dv)}")
@@ -1018,7 +1018,7 @@ class _SourceGen:
                     f"    {vm} = _mem[{bname}].view({dn})"
                     f".take({self._idx_expr(om, dt.itemsize)})"
                 )
-            self._emit("except IndexError:")
+            self._emit("except (IndexError, KeyError):")
             if record:
                 self._emit("    del _rec[-1]")
             self._emit(f"    {self._divert(dv)}")
@@ -1142,14 +1142,17 @@ class _SourceGen:
                 f"{bi} = {self._idx_expr(o, kel)}[..., None] + {comp}"
             )
             if full:
-                self._emit(f"_mem[{bname}].view({el})[{bi}] = {val}")
+                self._emit_scatter(
+                    f"_mem[{bname}].view({el})[{bi}] = {val}", record, dv
+                )
             else:
                 v = self._tmp("v")
                 self._emit(
                     f"{v} = _np.broadcast_to({val}, (G, N, {ty.count}))"
                 )
-                self._emit(
-                    f"_mem[{bname}].view({el})[{bi}] = {v}[:, {mname}]"
+                self._emit_scatter(
+                    f"_mem[{bname}].view({el})[{bi}] = {v}[:, {mname}]",
+                    record, dv,
                 )
         else:
             dt = _np_type(ty)
@@ -1161,9 +1164,10 @@ class _SourceGen:
                 # value against the (G, N) index array and casts — the
                 # very values the masked assignment would write
                 idx = o if shift_k else self._idx_expr(o, dt.itemsize)
-                self._emit(
+                self._emit_scatter(
                     f"_mem[{bname}].view({dn})[{idx}]"
-                    f" = {val}.astype({dn}, copy=False)"
+                    f" = {val}.astype({dn}, copy=False)",
+                    record, dv,
                 )
                 return
             v = self._tmp("v")
@@ -1174,10 +1178,22 @@ class _SourceGen:
                 self._emit(f"{v} = _np.broadcast_to({v}, (G, N))")
             else:
                 self._emit(f"{v} = _np.broadcast_to({val}, (G, N))")
-            self._emit(
+            self._emit_scatter(
                 f"_mem[{bname}].view({dn})[{self._idx_expr(o, dt.itemsize)}]"
-                f" = {v}[:, {mname}].astype({dn}, copy=False)"
+                f" = {v}[:, {mname}].astype({dn}, copy=False)",
+                record, dv,
             )
+
+    def _emit_scatter(self, line: str, record: bool, dv: int) -> None:
+        """A store past its buffer's end (or into no buffer) diverts, so
+        the tape path raises the named fault; re-running the store
+        there rewrites the same values."""
+        self._emit("try:")
+        self._emit(f"    {line}")
+        self._emit("except (IndexError, KeyError):")
+        if record:
+            self._emit("    del _rec[-1]")
+        self._emit(f"    {self._divert(dv)}")
 
     def _emit_record(
         self,
@@ -1593,8 +1609,28 @@ def _remember(key: str, replay, plan: dict, size: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# pilot schedule cache
+# pilot recording and schedule cache
 # ---------------------------------------------------------------------------
+
+
+class _RecordingExecutor(GroupExecutor):
+    """The pilot: the reference executor, plus a schedule tape."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.steps: List[_Step] = []
+        self.emit_group_executed = False
+
+    def exec_block(self, bb: BasicBlock, mask: np.ndarray):
+        step = _Step(bb, mask.copy())
+        self.steps.append(step)
+        out = super().exec_block(bb, mask)
+        term = bb.instructions[-1]
+        if isinstance(term, CondBr):
+            step.cond = self.get(term.cond).copy()
+        step.succ = [(succ, m.copy()) for succ, m in out]
+        step.alive_after = self.alive.copy()
+        return out
 
 
 class _PilotTraceFacts:
@@ -1606,7 +1642,7 @@ class _PilotTraceFacts:
 
 
 class _PilotSchedule:
-    """Everything :class:`TapeExecutor` reads off a recording pilot.
+    """Everything :class:`CodegenExecutor` reads off a recording pilot.
 
     Holds a strong reference to the pilot's :class:`Function` — the
     steps embed that object's IR nodes, so a cache hit is only valid
@@ -1614,21 +1650,16 @@ class _PilotSchedule:
     compile cache makes repeated launches share one).
     """
 
-    __slots__ = (
-        "fn", "steps", "n", "trace", "_arena_next", "steps_annotated",
-        "module_keys",
-    )
+    __slots__ = ("fn", "steps", "trace", "steps_annotated", "module_keys")
 
     def __init__(self, fn: Function, pilot: _RecordingExecutor) -> None:
         self.fn = fn
         self.steps = pilot.steps
-        self.n = pilot.n
         self.trace = (
             _PilotTraceFacts(pilot.trace.inst_count, pilot.trace.barriers)
             if pilot.trace is not None
             else None
         )
-        self._arena_next = pilot._arena_next
         # the first executor built from the recording already annotated
         # the steps, and the module key is a pure function of the
         # schedule — both are cached so replays skip the rescan
@@ -1665,9 +1696,14 @@ class CodegenExecutor(TapeExecutor):
     """Replays batches through the generated module; the tape closures
     are compiled lazily, only when a batch diverts."""
 
-    def __init__(self, *args, **kwargs) -> None:
-        kwargs["compile_closures"] = False
+    def __init__(self, *args, pilot, **kwargs) -> None:
         super().__init__(*args, **kwargs)
+        self.steps = pilot.steps
+        self.sched_inst_count = pilot.trace.inst_count if pilot.trace else 0
+        self.sched_barriers = pilot.trace.barriers if pilot.trace else 0
+        if not getattr(pilot, "steps_annotated", False):
+            self._annotate_steps()
+        self._closures_ready = False
         self.store: Optional[TraceSpillStore] = None
         self._replay_fn = None
         self._entry_vals: List[Value] = []
@@ -1677,6 +1713,31 @@ class CodegenExecutor(TapeExecutor):
         self.inst_ids: Tuple[int, ...] = ()
         self.diverted_batches = 0
         self._diverted = False
+
+    def _annotate_steps(self) -> None:
+        """Static per-step facts: alive masks and instruction weights.
+
+        Cheap and closure-free — generated source folds instruction-count
+        prefixes without paying for closures it only compiles on a
+        divergence handoff.
+        """
+        alive = np.ones(self.n, dtype=bool)
+        weight = block_weights(self.fn)
+        for step in self.steps:
+            step.alive_before = alive
+            alive = step.alive_after
+            step.weight = weight[step.bb] * int(step.mask.sum())
+
+    def _compile_closures(self) -> None:
+        """Compile each step's closure list and branch guard."""
+        if self._closures_ready:
+            return
+        self._closures_ready = True
+        for step in self.steps:
+            step.ops, step.op_pos = self._closures_for(step.bb, step.mask)
+            term = step.bb.instructions[-1]
+            if isinstance(term, CondBr):
+                self._set_guard(step, term)
 
     def bind(self, replay_fn, plan: dict) -> None:
         """Resolve the module's positional ``__PLAN__`` against the live
@@ -1773,7 +1834,7 @@ class CodegenExecutor(TapeExecutor):
             ]
             self._done.update(self.store.adopt_batch(
                 self.records, entries, self.n,
-                self.pilot_inst_count, self.pilot_barriers,
+                self.sched_inst_count, self.sched_barriers,
             ))
             return self._done
         finally:
@@ -1842,7 +1903,8 @@ def execute_codegen(
     if len(picks) > 1:
         ex = CodegenExecutor(
             kernel, lsize, gsize, arg_values, local_buffers,
-            local_arg_buffers, memory, private_arena, collect_trace, pilot,
+            local_arg_buffers, memory, private_arena, collect_trace,
+            pilot=pilot,
         )
         ex.store = store
         if not pilot_cached:

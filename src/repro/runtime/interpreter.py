@@ -95,6 +95,81 @@ def _np_type(ty: Type) -> np.dtype:
     raise TypeError(f"no runtime dtype for {ty}")
 
 
+def merge_pending(
+    pending: Dict[BasicBlock, np.ndarray],
+    out: List[Tuple[BasicBlock, np.ndarray]],
+) -> None:
+    """Merge a terminator's ``(successor, lane mask)`` list into the
+    scheduler's pending dict; a successor no lane takes is not queued."""
+    for succ, m in out:
+        if succ in pending:
+            pending[succ] = pending[succ] | m
+        elif m.any():
+            pending[succ] = m
+
+
+def block_weights(fn: Function) -> Dict[BasicBlock, int]:
+    """Retired-instruction weight per lane of each block (casts and GEPs
+    fold into addressing modes on real ISAs and are not counted)."""
+    return {
+        bb: sum(
+            0 if isinstance(i, (Cast, GEP, Alloca)) else 1
+            for i in bb.instructions
+        )
+        for bb in fn.blocks
+    }
+
+
+def memory_fault(
+    buffers: Dict[int, Buffer], access: str, buf_id: int, offs: np.ndarray
+) -> MemoryFault:
+    """The named error for an access outside its buffer (numpy's
+    ``IndexError``) or into no buffer at all (the registry's
+    ``KeyError``).  Every backend raises it with one group's offsets,
+    so a fault reads the same whichever path executed the group."""
+    offset = int(offs.max())
+    if offset > OFFSET_MASK // 2 and buf_id + 1 in buffers:
+        # a negative index: the address fell below the next buffer
+        buf_id, offset = buf_id + 1, offset - (OFFSET_MASK + 1)
+    buf = buffers.get(buf_id)
+    if buf is None:
+        return MemoryFault(f"{access} through dangling buffer id {buf_id}")
+    return MemoryFault(
+        f"{access} at byte offset {offset} is outside buffer "
+        f"{buf.name or buf.id} ({buf.nbytes} B)"
+    )
+
+
+def barrier_divergence(
+    fn_name: str,
+    group_id: Tuple[int, ...],
+    phase: int,
+    mask: np.ndarray,
+    alive: np.ndarray,
+) -> BarrierDivergenceError:
+    """The named error for a barrier reached by the lanes in ``mask``
+    while the lanes in ``alive`` are still live."""
+    lane_ids = np.arange(len(mask), dtype=np.int64)
+    arrived = lane_ids[mask]
+    missing = lane_ids[alive & ~mask]
+
+    def _ids(a: np.ndarray) -> str:
+        shown = ", ".join(str(int(i)) for i in a[:8])
+        return f"{{{shown}{', ...' if a.size > 8 else ''}}}"
+
+    return BarrierDivergenceError(
+        f"barrier in {fn_name} reached by "
+        f"{int(mask.sum())}/{int(alive.sum())} live work-items "
+        f"of group {group_id} (phase {phase}): "
+        f"arrived={_ids(arrived)} missing={_ids(missing)}",
+        function=fn_name,
+        group_id=group_id,
+        phase=phase,
+        arrived=arrived.tolist(),
+        missing=missing.tolist(),
+    )
+
+
 class GroupExecutor:
     """Executes one work-group of a kernel launch."""
 
@@ -119,8 +194,8 @@ class GroupExecutor:
         self.phase = 0
         self.alive = np.ones(self.n, dtype=bool)
         #: cleared by the tape backend for executors that only *finish*
-        #: a group (pilot replays and eviction resumes), so each group
-        #: still produces exactly one ``group_executed`` event
+        #: a group (eviction resumes), so each group still produces
+        #: exactly one ``group_executed`` event
         self.emit_group_executed = True
         self.rpo = _reverse_postorder(fn)
         self._lane_ids = np.arange(self.n, dtype=np.int64)
@@ -131,15 +206,7 @@ class GroupExecutor:
         #: (zeroed on reuse), so homogeneous groups allocate only once
         self._arena = private_arena
         self._arena_next = 0
-        #: retired-instruction weight per block (casts and GEPs fold into
-        #: addressing modes on real ISAs and are not counted)
-        self._block_weight: Dict[BasicBlock, int] = {
-            bb: sum(
-                0 if isinstance(i, (Cast, GEP, Alloca)) else 1
-                for i in bb.instructions
-            )
-            for bb in fn.blocks
-        }
+        self._block_weight = block_weights(fn)
 
         for arg, v in arg_values.items():
             if isinstance(v, Buffer):
@@ -181,12 +248,7 @@ class GroupExecutor:
             mask = pending.pop(bb) & self.alive
             if not mask.any():
                 continue
-            out = self.exec_block(bb, mask)
-            for succ, m in out:
-                if succ in pending:
-                    pending[succ] = pending[succ] | m
-                elif m.any():
-                    pending[succ] = m
+            merge_pending(pending, self.exec_block(bb, mask))
         if self.emit_group_executed:
             events.emit(
                 "group_executed",
@@ -212,11 +274,7 @@ class GroupExecutor:
         """
         for inst in bb.instructions[start_index:]:
             if inst.is_terminator:
-                for succ, m in self.exec_terminator(inst, mask):
-                    if succ in pending:
-                        pending[succ] = pending[succ] | m
-                    elif m.any():
-                        pending[succ] = m
+                merge_pending(pending, self.exec_terminator(inst, mask))
                 self.run(pending)
                 return
             self.exec_inst(inst, mask)
@@ -452,7 +510,7 @@ class GroupExecutor:
         try:
             return self.memory.buffers[buf_id].view(dt)[idx]
         except (KeyError, IndexError):
-            raise self._fault("load", buf_id, offs) from None
+            raise memory_fault(self.memory.buffers, "load", buf_id, offs) from None
 
     def _store(self, inst: Store, mask: np.ndarray) -> None:
         value = self.get(inst.value)
@@ -487,25 +545,7 @@ class GroupExecutor:
         try:
             self.memory.buffers[buf_id].view(dt)[idx] = value
         except (KeyError, IndexError):
-            raise self._fault("store", buf_id, offs) from None
-
-    def _fault(self, access: str, buf_id: int, offs: np.ndarray) -> MemoryFault:
-        """The named error for an access outside its buffer (numpy's
-        ``IndexError``) or into no buffer at all (the registry's
-        ``KeyError``); the tape and codegen backends reach it through
-        their divert path."""
-        buffers = self.memory.buffers
-        offset = int(offs.max())
-        if offset > OFFSET_MASK // 2 and buf_id + 1 in buffers:
-            # a negative index: the address fell below the next buffer
-            buf_id, offset = buf_id + 1, offset - (OFFSET_MASK + 1)
-        buf = buffers.get(buf_id)
-        if buf is None:
-            return MemoryFault(f"{access} through dangling buffer id {buf_id}")
-        return MemoryFault(
-            f"{access} at byte offset {offset} is outside buffer "
-            f"{buf.name or buf.id} ({buf.nbytes} B)"
-        )
+            raise memory_fault(self.memory.buffers, "store", buf_id, offs) from None
 
     def _record(
         self,
@@ -543,23 +583,8 @@ class GroupExecutor:
             if not np.array_equal(mask, self.alive):
                 # diagnose before touching any state: the failing path
                 # must not advance the phase or the trace barrier count
-                arrived = self._lane_ids[mask]
-                missing = self._lane_ids[self.alive & ~mask]
-
-                def _ids(a: np.ndarray) -> str:
-                    shown = ", ".join(str(int(i)) for i in a[:8])
-                    return f"{{{shown}{', ...' if a.size > 8 else ''}}}"
-
-                raise BarrierDivergenceError(
-                    f"barrier in {self.fn.name} reached by "
-                    f"{int(mask.sum())}/{int(self.alive.sum())} live work-items "
-                    f"of group {self.ctx.group_id} (phase {self.phase}): "
-                    f"arrived={_ids(arrived)} missing={_ids(missing)}",
-                    function=self.fn.name,
-                    group_id=self.ctx.group_id,
-                    phase=self.phase,
-                    arrived=arrived.tolist(),
-                    missing=missing.tolist(),
+                raise barrier_divergence(
+                    self.fn.name, self.ctx.group_id, self.phase, mask, self.alive
                 )
             self.phase += 1
             if self.trace is not None:

@@ -4,34 +4,46 @@ The reference path (:mod:`repro.runtime.interpreter`) vectorises over the
 *lane* axis but re-runs the block scheduler and per-instruction
 ``isinstance`` dispatch for every work-group.  All eleven paper apps have
 group-uniform control flow, so that per-group cost is pure overhead.
-This backend removes it in three moves:
+This backend removes it by running work-groups in batches with a new
+leading *group* axis — every value is ``(G, n_lanes)`` (or ``(G, n, k)``
+for vectors; group-uniform values stay ``(n,)`` and broadcast) — so one
+numpy op covers the whole batch:
 
-1. **Pilot**: the first picked group runs on the ordinary scheduler
-   while a :class:`_RecordingExecutor` records the ``(block, mask)``
-   schedule — plus each ``CondBr``'s condition row and each terminator's
-   successor masks — as a straight-line tape of :class:`_Step`\\ s.
-2. **Compile**: each unique ``(block, mask-pattern)`` is compiled once
-   into a list of argument-free Python closures with operand getters,
-   dtypes and builtin handlers pre-resolved.  Loop iterations share the
-   same closure list; only dynamic state (barrier phase, retired
-   instructions, the private-arena cursor) lives on the replayer.
-3. **Replay**: the remaining groups execute in batches with a new
-   leading *group* axis — every value is ``(G, n_lanes)`` (or
-   ``(G, n, k)`` for vectors; group-uniform values stay ``(n,)`` and
-   broadcast) — so one numpy op covers the whole batch.  Batched
-   ``__local``/private storage lives in per-batch scratch buffers with
-   out-of-band ids (``_SCRATCH_BASE``), and batched memory events are
-   split back into bit-identical per-group :class:`GroupTrace`\\ s.
+1. **Leader-recorded first batch**: the first batch runs through the
+   reference scheduler's logic (min-RPO pending dict, ``alive`` mask,
+   ``Br``/``CondBr``/``Ret``) steered by its first pick, row 0, the
+   *leader*.  Each ``(block, mask)`` the leader reaches is compiled the
+   first time into a list of argument-free Python closures with operand
+   getters, dtypes and builtin handlers pre-resolved, and appended to a
+   straight-line tape of :class:`_Step`\\ s together with the leader's
+   branch-condition row and successor masks.
+2. **Replay**: every later batch runs the recorded steps unchanged.
+   Loop iterations share one closure list; only dynamic state (barrier
+   phase, retired instructions, the private-arena cursor) lives on the
+   executor.
+
+Batched ``__local``/private storage lives in per-batch scratch buffers
+with out-of-band ids (``_SCRATCH_BASE``), and batched memory events are
+split back into bit-identical per-group :class:`GroupTrace`\\ s.  While
+recording, the leader also does what a serial launch's first group
+does for the rest of the launch: its barriers are checked for
+divergence and its k-th private-array ``alloca`` claims
+``private_arena[k]`` from the allocator.
 
 Correctness never depends on uniformity: a **divergence guard** after
-every taped ``CondBr`` compares each group's condition row (on the
-step's active lanes) against the pilot's, and the load/store closures
-check that every group resolves the access to the pilot's buffer.  Any
+every ``CondBr`` compares each group's condition row (on the step's
+active lanes) against the leader's, and the load/store closures check
+that every group resolves the access to the leader's buffer.  Any
 group that disagrees is *evicted*: its partial trace is split out, the
-scheduler's pending-dict is reconstructed from the tape prefix, and the
-group finishes on the reference scalar path via
-:meth:`GroupExecutor.resume_block` — starting at the exact instruction
-that diverged, so no side effect is re-applied.
+scheduler's pending-dict is reconstructed from the tape prefix, and at
+the end of the batch the group finishes on the reference scalar path
+via :meth:`GroupExecutor.resume_block` — starting at the exact
+instruction that diverged, so no side effect is re-applied.  The
+leader is never evicted: the guard and the buffer check compare
+against row 0.  A group whose access falls outside its buffer is
+evicted the same way, unless it is the batch's first pick, which
+raises :class:`MemoryFault` directly; either way a fault surfaces in
+pick order, as in a serial launch.
 
 Batching reorders the side effects of *different* groups; results are
 bit-identical to group-by-group execution for kernels whose work-groups are independent — the OpenCL
@@ -49,6 +61,7 @@ from repro.ir.function import BasicBlock, Function
 from repro.ir.instructions import (
     Alloca,
     BinOp,
+    Br,
     Call,
     Cast,
     CastKind,
@@ -61,6 +74,7 @@ from repro.ir.instructions import (
     InsertElement,
     Load,
     Opcode,
+    Ret,
     Select,
     Store,
 )
@@ -74,7 +88,15 @@ from repro.ir.values import Argument, Constant, LocalArray, Value
 from repro.runtime.buffers import OFFSET_BITS, OFFSET_MASK, Buffer, Memory
 from repro.runtime.builtins import WorkItemContext, eval_builtin
 from repro.runtime.errors import RuntimeLaunchError
-from repro.runtime.interpreter import GroupExecutor, _np_type
+from repro.runtime.interpreter import (
+    GroupExecutor,
+    _np_type,
+    _reverse_postorder,
+    barrier_divergence,
+    block_weights,
+    memory_fault,
+    merge_pending,
+)
 from repro.runtime.trace import GroupTrace, MemEvent, TraceSpillStore, split_records
 from repro.session import events
 
@@ -87,7 +109,7 @@ _SCRATCH_BASE = 1 << 22
 
 
 class _Step:
-    """One executed (block, mask) of the pilot's schedule."""
+    """One executed (block, mask) of the recorded schedule."""
 
     __slots__ = (
         "bb", "mask", "succ", "cond", "alive_before", "alive_after",
@@ -98,34 +120,16 @@ class _Step:
         self.bb = bb
         self.mask = mask
         self.succ: List[Tuple[BasicBlock, np.ndarray]] = []
+        #: the leader's full condition row, for a ``CondBr`` terminator
         self.cond: Optional[np.ndarray] = None
         self.alive_before: Optional[np.ndarray] = None
+        #: set only by the codegen tier's pilot recorder
         self.alive_after: Optional[np.ndarray] = None
         self.weight = 0
         self.ops: List = []
         #: instruction index within the block -> position in ``ops``
         self.op_pos: Dict[int, int] = {}
         self.guard = None
-
-
-class _RecordingExecutor(GroupExecutor):
-    """The pilot: the reference executor, plus a schedule tape."""
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.steps: List[_Step] = []
-        self.emit_group_executed = False
-
-    def exec_block(self, bb: BasicBlock, mask: np.ndarray):
-        step = _Step(bb, mask.copy())
-        self.steps.append(step)
-        out = super().exec_block(bb, mask)
-        term = bb.instructions[-1]
-        if isinstance(term, CondBr):
-            step.cond = self.get(term.cond).copy()
-        step.succ = [(succ, m.copy()) for succ, m in out]
-        step.alive_after = self.alive.copy()
-        return out
 
 
 class _BatchedContext:
@@ -214,7 +218,8 @@ def _expected_ndim(v: Value) -> int:
 
 
 class TapeExecutor:
-    """Compiles the pilot tape and replays it over group batches."""
+    """Records the tape while its first batch runs and replays it over
+    every later batch."""
 
     def __init__(
         self,
@@ -227,8 +232,6 @@ class TapeExecutor:
         memory: Memory,
         private_arena: List[Buffer],
         collect_trace: bool,
-        pilot: _RecordingExecutor,
-        compile_closures: bool = True,
     ) -> None:
         self.fn = fn
         self.lsize = lsize
@@ -239,12 +242,16 @@ class TapeExecutor:
         self.memory = memory
         self.private_arena = private_arena
         self.collect_trace = collect_trace
-        self.steps = pilot.steps
-        self.n = pilot.n
+        self.steps: List[_Step] = []
+        self.n = int(np.prod(lsize))
         self._lane_ids = np.arange(self.n, dtype=np.int64)
-        self.pilot_inst_count = pilot.trace.inst_count if pilot.trace else 0
-        self.pilot_barriers = pilot.trace.barriers if pilot.trace else 0
-        self.pilot_arena_len = pilot._arena_next
+        #: a group that follows the whole tape retires this many
+        #: instructions and passes this many barriers
+        self.sched_inst_count = 0
+        self.sched_barriers = 0
+        #: the leader's live lanes while the tape is being recorded (its
+        #: barriers are checked against them); None during replay
+        self._rec_alive: Optional[np.ndarray] = None
 
         # -- dynamic (per-batch) state, read by the shared closures ------
         self.env: Dict[Value, Optional[np.ndarray]] = {}
@@ -266,57 +273,37 @@ class TapeExecutor:
         self._private_slabs: List[Tuple[Buffer, int]] = []
         self._batch_size = 0
         self._done: Dict[int, Optional[GroupTrace]] = {}
+        #: evicted groups waiting to finish on the reference path
+        self._deferred: List[tuple] = []
         self.evicted = 0
 
         self._consts: Dict[Constant, np.ndarray] = {}
+        #: (block, mask bytes) -> (closures, instruction index -> position)
+        self._block_ops: Dict[Tuple[BasicBlock, bytes], Tuple[List, Dict[int, int]]] = {}
         self.n_closures = 0
-        self._closures_ready = False
-        if not getattr(pilot, "steps_annotated", False):
-            self._annotate_steps()
-        if compile_closures:
-            self._compile_closures()
+        self.compile_s = 0.0
 
     # -- compilation -------------------------------------------------------
-    def _annotate_steps(self) -> None:
-        """Static per-step facts: alive masks and instruction weights.
+    def _closures_for(
+        self, bb: BasicBlock, mask: np.ndarray
+    ) -> Tuple[List, Dict[int, int]]:
+        """The closure list of ``(bb, mask)``, compiled on first use: a
+        loop body scheduled 400 times compiles once."""
+        key = (bb, mask.tobytes())
+        entry = self._block_ops.get(key)
+        if entry is None:
+            t0 = time.perf_counter()
+            entry = self._block_ops[key] = self._compile_block(bb, mask)
+            self.compile_s += time.perf_counter() - t0
+            self.n_closures += len(entry[0])
+        return entry
 
-        Cheap and closure-free — the codegen tier needs these to fold
-        instruction-count prefixes into generated source without paying
-        for closures it only compiles on a divergence handoff.
-        """
-        alive = np.ones(self.n, dtype=bool)
-        weight = {
-            bb: sum(
-                0 if isinstance(i, (Cast, GEP, Alloca)) else 1
-                for i in bb.instructions
-            )
-            for bb in self.fn.blocks
-        }
-        for step in self.steps:
-            step.alive_before = alive
-            alive = step.alive_after
-            step.weight = weight[step.bb] * int(step.mask.sum())
-
-    def _compile_closures(self) -> None:
-        """Compile each unique (block, mask) into its closure list."""
-        if self._closures_ready:
-            return
-        self._closures_ready = True
-        cache: Dict[Tuple[BasicBlock, bytes], Tuple[List, Dict[int, int]]] = {}
-        for step in self.steps:
-            key = (step.bb, step.mask.tobytes())
-            entry = cache.get(key)
-            if entry is None:
-                entry = cache[key] = self._compile_block(step.bb, step.mask)
-                self.n_closures += len(entry[0])
-            step.ops, step.op_pos = entry
-            term = step.bb.instructions[-1]
-            if isinstance(term, CondBr):
-                step.guard = (
-                    self._getter(term.cond),
-                    step.cond[step.mask].copy(),
-                    len(step.bb.instructions) - 1,
-                )
+    def _set_guard(self, step: _Step, term: CondBr) -> None:
+        step.guard = (
+            self._getter(term.cond),
+            step.cond[step.mask].copy(),
+            len(step.bb.instructions) - 1,
+        )
 
     def _getter(self, v: Value):
         if isinstance(v, Constant):
@@ -376,7 +363,7 @@ class TapeExecutor:
                 env[inst] = out
             return run_gep
         if isinstance(inst, Call):
-            return self._compile_call(inst)
+            return self._compile_call(inst, mask)
         if isinstance(inst, Cast):
             return self._compile_cast(inst)
         if isinstance(inst, Select):
@@ -501,6 +488,12 @@ class TapeExecutor:
             def run_alloca_arr():
                 k = self.arena_next
                 self.arena_next += 1
+                if self._rec_alive is not None and k == len(self.private_arena):
+                    # the allocator state a serial launch's first group
+                    # leaves; evicted groups' resumes reuse these buffers
+                    self.private_arena.append(self.memory.alloc(
+                        nbytes, f"private:{inst.name or inst.id}"
+                    ))
                 buf = self._private_slab(k, nbytes)
                 env[inst] = (
                     buf.base_addr + self.live * nbytes
@@ -536,10 +529,15 @@ class TapeExecutor:
         self._scratch.append(buf)
         return buf
 
-    def _compile_call(self, inst: Call):
+    def _compile_call(self, inst: Call, mask: np.ndarray):
         env = self.env
         if inst.callee == "barrier":
             def run_barrier():
+                alive = self._rec_alive
+                if alive is not None and not np.array_equal(mask, alive):
+                    raise barrier_divergence(
+                        self.fn.name, self.slot_gids[0], self.phase, mask, alive
+                    )
                 self.phase += 1
                 self.barriers += 1
             return run_barrier
@@ -625,12 +623,11 @@ class TapeExecutor:
         elem = ty.size
         vec = isinstance(ty, VectorType)
         if vec:
-            el_dt = ty.element.numpy_dtype
-            kel = el_dt.itemsize
+            dt = ty.element.numpy_dtype
             comp = np.arange(ty.count, dtype=np.int64)
         else:
             dt = _np_type(ty)
-            isz = dt.itemsize
+        isz = dt.itemsize
 
         def run_load():
             G = len(self.live)
@@ -655,18 +652,19 @@ class TapeExecutor:
                 safe = np.where(mask, addrs, addrs[:, j0:j0 + 1])
                 offs = (safe & OFFSET_MASK).astype(np.int64)
                 offs_m = (am & OFFSET_MASK).astype(np.int64)
+            ix = (offs // isz)[..., None] + comp if vec else offs // isz
+            try:
+                val = self.memory.buffers[id0].view(dt)[ix]
+            except (IndexError, KeyError):
+                self._fault("load", id0, ix, dt, offs_m, bb, idx)
+                return run_load()
             if record:
                 sid, stride = self.scratch_map.get(id0, (id0, 0))
                 self.records.append((
                     space, False, sid, stride, offs_m, lanes, elem,
                     self.phase, inst.id, self.live,
                 ))
-            buf = self.memory.buffers[id0]
-            if vec:
-                bidx = (offs // kel)[..., None] + comp
-                env[inst] = buf.view(el_dt)[bidx]
-            else:
-                env[inst] = buf.view(dt)[offs // isz]
+            env[inst] = val
         return run_load
 
     def _compile_store(self, inst: Store, mask: np.ndarray, bb, idx: int):
@@ -679,6 +677,15 @@ class TapeExecutor:
         ):
             vec_slot = isinstance(ptr.allocated_type, VectorType)
             val_is_vec = isinstance(inst.value.type, VectorType)
+            if mask.all():
+                # a full-width write skips the boolean fancy index: the
+                # broadcast setitem assigns (and casts) the same values
+                widen = vec_slot and not val_is_vec
+
+                def run_slot_store_full():
+                    v = gval()
+                    slots[ptr][...] = v[..., None] if widen else v
+                return run_slot_store_full
 
             def run_slot_store():
                 slot = slots[ptr]
@@ -704,8 +711,7 @@ class TapeExecutor:
         elem = ty.size
         vec = isinstance(ty, VectorType)
         if vec:
-            el_dt = ty.element.numpy_dtype
-            kel = el_dt.itemsize
+            dt = ty.element.numpy_dtype
             comp = np.arange(ty.count, dtype=np.int64)
             kc = ty.count
         else:
@@ -713,7 +719,7 @@ class TapeExecutor:
             to_u8 = dt == np.dtype(bool)
             if to_u8:
                 dt = np.dtype(np.uint8)
-            isz = dt.itemsize
+        isz = dt.itemsize
 
         def run_store():
             G = len(self.live)
@@ -734,22 +740,25 @@ class TapeExecutor:
                     v = v[keep]
                 G = len(self.live)
             offs = (am & OFFSET_MASK).astype(np.int64)
+            if vec:
+                ix = (offs // isz)[..., None] + comp
+                v = np.broadcast_to(v, (G, n, kc))[:, mask]
+            else:
+                ix = offs // isz
+                if to_u8:
+                    v = v.astype(np.uint8)
+                v = np.broadcast_to(v, (G, n))[:, mask].astype(dt, copy=False)
+            try:
+                self.memory.buffers[id0].view(dt)[ix] = v
+            except (IndexError, KeyError):
+                self._fault("store", id0, ix, dt, offs, bb, idx)
+                return run_store()
             if record:
                 sid, stride = self.scratch_map.get(id0, (id0, 0))
                 self.records.append((
                     space, True, sid, stride, offs, lanes, elem,
                     self.phase, inst.id, self.live,
                 ))
-            buf = self.memory.buffers[id0]
-            if vec:
-                bidx = (offs // kel)[..., None] + comp
-                v = np.broadcast_to(v, (G, n, kc))
-                buf.view(el_dt)[bidx] = v[:, mask]
-            else:
-                if to_u8:
-                    v = v.astype(np.uint8)
-                v = np.broadcast_to(v, (G, n))
-                buf.view(dt)[offs // isz] = v[:, mask].astype(dt, copy=False)
         return run_store
 
     # -- eviction ----------------------------------------------------------
@@ -792,11 +801,7 @@ class TapeExecutor:
         }
         for s in self.steps[: self.step_idx]:
             pending.pop(s.bb, None)
-            for succ, m in s.succ:
-                if succ in pending:
-                    pending[succ] = pending[succ] | m
-                elif m.any():
-                    pending[succ] = m
+            merge_pending(pending, s.succ)
         pending.pop(step.bb, None)
 
         ctx = WorkItemContext(gid_t, self.lsize, self.gsize)
@@ -817,18 +822,56 @@ class TapeExecutor:
             )
         for a, arr in self.slots.items():
             ex.slots[a] = arr[row].copy()
-        ex.resume_block(bb, inst_idx, step.mask.copy(), pending)
+        self._deferred.append(
+            (slot, ex, bb, inst_idx, step.mask.copy(), pending, gt, n_prefix)
+        )
 
-        if gt is not None:
-            # the resume path traced through the scratch local buffers;
-            # map those events back onto the serial arena ids
-            for e in gt.events[n_prefix:]:
-                m = self.scratch_map.get(e.buffer_id)
-                if m is not None:
-                    sid, stride = m
-                    e.buffer_id = sid
-                    e.offsets = e.offsets - slot * stride
-        self._done[slot] = gt
+    def _resume_evicted(self) -> None:
+        """Finish the batch's evicted groups on the reference path.
+
+        They run after the batch's own rows and in pick order, so the
+        private arena is claimed first by the leader and an error is
+        the one a serial launch meets first.
+        """
+        deferred, self._deferred = self._deferred, []
+        deferred.sort(key=lambda d: d[0])
+        for slot, ex, bb, inst_idx, mask, pending, gt, n_prefix in deferred:
+            ex.resume_block(bb, inst_idx, mask, pending)
+            if gt is not None:
+                # the resume path traced through the scratch local
+                # buffers; map those events back onto the serial arena ids
+                for e in gt.events[n_prefix:]:
+                    m = self.scratch_map.get(e.buffer_id)
+                    if m is not None:
+                        sid, stride = m
+                        e.buffer_id = sid
+                        e.offsets = e.offsets - slot * stride
+            self._done[slot] = gt
+
+    def _fault(
+        self,
+        access: str,
+        buf_id: int,
+        ix: np.ndarray,
+        dt: np.dtype,
+        offs: np.ndarray,
+        bb: BasicBlock,
+        inst_idx: int,
+    ) -> None:
+        """A batched access fell outside its buffer (``ix`` holds the
+        element indices it used, ``offs`` the active lanes' byte
+        offsets).  The batch's first pick raises the reference's
+        :class:`MemoryFault` at once; any other faulting group is
+        evicted, and its resume raises it in pick order."""
+        buf = self.memory.buffers.get(buf_id)
+        G = len(ix)
+        if buf is None:
+            bad = np.ones(G, dtype=bool)
+        else:
+            bad = (ix.reshape(G, -1) >= len(buf.view(dt))).any(axis=1)
+        if bad[0] and self.live[0] == 0:
+            raise memory_fault(self.memory.buffers, access, buf_id, offs[0])
+        self._evict(bad, bb, inst_idx, f"{access} fault")
 
     def _compact(self, keep: np.ndarray) -> None:
         for v, arr in self.env.items():
@@ -883,8 +926,8 @@ class TapeExecutor:
         per_slot = split_records(self.records, slots)
         for slot in slots:
             gt = GroupTrace(self.slot_gids[slot], self.n)
-            gt.inst_count = self.pilot_inst_count
-            gt.barriers = self.pilot_barriers
+            gt.inst_count = self.sched_inst_count
+            gt.barriers = self.sched_barriers
             gt.events = per_slot[slot]
             self._done[slot] = gt
 
@@ -903,6 +946,7 @@ class TapeExecutor:
         self.inst_count = 0
         self.arena_next = 0
         self._done = {}
+        self._deferred = []
         self.scratch_map = {}
         self._scratch = []
         self._scratch_next = _SCRATCH_BASE
@@ -959,7 +1003,54 @@ class TapeExecutor:
                     ops[oi]()
                 self._apply_guard(step)
 
+    def _record_steps(self) -> None:
+        """Run the batch through the reference scheduler's logic, steered
+        by the leader (row 0), appending each scheduled (block, mask)
+        to the tape as it runs."""
+        fn = self.fn
+        rpo = _reverse_postorder(fn)
+        weights = block_weights(fn)
+        alive = np.ones(self.n, dtype=bool)
+        pending: Dict[BasicBlock, np.ndarray] = {fn.entry: alive}
+        with np.errstate(all="ignore"):
+            while pending:
+                bb = min(pending, key=lambda b: rpo.get(b, 1 << 30))
+                mask = pending.pop(bb) & alive
+                if not mask.any():
+                    continue
+                step = _Step(bb, mask)
+                step.ops, step.op_pos = self._closures_for(bb, mask)
+                step.alive_before = alive
+                step.weight = weights[bb] * int(mask.sum())
+                self.step_idx = len(self.steps)
+                self.steps.append(step)
+                self.inst_count += step.weight
+                self._rec_alive = alive
+                for op in step.ops:
+                    op()
+                term = bb.instructions[-1]
+                if isinstance(term, CondBr):
+                    c = self._getter(term.cond)()
+                    step.cond = (c if c.ndim == 1 else c[0]).copy()
+                    self._set_guard(step, term)
+                    self._apply_guard(step)
+                    step.succ = [
+                        (term.if_true, mask & step.cond),
+                        (term.if_false, mask & ~step.cond),
+                    ]
+                elif isinstance(term, Br):
+                    step.succ = [(term.target, mask)]
+                elif isinstance(term, Ret):
+                    alive = alive & ~mask
+                else:  # pragma: no cover
+                    raise RuntimeLaunchError(f"unknown terminator {term!r}")
+                merge_pending(pending, step.succ)
+        self._rec_alive = None
+        self.sched_inst_count = self.inst_count
+        self.sched_barriers = self.barriers
+
     def _finish_batch(self) -> Dict[int, Optional[GroupTrace]]:
+        self._resume_evicted()
         if self.collect_trace:
             self._split_surviving()
         else:
@@ -976,12 +1067,17 @@ class TapeExecutor:
     def replay_batch(
         self, slot_gids: List[Tuple[int, ...]]
     ) -> Dict[int, Optional[GroupTrace]]:
-        """Run one batch of groups through the tape; returns slot -> trace."""
+        """Run one batch of groups through the tape, recording it on the
+        first call; returns slot -> trace."""
         self._reset_batch(slot_gids)
         try:
-            self._run_steps(0, 0, True)
+            if self.steps:
+                self._run_steps(0, 0, True)
+            else:
+                self._record_steps()
             return self._finish_batch()
         finally:
+            self._rec_alive = None
             self._cleanup_batch()
 
 
@@ -1019,64 +1115,43 @@ def execute_tape(
 
     gids = [gid_of(p) for p in picks]
 
-    # pilot: the reference scheduler + schedule recording, on the very
-    # serial-arena buffers a reference launch uses (identical trace ids)
     t0 = time.perf_counter()
-    ctx0 = WorkItemContext(gids[0], lsize, gsize)
-    pilot_gt = GroupTrace(gids[0], ctx0.n_lanes)
-    pilot = _RecordingExecutor(
-        kernel, ctx0, memory, arg_values, local_buffers, local_arg_buffers,
-        pilot_gt, private_arena=private_arena,
+    tape = TapeExecutor(
+        kernel, lsize, gsize, arg_values, local_buffers, local_arg_buffers,
+        memory, private_arena, collect_trace,
     )
-    pilot.run()
-    work_items = ctx0.n_lanes
-    if store is not None and collect_trace:
-        store.adopt(pilot_gt)
-    traces: Dict[int, Optional[GroupTrace]] = {
-        0: pilot_gt if collect_trace else None
-    }
+    traces: Dict[int, Optional[GroupTrace]] = {}
+    n_batches = 0
+    for lo in range(0, len(picks), tape_batch):
+        chunk = gids[lo:lo + tape_batch]
+        n_batches += 1
+        out = tape.replay_batch(chunk)
+        if store is not None and collect_trace:
+            store.adopt_group_lists(out)
+        for slot, gt in out.items():
+            traces[lo + slot] = gt
+    events.emit(
+        "tape_compile",
+        kernel=kernel.name,
+        steps=len(tape.steps),
+        closures=tape.n_closures,
+        wall_ms=tape.compile_s * 1e3,
+    )
+    events.emit(
+        "tape_replay",
+        kernel=kernel.name,
+        groups=len(picks),
+        batches=n_batches,
+        evicted=tape.evicted,
+        wall_ms=(time.perf_counter() - t0) * 1e3,
+    )
 
-    if len(picks) > 1:
-        tape = TapeExecutor(
-            kernel, lsize, gsize, arg_values, local_buffers,
-            local_arg_buffers, memory, private_arena, collect_trace, pilot,
-        )
-        events.emit(
-            "tape_compile",
-            kernel=kernel.name,
-            steps=len(tape.steps),
-            closures=tape.n_closures,
-            wall_ms=(time.perf_counter() - t0) * 1e3,
-        )
-        t1 = time.perf_counter()
-        rest = list(range(1, len(picks)))
-        n_batches = 0
-        for lo in range(0, len(rest), tape_batch):
-            chunk = rest[lo:lo + tape_batch]
-            n_batches += 1
-            out = tape.replay_batch([gids[i] for i in chunk])
-            if store is not None and collect_trace:
-                store.adopt_group_lists(out)
-            for slot, gt in out.items():
-                traces[chunk[slot]] = gt
-            work_items += ctx0.n_lanes * len(chunk)
-        events.emit(
-            "tape_replay",
-            kernel=kernel.name,
-            groups=len(rest),
-            batches=n_batches,
-            evicted=tape.evicted,
-            wall_ms=(time.perf_counter() - t1) * 1e3,
-        )
-
-    for i in range(len(picks)):
-        events.emit(
-            "group_executed", group_id=list(gids[i]), work_items=ctx0.n_lanes
-        )
+    for gid in gids:
+        events.emit("group_executed", group_id=list(gid), work_items=tape.n)
     group_traces = (
         [traces[i] for i in range(len(picks))] if collect_trace else []
     )
-    return group_traces, work_items
+    return group_traces, tape.n * len(picks)
 
 
 def _BINOPS_FACTORY(inst: BinOp):

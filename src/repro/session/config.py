@@ -178,8 +178,9 @@ _VARS = (
         type="str",
         default="tape",
         choices=("tape", "reference", "codegen"),
-        doc="Interpreter execution backend: 'tape' (pilot-group schedule "
-        "compiled once, replayed group-batched), 'codegen' (the tape "
+        doc="Interpreter execution backend: 'tape' (the schedule recorded "
+        "and compiled while the first group batch runs, replayed by the "
+        "later batches), 'codegen' (a pilot group's tape "
         "emitted as one generated fused-numpy module) or 'reference' "
         "(the per-group SIMT scheduler). Results are bit-identical.",
     ),

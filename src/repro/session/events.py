@@ -110,6 +110,10 @@ EVENT_SCHEMA: Dict[str, Dict[str, Tuple[type, ...]]] = {
         # still closes its launch_start bracket in the JSONL stream)
         "error": (str,),
     },
+    # one tape launch emits both after its last batch: the tape is
+    # recorded while the first batch runs, so tape_compile's wall_ms is
+    # the closure-compile share of that batch, and tape_replay covers
+    # every pick and batch, the recording one included
     "tape_compile": {
         "kernel": (str,),
         "steps": (int,),

@@ -1,17 +1,21 @@
 """The tape-compiled execution backend: bit-identity, eviction, cleanup.
 
-The tape backend (``REPRO_EXEC_BACKEND=tape``, the default) records one
-pilot group's block schedule, compiles it to closures and replays it
-with work-groups stacked on a leading batch axis.  Its contract is
-bit-identity with the reference per-group scheduler: identical
-``KernelTrace`` streams (events, phases, instruction counts), identical
-output buffer bytes — for any batch size, any worker count, and for
-kernels whose groups diverge from the pilot's schedule (those are
-evicted to the scalar path mid-replay).
+The tape backend (``REPRO_EXEC_BACKEND=tape``, the default) runs
+work-groups stacked on a leading batch axis.  Its first batch records
+the block schedule its first pick (the leader) takes, compiling each
+block to closures as it is reached; later batches replay the tape.  Its
+contract is bit-identity with the reference per-group scheduler:
+identical ``KernelTrace`` streams (events, phases, instruction counts),
+identical output buffer bytes — for any batch size, and for kernels
+whose groups diverge from the leader's schedule (those are evicted to
+the scalar path).  The recorder also keeps what a serial launch's first
+group decides for the launch: the leader's barrier-divergence error,
+the private-arena allocations, and faults surfacing in pick order.
 
 Also covered here: the iterative ``_reverse_postorder`` on a deep
 single-chain CFG, and ``launch``'s exception path (arena buffers freed,
-``launch_end`` emitted with ``error=``).
+``launch_end`` emitted with ``error=``, a named ``MemoryFault`` on every
+backend).
 """
 
 from __future__ import annotations
@@ -28,8 +32,8 @@ from repro.ir.builder import IRBuilder
 from repro.ir.function import Function
 from repro.parallel.diff import assert_outputs_equal, assert_traces_equal
 from repro.runtime import Memory, launch
-from repro.runtime.errors import MemoryFault
-from repro.runtime.interpreter import _reverse_postorder
+from repro.runtime.errors import BarrierDivergenceError, MemoryFault
+from repro.runtime.interpreter import GroupExecutor, _reverse_postorder
 from repro.session import Session, events
 
 # ---------------------------------------------------------------------------
@@ -152,8 +156,33 @@ def test_tape_matches_reference_on_random_affine_kernels(coeffs):
     assert len(ref_report.findings) == len(tape_report.findings)
 
 
+@pytest.mark.parametrize("groups", (4, 256))
+def test_uniform_kernel_never_runs_the_reference_interpreter(groups, monkeypatch):
+    """The leader records the tape inside the batch: no group of a
+    uniform kernel runs a block on the reference interpreter."""
+    kernel = compile_kernel(_AFFINE_SOURCE, defines=dict(
+        CA=1, CB=3, CC=1, CD=0, CE=5, CF=3, CG=1,
+    ))
+    calls = []
+    original = GroupExecutor.exec_block
+
+    def counted(self, bb, mask):
+        calls.append(self.ctx.group_id)
+        return original(self, bb, mask)
+
+    monkeypatch.setattr(GroupExecutor, "exec_block", counted)
+    rng = np.random.default_rng(5)
+    spec = {"in": rng.standard_normal(128).astype(np.float32)}
+    outs = {"out": (np.float32, (groups * 16,))}
+    trace, _ = _traced_launch(
+        kernel, spec, (groups * 16,), (16,), outs, backend="tape"
+    )
+    assert len(trace.groups) == groups
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
-# divergence eviction: groups that disagree with the pilot's schedule
+# divergence eviction: groups that disagree with the leader's schedule
 # ---------------------------------------------------------------------------
 
 _EVICT_SOURCE = r"""
@@ -162,7 +191,7 @@ __kernel void ev(__global float* out, __global const float* in)
     int gi = get_global_id(0);
     int wg = get_group_id(0);
     float acc = in[gi];
-    if (wg % 2 == 1) {           /* group-uniform, differs from pilot */
+    if (wg % 2 == 1) {           /* group-uniform, differs from leader */
         acc = acc * 2.0f + 1.0f;
     }
     if ((gi / (wg + 1)) % 2 == 0) {   /* mask shape varies per group */
@@ -196,6 +225,29 @@ def test_divergent_groups_evict_to_scalar_path(tape_batch):
     assert evicts, "divergent kernel must actually evict groups"
     replays = sink.of_kind("tape_replay")
     assert sum(e.payload["evicted"] for e in replays) == len(evicts)
+    assert sum(e.payload["groups"] for e in replays) == len(ref_trace.groups)
+    # the leader steers the recording batch, so it is never evicted
+    assert [0] not in [e.payload["group_id"] for e in evicts]
+
+
+def test_only_evicted_groups_run_the_reference_interpreter(monkeypatch):
+    kernel = compile_kernel(_EVICT_SOURCE)
+    callers = set()
+    original = GroupExecutor.exec_block
+
+    def counted(self, bb, mask):
+        callers.add(self.ctx.group_id)
+        return original(self, bb, mask)
+
+    monkeypatch.setattr(GroupExecutor, "exec_block", counted)
+    spec = {"in": np.ones(128, dtype=np.float32)}
+    with events.collect() as sink:
+        _traced_launch(
+            kernel, spec, (128,), (16,), {"out": (np.float32, (128,))},
+            backend="tape",
+        )
+    evicted = {tuple(e.payload["group_id"]) for e in sink.of_kind("tape_evict")}
+    assert evicted and callers <= evicted
 
 
 def test_eviction_composes_with_sampling():
@@ -216,8 +268,158 @@ def test_eviction_composes_with_sampling():
 
 
 # ---------------------------------------------------------------------------
+# what a serial launch's first group decides: barrier errors, allocations
+# ---------------------------------------------------------------------------
+
+_LEADER_BARRIER_SOURCE = r"""
+__kernel void lb(__global float* out, __global const float* in)
+{
+    int gi = get_global_id(0);
+    float v = in[gi];
+    if (get_group_id(0) == 1) {   /* evicted, then faults on resume */
+        v = in[gi + 100000];
+    }
+    barrier(CLK_LOCAL_MEM_FENCE);
+    if (get_local_id(0) < 8) {    /* every group diverges here */
+        barrier(CLK_LOCAL_MEM_FENCE);
+    }
+    out[gi] = v;
+}
+"""
+
+
+def _launch_error(kernel, backend, tape_batch=256):
+    mem = Memory()
+    inb = mem.from_array(np.ones(64, dtype=np.float32), "in")
+    outb = mem.alloc(64 * 4, "out")
+    with Session(exec_backend=backend, tape_batch=tape_batch).activate():
+        with pytest.raises((BarrierDivergenceError, MemoryFault)) as info:
+            launch(kernel, (64,), (16,), {"in": inb, "out": outb}, memory=mem)
+    return info.value
+
+
+@pytest.mark.parametrize("tape_batch", (1, 4))
+def test_leader_barrier_divergence_matches_reference(tape_batch):
+    """Group 0 raises before group 1's fault, as in a serial launch,
+    although group 1 is evicted from the same batch first."""
+    kernel = compile_kernel(_LEADER_BARRIER_SOURCE)
+    ref = _launch_error(kernel, "reference")
+    got = _launch_error(kernel, "tape", tape_batch)
+    assert isinstance(ref, BarrierDivergenceError)
+    assert type(got) is type(ref)
+    assert str(got) == str(ref)
+    for field in ("function", "group_id", "phase", "arrived", "missing"):
+        assert getattr(got, field) == getattr(ref, field), field
+    assert (ref.group_id, ref.phase) == ((0,), 1)
+
+
+_PRIVATE_ARRAY_SOURCE = r"""
+__kernel void pa(__global float* out, __global const float* in)
+{
+    int gi = get_global_id(0);
+    float tmp[4];
+    for (int k = 0; k < 4; k++) {
+        tmp[k] = in[(gi + k) % 64];
+    }
+    if (get_group_id(0) == 1) {   /* the evicted group extends the arena */
+        float more[2];
+        more[0] = tmp[1];
+        more[1] = tmp[3];
+        tmp[0] = more[0] + more[1];
+    }
+    out[gi] = tmp[0] + tmp[2];
+}
+"""
+
+
+class _AllocLog(Memory):
+    def __init__(self) -> None:
+        super().__init__()
+        self.log = []
+
+    def alloc(self, nbytes, name=""):
+        buf = super().alloc(nbytes, name)
+        self.log.append((buf.id, nbytes, name))
+        return buf
+
+
+@pytest.mark.parametrize("tape_batch", (1, 4, 256))
+def test_private_arena_allocations_match_reference(tape_batch):
+    """Two launches on one Memory make the same allocations and traces:
+    the leader's k-th private-array alloca claims ``private_arena[k]``
+    before any evicted group resumes."""
+    kernel = compile_kernel(_PRIVATE_ARRAY_SOURCE)
+    data = np.random.default_rng(9).standard_normal(64).astype(np.float32)
+    runs = {}
+    for backend in ("reference", "tape"):
+        mem = _AllocLog()
+        inb = mem.from_array(data, "in")
+        outb = mem.alloc(64 * 4, "out")
+        traces = []
+        with Session(exec_backend=backend, tape_batch=tape_batch).activate():
+            for _ in range(2):
+                res = launch(
+                    kernel, (64,), (16,), {"in": inb, "out": outb},
+                    memory=mem, collect_trace=True,
+                )
+                traces.append(res.trace)
+        runs[backend] = (traces, mem.log, mem._next_id, outb.read(np.float32, 64))
+    ref, tape = runs["reference"], runs["tape"]
+    for rt, tt in zip(ref[0], tape[0]):
+        assert_traces_equal(rt, tt, f"private arena batch={tape_batch}")
+    assert tape[1:3] == ref[1:3]
+    assert_outputs_equal({"out": ref[3]}, {"out": tape[3]}, "private arena")
+
+
+# ---------------------------------------------------------------------------
 # launch exception path: arenas freed, launch_end carries error=
 # ---------------------------------------------------------------------------
+
+_LOAD_PAST_END_SOURCE = r"""
+__kernel void lpe(__global float* out, __global const float* in)
+{
+    int g = get_global_id(0);
+    out[g] = in[g + get_group_id(0) * 64];
+}
+"""
+
+_STORE_PAST_END_SOURCE = r"""
+__kernel void spe(__global float* out, __global const float* in)
+{
+    int g = get_global_id(0);
+    out[g + get_group_id(0) * 64] = in[g];
+}
+"""
+
+
+@pytest.mark.parametrize("backend", ("reference", "tape", "codegen"))
+@pytest.mark.parametrize("tape_batch", (1, 256))
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        (_LOAD_PAST_END_SOURCE, "load at byte offset 380 is outside buffer in (320 B)"),
+        (_STORE_PAST_END_SOURCE, "store at byte offset 380 is outside buffer out (256 B)"),
+    ],
+    ids=("load", "store"),
+)
+def test_access_past_end_in_a_later_group_is_a_memory_fault(
+    backend, tape_batch, source, message
+):
+    """Group 1 is the first to fault; every backend names it exactly as
+    the reference does, instead of surfacing numpy's IndexError."""
+    kernel = compile_kernel(source)
+    mem = Memory()
+    inb = mem.from_array(np.arange(80, dtype=np.float32), "in")
+    outb = mem.alloc(64 * 4, "out")
+    user_ids = set(mem.buffers)
+    with Session(exec_backend=backend, tape_batch=tape_batch).activate():
+        with pytest.raises(MemoryFault) as info:
+            launch(
+                kernel, (64,), (16,), {"in": inb, "out": outb},
+                memory=mem, collect_trace=True,
+            )
+    assert str(info.value) == message
+    assert set(mem.buffers) == user_ids
 
 _FAULT_SOURCE = r"""
 __kernel void oob(__global float* out, __global const float* in)
@@ -227,7 +429,7 @@ __kernel void oob(__global float* out, __global const float* in)
     int wg = get_group_id(0);
     lm[get_local_id(0)] = in[gi];
     barrier(CLK_LOCAL_MEM_FENCE);
-    /* the pilot group (wg 0) survives; later groups store far past
+    /* the leader (wg 0) survives; later groups store far past
        the buffer end and fault mid-replay */
     out[gi + wg * 1000000] = lm[get_local_id(0)];
 }
@@ -245,7 +447,7 @@ def test_faulting_launch_frees_arenas_and_reports_error(backend):
 
     with Session(exec_backend=backend).activate():
         with events.collect() as sink:
-            with pytest.raises((IndexError, MemoryFault)):
+            with pytest.raises(MemoryFault):
                 launch(
                     kernel, (64,), (16,), {"in": inb, "out": outb},
                     memory=mem, collect_trace=True,
