@@ -23,19 +23,21 @@ Subcommands:
   files, with ``--golden`` verdict pinning for CI
   (see :mod:`repro.analysis`).
 * ``python -m repro.cli fuzz [...]`` — the generative differential
-  fuzzer: seeded random kernels judged by all three execution backends,
+  fuzzer: seeded random kernels judged by the reference and tape backends,
   the race analyzer and the Grover pass at once, with delta-minimized
   reproducers and corpus promotion (see :mod:`repro.fuzz`).
 * ``python -m repro.cli search [...]`` — deterministic beam search over
   rewrite-rule pipelines, scored by the trace-driven perf model and
-  verified by the analyzer + three-backend differential runner
+  verified by the analyzer + reference-vs-tape differential runner
   (see :mod:`repro.search`).
 
 Every subcommand (and the default kernel command) accepts ``--config
 FILE`` (a JSON session config, see :mod:`repro.session.config`) and
 ``--trace-out PATH`` (structured JSONL event stream).  Bad arguments —
 an unreadable file, a non-positive count — are usage errors: exit 2,
-no traceback.
+no traceback.  So is a bad configuration (an unknown ``REPRO_*``
+variable, a value outside a variable's choices, a broken ``--config``
+file): one ``error:`` line on stderr naming the variable, exit 2.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from pathlib import Path
 from repro.core import GroverError
 from repro.frontend import FrontendError
 from repro.ir.printer import print_function
+from repro.session.config import ConfigError
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -212,6 +215,14 @@ def passes_main(argv=None) -> int:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
+    try:
+        return _dispatch(list(argv))
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _dispatch(argv) -> int:
     if argv and argv[0] == "bench":
         from repro.perf.bench import main as bench_main
 

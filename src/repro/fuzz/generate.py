@@ -284,7 +284,7 @@ def _phase_stmt(g: _Gen, arrays: List[Tuple[str, int]]) -> Stmt:
         return Block(f"if (li < {c})", [_simple_stmt(g, arrays)])
     if kind == "guard_group":
         # uniform within a group, varies across groups: the canonical
-        # eviction trigger for the tape/codegen backends (a group that
+        # eviction trigger for the tape backend (a group that
         # leaves the recorded schedule)
         g.features.add("guard-group-varying")
         b = rng.randint(0, 1)

@@ -1,12 +1,12 @@
-"""Four-way differential oracle: every generated kernel is judged by all
-four arbiters the repo has grown, and every disagreement is named.
+"""Three-way differential oracle: every generated kernel is judged by all
+three arbiters the repo has grown, and every disagreement is named.
 
 For one kernel source the oracle
 
-1. executes it under the **reference** interpreter, the **tape** backend
-   and the **codegen** backend — traces, output buffers and model cycle
-   counts must be bit-identical, and when a backend raises, all three
-   must raise the same exception type;
+1. executes it under the **reference** interpreter and the **tape**
+   backend — traces, output buffers and model cycle counts must be
+   bit-identical, and when a backend raises, both must raise the same
+   exception type;
 2. runs the **static race / barrier-divergence analyzer** (plus the
    dynamic replay of the reference trace) and cross-checks it against
    the runtime: a runtime ``BarrierDivergenceError`` without a static
@@ -59,8 +59,8 @@ from repro.session import Session, events
 
 __all__ = ["BACKENDS", "Mismatch", "OracleOutcome", "run_case", "run_source"]
 
-#: the three execution arbiters, reference first
-BACKENDS = ("reference", "tape", "codegen")
+#: the execution arbiters, reference first
+BACKENDS = ("reference", "tape")
 
 #: cycle model used for the cost comparison (any device works — the
 #: contract is equality across backends, not a particular number)
@@ -112,7 +112,7 @@ def _evictions(sink: events.CollectorSink) -> int:
     return sum(
         int(e.payload["evicted"])
         for e in sink.events
-        if e.kind in ("tape_replay", "codegen_replay")
+        if e.kind == "tape_replay"
     )
 
 
@@ -185,7 +185,7 @@ def run_source(
     p_value: int,
     corrupt: str = "",
 ) -> OracleOutcome:
-    """Judge one kernel source with all four arbiters (see module doc)."""
+    """Judge one kernel source with all three arbiters (see module doc)."""
     out = OracleOutcome()
     session = Session(env={})
     try:
@@ -197,7 +197,7 @@ def run_source(
 
     in_data = input_data(in_elems)
 
-    # -- 1. three-backend differential execution ---------------------------
+    # -- 1. reference-vs-tape differential execution -----------------------
     runs: Dict[str, Dict[str, object]] = {}
     for backend in BACKENDS:
         kernel = session.compile_kernel(source, kernel_name)

@@ -244,9 +244,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     p = argparse.ArgumentParser(
         prog="repro fuzz",
         description="Generative differential fuzzing of the whole stack: "
-        "every generated kernel is executed by all three backends, "
-        "analyzed for races/divergence, and pushed through the Grover "
-        "pass; any cross-arbiter disagreement is a named, minimized "
+        "every generated kernel is executed by the reference and tape "
+        "backends, analyzed for races/divergence, and pushed through the "
+        "Grover pass; any cross-arbiter disagreement is a named, minimized "
         "reproducer.",
     )
     p.add_argument("--seed", type=int, default=7, help="campaign seed")
@@ -277,7 +277,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="cap the total corpus size when promoting",
     )
     p.add_argument(
-        "--inject-fault", default="", choices=["", "tape", "codegen"],
+        "--inject-fault", default="", choices=["", "tape"],
         help="drill: corrupt one backend's outputs to validate the "
         "mismatch/minimize/reproducer plumbing end to end",
     )

@@ -6,8 +6,8 @@ of work is one *application* (both variants traced once, then scored on
 every requested device).  ``run_matrix`` fans those cases out over the
 process-wide warm pool (:mod:`repro.parallel.pool`); each case is
 computed shared-nothing from its arguments, but the worker *processes*
-persist across calls, so a worker's compile and codegen caches stay
-warm between cases and between consecutive matrices.  The parent
+persist across calls, so a worker's compile cache stays warm between
+cases and between consecutive matrices.  The parent
 assembles the grid in the deterministic ``apps``/``devices`` input
 order, so serial and parallel results are bit-identical floats.
 

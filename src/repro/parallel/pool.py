@@ -3,10 +3,9 @@
 Every fan-out in the system — the experiment matrix, search candidate
 scoring, fuzz campaigns — fans whole, independent cases out over
 **one** warm pool: the first fan-out forks it, later fan-outs reuse the
-same worker processes (and everything warm inside them: the compile
-cache, the codegen module cache, on-disk artifact handles), and it is
-torn down when the session that first acquired it closes — or at
-interpreter exit, whichever comes first.
+same worker processes (and everything warm inside them, such as the
+compile cache), and it is torn down when the session that first
+acquired it closes — or at interpreter exit, whichever comes first.
 
 ``acquire(n, factory)`` hands out the shared :class:`WorkerPool`.  The
 pool is recycled — old executor shut down, a fresh one forked, a

@@ -48,11 +48,10 @@ from repro.session import Session, current_session
 DEFAULT_APPS = ("NVD-MT", "NVD-MM-B", "PAB-ST")
 DEFAULT_SAMPLE_GROUPS = 16
 #: groups executed by the timed launch+trace tier (capped at the app's
-#: total): large enough that per-launch costs (tape recording and
-#: compile, the codegen pilot group) amortise the way they do in a real
-#: Table IV sweep
+#: total): large enough that the per-launch tape recording and compile
+#: amortise the way they do in a real Table IV sweep
 TRACE_SAMPLE_GROUPS = 256
-SCHEMA_VERSION = 8
+SCHEMA_VERSION = 9
 #: scale the ``--search`` tier searches at: candidate scoring compiles
 #: and executes dozens of kernels per app, so it runs the small grids
 SEARCH_SCALE = "test"
@@ -127,9 +126,8 @@ def _timed_launch(kernel, app, scale: str, sample_groups: int, backend: str):
     A 2-group warm-up launch runs first (identical for both backends)
     so process-cold costs — module imports, numpy dispatch caches —
     don't land inside whichever backend happens to be timed first.
-    The tape recording and compile (and codegen's pilot) are *not*
-    warmed away: the timed launch pays them in full, as any real sweep
-    iteration would.
+    The tape recording and compile are *not* warmed away: the timed
+    launch pays them in full, as any real sweep iteration would.
 
     Launches that finish under :data:`REPEAT_UNDER_S` are re-run up to
     :data:`TIMED_REPEATS` times and the minimum is reported: on a
@@ -216,7 +214,6 @@ def bench_app(
     kernels = {var: compile_app(app, var)[0] for var in variants}
     ref_s = 0.0
     tape_s = 0.0
-    codegen_s = 0.0
     for var in variants:
         dt_ref, tr_ref = _timed_launch(
             kernels[var], app, scale, trace_sample_groups, "reference"
@@ -225,23 +222,11 @@ def bench_app(
             kernels[var], app, scale, trace_sample_groups, "tape"
         )
         assert_traces_equal(tr_ref, tr_tape, f"{app_id}[{var}] tape backend")
-        dt_cg, tr_cg = _timed_launch(
-            kernels[var], app, scale, trace_sample_groups, "codegen"
-        )
-        assert_traces_equal(tr_ref, tr_cg, f"{app_id}[{var}] codegen backend")
         ref_s += dt_ref
         tape_s += dt_tape
-        codegen_s += dt_cg
     out["stages"]["launch_trace_s"] = ref_s
     out["stages"]["launch_trace_tape_s"] = tape_s
-    out["stages"]["launch_trace_codegen_s"] = codegen_s
     out["launch_trace_tape_speedup"] = ref_s / tape_s if tape_s > 0 else float("inf")
-    out["launch_trace_codegen_speedup"] = (
-        ref_s / codegen_s if codegen_s > 0 else float("inf")
-    )
-    out["codegen_vs_tape_speedup"] = (
-        tape_s / codegen_s if codegen_s > 0 else float("inf")
-    )
     out["launch_sample_groups"] = trace_sample_groups
     out["exec_backend"] = str(current_session().get("exec_backend"))
 
@@ -418,9 +403,9 @@ def run_bench(
     results = {
         "schema": SCHEMA_VERSION,
         "description": "wall-clock seconds per pipeline stage "
-        "(compile / launch+trace with reference vs tape vs codegen "
-        "executor / trace->cycles, reference vs fast cache path; every "
-        "backend is differentially verified before timing)",
+        "(compile / launch+trace with reference vs tape executor / "
+        "trace->cycles, reference vs fast cache path; every backend is "
+        "differentially verified before timing)",
         "devices": {"cpu": devices.SNB.name, "gpu": devices.FERMI.name},
         "host_cpus": os.cpu_count() or 1,
         "exec_backend": str(current_session().get("exec_backend")),
@@ -492,9 +477,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(
             f"# {app_id}: launch+trace {r['launch_trace_tape_speedup']:.1f}x "
             f"(ref {r['stages']['launch_trace_s']:.3f}s -> "
-            f"tape {r['stages']['launch_trace_tape_s']:.3f}s -> "
-            f"codegen {r['stages']['launch_trace_codegen_s']:.3f}s, "
-            f"{r['codegen_vs_tape_speedup']:.1f}x over tape), "
+            f"tape {r['stages']['launch_trace_tape_s']:.3f}s), "
             f"trace->cycles {r['trace_to_cycles_speedup']:.1f}x "
             f"(ref {r['stages']['cycles_reference_s']:.3f}s -> "
             f"fast {r['stages']['cycles_fast_s']:.3f}s)"

@@ -215,16 +215,6 @@ def launch(
                 local_buffers, local_arg_buffers, memory, private_arena,
                 collect_trace, int(session.get("tape_batch")), store=store,
             )
-        elif backend == "codegen" and len(picks) > 1:
-            from repro.runtime.codegen import execute_codegen
-
-            cache_dir = session.get("codegen_cache_dir")
-            group_traces, work_items = execute_codegen(
-                kernel, picks, groups_per_dim, gsize, lsize, arg_values,
-                local_buffers, local_arg_buffers, memory, private_arena,
-                collect_trace, int(session.get("tape_batch")),
-                cache_dir=str(cache_dir) if cache_dir else None, store=store,
-            )
         else:
             for i, flat in enumerate(picks):
                 gid = []

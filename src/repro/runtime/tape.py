@@ -97,7 +97,7 @@ from repro.runtime.interpreter import (
     memory_fault,
     merge_pending,
 )
-from repro.runtime.trace import GroupTrace, MemEvent, TraceSpillStore, split_records
+from repro.runtime.trace import GroupTrace, MemEvent, TraceSpillStore
 from repro.session import events
 
 #: scratch (batch-local) buffer ids start here — far above any id the
@@ -112,8 +112,7 @@ class _Step:
     """One executed (block, mask) of the recorded schedule."""
 
     __slots__ = (
-        "bb", "mask", "succ", "cond", "alive_before", "alive_after",
-        "weight", "ops", "op_pos", "guard",
+        "bb", "mask", "succ", "cond", "alive_before", "weight", "ops", "guard",
     )
 
     def __init__(self, bb: BasicBlock, mask: np.ndarray) -> None:
@@ -123,12 +122,8 @@ class _Step:
         #: the leader's full condition row, for a ``CondBr`` terminator
         self.cond: Optional[np.ndarray] = None
         self.alive_before: Optional[np.ndarray] = None
-        #: set only by the codegen tier's pilot recorder
-        self.alive_after: Optional[np.ndarray] = None
         self.weight = 0
         self.ops: List = []
-        #: instruction index within the block -> position in ``ops``
-        self.op_pos: Dict[int, int] = {}
         self.guard = None
 
 
@@ -263,6 +258,9 @@ class TapeExecutor:
         self.inst_count = 0
         self.arena_next = 0
         self.step_idx = 0
+        #: one tuple per traced access: (space, is_store, buffer_id,
+        #: scratch_stride, offsets (G, L), lanes (L,), elem_size, phase,
+        #: inst_id, live), where ``live`` maps the offsets' rows to slots
         self.records: List[tuple] = []
         self.bctx: Optional[_BatchedContext] = None
         self.slot_gids: List[Tuple[int, ...]] = []
@@ -278,15 +276,13 @@ class TapeExecutor:
         self.evicted = 0
 
         self._consts: Dict[Constant, np.ndarray] = {}
-        #: (block, mask bytes) -> (closures, instruction index -> position)
-        self._block_ops: Dict[Tuple[BasicBlock, bytes], Tuple[List, Dict[int, int]]] = {}
+        #: (block, mask bytes) -> its closures
+        self._block_ops: Dict[Tuple[BasicBlock, bytes], List] = {}
         self.n_closures = 0
         self.compile_s = 0.0
 
     # -- compilation -------------------------------------------------------
-    def _closures_for(
-        self, bb: BasicBlock, mask: np.ndarray
-    ) -> Tuple[List, Dict[int, int]]:
+    def _closures_for(self, bb: BasicBlock, mask: np.ndarray) -> List:
         """The closure list of ``(bb, mask)``, compiled on first use: a
         loop body scheduled 400 times compiles once."""
         key = (bb, mask.tobytes())
@@ -295,7 +291,7 @@ class TapeExecutor:
             t0 = time.perf_counter()
             entry = self._block_ops[key] = self._compile_block(bb, mask)
             self.compile_s += time.perf_counter() - t0
-            self.n_closures += len(entry[0])
+            self.n_closures += len(entry)
         return entry
 
     def _set_guard(self, step: _Step, term: CondBr) -> None:
@@ -320,19 +316,15 @@ class TapeExecutor:
         env = self.env
         return lambda: env[v]
 
-    def _compile_block(
-        self, bb: BasicBlock, mask: np.ndarray
-    ) -> Tuple[List, Dict[int, int]]:
+    def _compile_block(self, bb: BasicBlock, mask: np.ndarray) -> List:
         ops: List = []
-        op_pos: Dict[int, int] = {}
         for idx, inst in enumerate(bb.instructions):
             if inst.is_terminator:
                 break
-            op_pos[idx] = len(ops)
             op = self._compile_inst(inst, mask, bb, idx)
             if op is not None:
                 ops.append(op)
-        return ops, op_pos
+        return ops
 
     def _compile_inst(self, inst, mask: np.ndarray, bb: BasicBlock, idx: int):
         env = self.env
@@ -901,10 +893,6 @@ class TapeExecutor:
                 pos = p if p < len(live_ref) and live_ref[p] == slot else -1
             if pos < 0:
                 continue
-            # codegen element-domain records defer the byte conversion
-            # as a lazy ``(element indices, shift)`` pair
-            if type(offs) is tuple:
-                offs = offs[0] << offs[1]
             row = offs[pos]
             out.append(MemEvent(
                 space, is_store, sid,
@@ -922,13 +910,31 @@ class TapeExecutor:
         of :meth:`_split_events` times the batch size was the single
         hottest part of replay).
         """
-        slots = [int(s) for s in self.live]
-        per_slot = split_records(self.records, slots)
-        for slot in slots:
+        per_slot: Dict[int, List[MemEvent]] = {int(s): [] for s in self.live}
+        for (space, is_store, sid, stride, offs, lanes, elem,
+             phase, inst_id, live_ref) in self.records:
+            rows = list(offs)
+            if stride:
+                for pos, slot in enumerate(live_ref.tolist()):
+                    evs = per_slot.get(slot)
+                    if evs is not None:
+                        evs.append(MemEvent(
+                            space, is_store, sid, rows[pos] - slot * stride,
+                            lanes, elem, phase, inst_id,
+                        ))
+            else:
+                for pos, slot in enumerate(live_ref.tolist()):
+                    evs = per_slot.get(slot)
+                    if evs is not None:
+                        evs.append(MemEvent(
+                            space, is_store, sid, rows[pos],
+                            lanes, elem, phase, inst_id,
+                        ))
+        for slot, evs in per_slot.items():
             gt = GroupTrace(self.slot_gids[slot], self.n)
             gt.inst_count = self.sched_inst_count
             gt.barriers = self.sched_barriers
-            gt.events = per_slot[slot]
+            gt.events = evs
             self._done[slot] = gt
 
     # -- batched replay ----------------------------------------------------
@@ -985,22 +991,16 @@ class TapeExecutor:
         if bad.any():
             self._evict(bad, step.bb, term_idx, "branch divergence")
 
-    def _run_steps(self, si0: int, op_start: int, count_first: bool) -> None:
-        """Run the tape from step ``si0``, entering its op list at
-        ``op_start`` (the codegen divert path re-enters mid-step; the
-        diverged group's ``inst_count`` already includes that step when
-        ``count_first`` is False)."""
+    def _run_steps(self) -> None:
+        """Replay the recorded tape over the batch."""
         with np.errstate(all="ignore"):
-            for si in range(si0, len(self.steps)):
-                step = self.steps[si]
+            for si, step in enumerate(self.steps):
                 if not len(self.live):
                     break
                 self.step_idx = si
-                if count_first or si > si0:
-                    self.inst_count += step.weight
-                ops = step.ops
-                for oi in range(op_start if si == si0 else 0, len(ops)):
-                    ops[oi]()
+                self.inst_count += step.weight
+                for op in step.ops:
+                    op()
                 self._apply_guard(step)
 
     def _record_steps(self) -> None:
@@ -1019,7 +1019,7 @@ class TapeExecutor:
                 if not mask.any():
                     continue
                 step = _Step(bb, mask)
-                step.ops, step.op_pos = self._closures_for(bb, mask)
+                step.ops = self._closures_for(bb, mask)
                 step.alive_before = alive
                 step.weight = weights[bb] * int(mask.sum())
                 self.step_idx = len(self.steps)
@@ -1072,7 +1072,7 @@ class TapeExecutor:
         self._reset_batch(slot_gids)
         try:
             if self.steps:
-                self._run_steps(0, 0, True)
+                self._run_steps()
             else:
                 self._record_steps()
             return self._finish_batch()

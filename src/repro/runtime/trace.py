@@ -31,7 +31,7 @@ import time
 import weakref
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -210,66 +210,22 @@ class KernelTrace:
 # ---------------------------------------------------------------------------
 
 
-def split_records(records: List[tuple], slots: Iterable[int]) -> Dict[int, List[MemEvent]]:
-    """Deal a batch's record tuples into per-group event lists.
-
-    ``records`` is the tape/codegen record format: ``(space, is_store,
-    buffer_id, scratch_stride, offsets (G, L), lanes (L,), elem_size,
-    phase, inst_id, live)`` where ``live`` maps batch rows to slots.
-    The offsets entry may also be a lazy ``(element indices (G, L),
-    shift)`` pair from the codegen tier's element-domain sites; the
-    byte offsets are rebuilt here — outside the timed replay — as
-    ``indices << shift``, bit-identical to the eager form.
-    One record-outer pass (the same dealing loop for the eager and the
-    lazy path, so both produce bit-identical events).
-    """
-    out: Dict[int, List[MemEvent]] = {int(s): [] for s in slots}
-    for (space, is_store, sid, stride, offs, lanes, elem,
-         phase, inst_id, live_ref) in records:
-        if type(offs) is tuple:
-            offs = offs[0] << offs[1]
-        rows = list(offs)
-        if stride:
-            for pos, slot in enumerate(live_ref.tolist()):
-                evs = out.get(slot)
-                if evs is not None:
-                    evs.append(MemEvent(
-                        space, is_store, sid, rows[pos] - slot * stride,
-                        lanes, elem, phase, inst_id,
-                    ))
-        else:
-            for pos, slot in enumerate(live_ref.tolist()):
-                evs = out.get(slot)
-                if evs is not None:
-                    evs.append(MemEvent(
-                        space, is_store, sid, rows[pos],
-                        lanes, elem, phase, inst_id,
-                    ))
-    return out
-
-
 def _events_nbytes(events: List[MemEvent]) -> int:
     return sum(
         e.offsets.nbytes + e.lanes.nbytes + 160 for e in events
     )
 
 
-def _records_nbytes(records: List[tuple]) -> int:
-    return sum(
-        (r[4][0].nbytes if type(r[4]) is tuple else r[4].nbytes)
-        + r[5].nbytes + 200
-        for r in records
-    )
-
-
 class _Segment:
-    """One spillable unit: the events (or raw records) of one batch."""
+    """One spillable unit: the eagerly split events of one batch, keyed
+    by batch slot."""
 
-    __slots__ = ("store", "nbytes", "disk", "resident", "__weakref__")
+    __slots__ = ("store", "nbytes", "disk", "resident", "_events", "__weakref__")
 
-    def __init__(self, store: "TraceSpillStore", nbytes: int) -> None:
+    def __init__(self, store: "TraceSpillStore", events: Dict[int, List[MemEvent]]) -> None:
         self.store = store
-        self.nbytes = nbytes
+        self._events: Optional[Dict[int, List[MemEvent]]] = events
+        self.nbytes = sum(_events_nbytes(v) for v in events.values())
         #: (offset, compressed length) once written to the spill file
         self.disk: Optional[Tuple[int, int]] = None
         self.resident = True
@@ -277,75 +233,7 @@ class _Segment:
     def events_for(self, slot: int) -> List[MemEvent]:
         if not self.resident:
             self.store._load(self)
-        return self._slot_events(slot)
-
-    def _slot_events(self, slot: int) -> List[MemEvent]:  # pragma: no cover
-        raise NotImplementedError
-
-    def _payload(self) -> object:  # pragma: no cover
-        raise NotImplementedError
-
-    def _drop(self) -> None:  # pragma: no cover
-        raise NotImplementedError
-
-    def _restore(self, payload: object) -> None:  # pragma: no cover
-        raise NotImplementedError
-
-
-class _ListSegment(_Segment):
-    """Eagerly split events, keyed by batch slot."""
-
-    __slots__ = ("_events",)
-
-    def __init__(self, store: "TraceSpillStore", events: Dict[int, List[MemEvent]]) -> None:
-        self._events = events
-        super().__init__(store, sum(_events_nbytes(v) for v in events.values()))
-
-    def _slot_events(self, slot: int) -> List[MemEvent]:
         return self._events[slot]
-
-    def _payload(self) -> object:
-        return self._events
-
-    def _drop(self) -> None:
-        self._events = None
-
-    def _restore(self, payload: object) -> None:
-        self._events = payload
-
-
-class _BatchSegment(_Segment):
-    """Raw record tuples of one batch, split into events on first access.
-
-    This is how the codegen tier keeps event materialisation out of the
-    timed launch: the replay loop only appends compact record tuples;
-    the per-group :class:`MemEvent` lists are dealt out lazily, by the
-    first consumer that actually reads them.
-    """
-
-    __slots__ = ("_records", "_slots", "_events")
-
-    def __init__(self, store: "TraceSpillStore", records: List[tuple],
-                 slots: List[int]) -> None:
-        self._records = records
-        self._slots = list(slots)
-        self._events: Optional[Dict[int, List[MemEvent]]] = None
-        super().__init__(store, _records_nbytes(records))
-
-    def _slot_events(self, slot: int) -> List[MemEvent]:
-        if self._events is None:
-            self._events = split_records(self._records, self._slots)
-        return self._events[slot]
-
-    def _payload(self) -> object:
-        return self._records
-
-    def _drop(self) -> None:
-        self._records = None
-        self._events = None
-
-    def _restore(self, payload: object) -> None:
-        self._records = payload
 
 
 class LazyEvents(Sequence):
@@ -445,33 +333,11 @@ class TraceSpillStore:
         }
         if not events:
             return
-        seg = _ListSegment(self, events)
+        seg = _Segment(self, events)
         for slot, gt in traces.items():
             if gt is not None and slot in events:
                 gt.events = LazyEvents(seg, slot)
         self._track(seg)
-
-    def adopt_batch(
-        self,
-        records: List[tuple],
-        entries: List[Tuple[int, Tuple[int, ...]]],
-        work_items: int,
-        inst_count: int,
-        barriers: int,
-    ) -> Dict[int, GroupTrace]:
-        """Adopt one codegen batch as raw records; splitting into
-        per-group events is deferred to first access.  ``entries`` is
-        ``[(batch slot, group id), ...]`` for the surviving groups."""
-        seg = _BatchSegment(self, records, [slot for slot, _ in entries])
-        out: Dict[int, GroupTrace] = {}
-        for slot, gid in entries:
-            gt = GroupTrace(gid, work_items)
-            gt.inst_count = inst_count
-            gt.barriers = barriers
-            gt.events = LazyEvents(seg, slot)
-            out[slot] = gt
-        self._track(seg)
-        return out
 
     # -- residency ---------------------------------------------------------
     def _track(self, seg: _Segment) -> None:
@@ -499,7 +365,7 @@ class TraceSpillStore:
         written = 0
         if seg.disk is None:
             blob = zlib.compress(
-                pickle.dumps(seg._payload(), protocol=pickle.HIGHEST_PROTOCOL),
+                pickle.dumps(seg._events, protocol=pickle.HIGHEST_PROTOCOL),
                 1,
             )
             if self._file is None:
@@ -512,7 +378,7 @@ class TraceSpillStore:
             seg.disk = (self._file.tell(), len(blob))
             self._file.write(blob)
             written = len(blob)
-        seg._drop()
+        seg._events = None
         seg.resident = False
         del self._resident[weakref.ref(seg)]
         self.resident_bytes -= seg.nbytes
@@ -536,7 +402,7 @@ class TraceSpillStore:
             )
         off, length = seg.disk
         self._file.seek(off)
-        seg._restore(pickle.loads(zlib.decompress(self._file.read(length))))
+        seg._events = pickle.loads(zlib.decompress(self._file.read(length)))
         seg.resident = True
         self._resident[weakref.ref(seg)] = seg.nbytes
         self.resident_bytes += seg.nbytes

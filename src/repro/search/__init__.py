@@ -3,7 +3,7 @@
 See :mod:`repro.search.engine` — deterministic beam search (greedy at
 ``--beam 1``) over :mod:`repro.rules` pipelines, scored by the
 trace-driven performance model and gated by the race analyzer plus the
-three-backend differential runner.
+reference-vs-tape differential runner.
 """
 
 from repro.search.engine import (

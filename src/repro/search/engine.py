@@ -6,7 +6,7 @@ per-device question.  This engine answers it by *searching*: starting
 from the compiled kernel (the default pipeline already applied), it
 extends candidate pipelines one registered rewrite rule at a time,
 scores every candidate with the trace-driven performance model under the
-codegen execution backend, and keeps the ``beam`` best per depth level.
+tape execution backend, and keeps the ``beam`` best per depth level.
 
 Scoring is a prediction; shipping is gated.  Every surviving winner is
 re-derived from scratch and verified before it is reported:
@@ -14,8 +14,8 @@ re-derived from scratch and verified before it is reported:
 * the static race/divergence analyzer must not find a decided race or
   barrier divergence in the transformed kernel (the same veto arbiter
   that guards ``Session.disable_local_memory``);
-* all three execution backends (reference / tape / codegen) must produce
-  bit-identical traces and outputs for the transformed kernel;
+* the tape backend must produce traces and outputs bit-identical to the
+  reference interpreter's for the transformed kernel;
 * the transformed kernel's outputs must be byte-identical to the
   untransformed baseline's (:func:`repro.parallel.diff.assert_outputs_equal`).
 
@@ -158,7 +158,7 @@ def evaluate_pipeline(
     sample_groups: int,
     device_name: str,
 ) -> CandidateEval:
-    """Compile, transform, execute (codegen backend) and model one
+    """Compile, transform, execute (tape backend) and model one
     pipeline.
 
     A non-empty pipeline whose last rule rewrote nothing is returned as
@@ -192,7 +192,7 @@ def evaluate_pipeline(
         problem = app.make_problem(scale)
         # a fresh, environment-isolated session: scoring must not depend
         # on the caller's REPRO_* environment (determinism contract)
-        with Session(env={}, exec_backend="codegen").activate():
+        with Session(env={}, exec_backend="tape").activate():
             kernel, _ = compile_app(app, "with")
             rewrites = _apply_pipeline(kernel, pipeline, problem.local_size)
             if pipeline and rewrites[-1] == 0:
@@ -263,7 +263,7 @@ def verify_pipeline(
     """Re-derive the transformed kernel and gate it; ``(ok, reason)``.
 
     Gates, in order: the static race/divergence analyzer (a decided
-    finding vetoes), three-backend trace + output bit-identity, and
+    finding vetoes), reference-vs-tape trace + output bit-identity, and
     byte-identical outputs against the untransformed baseline.
 
     Gate refusals come back as ``(False, reason)``; deterministic
@@ -287,7 +287,7 @@ def verify_pipeline(
     app = get_app(app_id)
     problem = app.make_problem(scale)
     try:
-        with Session(env={}, exec_backend="codegen").activate():
+        with Session(env={}, exec_backend="tape").activate():
             kernel, _ = compile_app(app, "with")
             _apply_pipeline(kernel, pipeline, problem.local_size)
             if pipeline:  # the analyzer veto gate (empty pipeline: a no-op)
@@ -303,7 +303,7 @@ def verify_pipeline(
                 collect_trace=False,
             )
         runs = {}
-        for backend in ("reference", "tape", "codegen"):
+        for backend in ("reference", "tape"):
             with Session(env={}, exec_backend=backend).activate():
                 # full grid, no sampling: sampled launches execute only
                 # the sampled groups, and verification must compare the
@@ -312,16 +312,11 @@ def verify_pipeline(
                     app, kernel, variant="with", scale=scale,
                     collect_trace=True,
                 )
-        ref = runs["reference"]
-        for backend in ("tape", "codegen"):
-            assert_traces_equal(
-                ref.trace, runs[backend].trace,
-                f"{app_id} search winner [{backend}]",
-            )
-            assert_outputs_equal(
-                ref.outputs, runs[backend].outputs,
-                f"{app_id} search winner [{backend}]",
-            )
+        ref, tape = runs["reference"], runs["tape"]
+        assert_traces_equal(ref.trace, tape.trace, f"{app_id} search winner [tape]")
+        assert_outputs_equal(
+            ref.outputs, tape.outputs, f"{app_id} search winner [tape]"
+        )
         # byte-identical outputs against the untransformed kernel: every
         # shipped rule preserves computed values exactly (it reorders or
         # re-homes memory traffic, never arithmetic)
@@ -541,9 +536,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     p = argparse.ArgumentParser(
         prog="repro search",
         description="Beam-search rewrite-rule pipelines per app: score "
-        "candidates with the trace-driven performance model (codegen "
+        "candidates with the trace-driven performance model (tape "
         "backend), then verify every winner with the race analyzer and "
-        "the three-backend differential runner.",
+        "the reference-vs-tape differential runner.",
     )
     p.add_argument("--apps", default="",
                    help="comma-separated app ids (default: every Table III app)")

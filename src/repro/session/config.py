@@ -177,12 +177,11 @@ _VARS = (
         env="REPRO_EXEC_BACKEND",
         type="str",
         default="tape",
-        choices=("tape", "reference", "codegen"),
+        choices=("tape", "reference"),
         doc="Interpreter execution backend: 'tape' (the schedule recorded "
         "and compiled while the first group batch runs, replayed by the "
-        "later batches), 'codegen' (a pilot group's tape "
-        "emitted as one generated fused-numpy module) or 'reference' "
-        "(the per-group SIMT scheduler). Results are bit-identical.",
+        "later batches) or 'reference' (the per-group SIMT scheduler). "
+        "Results are bit-identical.",
     ),
     ConfigVar(
         name="tape_batch",
@@ -238,15 +237,6 @@ _VARS = (
         choices=("SNB", "Nehalem", "MIC", "Fermi", "Kepler", "Tahiti"),
         doc="Device model whose predicted cycles score search candidates.",
     ),
-    ConfigVar(
-        name="codegen_cache_dir",
-        env="REPRO_CODEGEN_CACHE_DIR",
-        type="str",
-        default=None,
-        doc="Directory for on-disk codegen artifacts (generated replay "
-        "modules, content-hash validated); unset disables the disk "
-        "tier, the in-process cache always applies.",
-    ),
 )
 
 #: by registry name ("workers")
@@ -257,9 +247,10 @@ ENV_REGISTRY: Dict[str, ConfigVar] = {v.env: v for v in _VARS}
 
 #: variables whose *values* are parsed eagerly at Session construction
 #: (the REPRO_WORKERS fix made bad worker counts fail at lookup with a
-#: ConfigError naming the variable; these two fail even earlier, before
-#: a long launch gets to the point of reading them)
-_EAGER_VALUE_VARS = ("REPRO_TAPE_BATCH", "REPRO_TRACE_SPILL_MB")
+#: ConfigError naming the variable; these fail even earlier, before a
+#: long launch gets to the point of reading them, or a memoised result
+#: skips the launch and the bad value goes unnoticed)
+_EAGER_VALUE_VARS = ("REPRO_EXEC_BACKEND", "REPRO_TAPE_BATCH", "REPRO_TRACE_SPILL_MB")
 
 
 def validate_environ(environ: Mapping[str, str]) -> None:

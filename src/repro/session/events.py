@@ -133,25 +133,6 @@ EVENT_SCHEMA: Dict[str, Dict[str, Tuple[type, ...]]] = {
         "step": (int,),
         "reason": (str,),
     },
-    "codegen_compile": {
-        "kernel": (str,),
-        "steps": (int,),
-        "source_bytes": (int,),
-        "wall_ms": (int, float),
-    },
-    "codegen_cache_hit": {
-        "kernel": (str,),
-        # "memory" (in-process module cache) or "disk" (artifact dir)
-        "tier": (str,),
-        "key": (str,),
-    },
-    "codegen_replay": {
-        "kernel": (str,),
-        "groups": (int,),
-        "batches": (int,),
-        "evicted": (int,),
-        "wall_ms": (int, float),
-    },
     "trace_spill": {
         "kernel": (str,),
         # bytes written to the spill file by this spill step, and the

@@ -1,5 +1,5 @@
 """The promoted fuzz corpus: every committed kernel replays through all
-four arbiters on every tier-1 run.
+three arbiters on every tier-1 run.
 
 ``tests/corpus/*.cl`` plus ``manifest.json`` are the survivors promoted
 by ``repro fuzz --promote`` — each carries a distinct *verdict shape*

@@ -1,4 +1,4 @@
-"""The four-way differential oracle and the campaign runner.
+"""The three-way differential oracle and the campaign runner.
 
 Hand-written kernels with known verdicts check each cross-validation
 rule individually (veto on decided races, divergence cross-check,
@@ -237,7 +237,7 @@ def test_cli_exit_codes(tmp_path):
     )
     assert (
         main(
-            ["--seed", "7", "--count", "2", "--inject-fault", "codegen",
+            ["--seed", "7", "--count", "2", "--inject-fault", "tape",
              "--out", str(tmp_path / "b")]
         )
         == 1

@@ -1,9 +1,9 @@
-"""Corpus × rewrite rules: the four-way differential oracle per rule.
+"""Corpus × rewrite rules: the three-way differential oracle per rule.
 
 Every promoted corpus kernel is replayed through each new rewrite rule;
 after any legal application the transformed kernel must be judged
-equivalent four ways — the reference, tape and codegen backends must
-produce bit-identical traces and outputs for it, and its outputs must be
+equivalent three ways — the reference and tape backends must produce
+bit-identical traces and outputs for it, and its outputs must be
 byte-identical to the *untransformed* kernel's.  The new rules are
 self-gating (each proves its own legality before rewriting), so no case
 is excluded: where the gate refuses, the rule is a no-op and the check
@@ -31,7 +31,7 @@ MANIFEST = load_manifest(CORPUS_DIR)
 #: the corpus is already pinned by the oracle replay in test_corpus.py)
 NEW_RULES = ("pad-local-arrays", "eliminate-barriers", "hoist-global-loads")
 
-BACKENDS = ("reference", "tape", "codegen")
+BACKENDS = ("reference", "tape")
 
 
 def _launch(kernel, entry, backend: str):
@@ -79,7 +79,7 @@ def test_corpus_replays_through_rule(rule_name):
                 out_ref.view(np.uint8), out.view(np.uint8),
                 err_msg=f"{case} [{backend}] outputs",
             )
-        # the fourth way: the rule must not have changed computed values
+        # the third way: the rule must not have changed computed values
         np.testing.assert_array_equal(
             out_base.view(np.uint8), out_ref.view(np.uint8),
             err_msg=f"{case} vs untransformed",

@@ -295,7 +295,7 @@ __kernel void diverge(__global int* out) {
         assert gt.barriers == 1
 
 
-@pytest.mark.parametrize("backend", ["reference", "tape", "codegen"])
+@pytest.mark.parametrize("backend", ["reference", "tape"])
 def test_out_of_bounds_access_is_a_memory_fault(backend):
     """A fuzz kernel whose Grover variant indexes below its input buffer
     faults with a named error on every backend, not numpy's IndexError."""

@@ -318,7 +318,7 @@ def test_session_search_entry_point():
 def test_bench_search_tier():
     from repro.perf.bench import SCHEMA_VERSION, bench_search
 
-    assert SCHEMA_VERSION == 8
+    assert SCHEMA_VERSION == 9
     with Session(env={}, search_depth=1).activate():
         out = bench_search(("NVD-MT",), workers=1)
     entry = out["apps"]["NVD-MT"]

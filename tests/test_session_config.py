@@ -44,7 +44,6 @@ def test_registry_covers_every_historical_env_var():
         "REPRO_SEARCH_DEPTH",
         "REPRO_SEARCH_SAMPLE_GROUPS",
         "REPRO_SEARCH_DEVICE",
-        "REPRO_CODEGEN_CACHE_DIR",
     }
     # name <-> env spelling is a bijection
     assert len(REGISTRY) == len(ENV_REGISTRY)
@@ -267,19 +266,23 @@ def test_batch_and_spill_env_accepted_values(env_name, name, value):
     assert Session(env={env_name: str(value)}).get(name) == value
 
 
-def test_codegen_backend_and_cache_dir_are_registered():
-    s = Session(env={
-        "REPRO_EXEC_BACKEND": "codegen",
-        "REPRO_CODEGEN_CACHE_DIR": "/tmp/cg",
-    })
-    assert s.get("exec_backend") == "codegen"
-    assert s.get("codegen_cache_dir") == "/tmp/cg"
-    assert Session(env={}).get("codegen_cache_dir") is None
-
-
 def test_analyze_var_defaults_off_and_parses_bool_words():
     assert Session(env={}).get("analyze") is False
     assert Session(env={"REPRO_ANALYZE": "1"}).get("analyze") is True
     assert Session(env={"REPRO_ANALYZE": "off"}).get("analyze") is False
     with pytest.raises(ConfigError, match="REPRO_ANALYZE"):
         Session(env={"REPRO_ANALYZE": "maybe"}).get("analyze")
+
+
+@pytest.mark.parametrize("env_name,value", [
+    ("REPRO_EXEC_BACKEND", "codegen"),  # not one of the choices
+    ("REPRO_CODEGEN_CACHE_DIR", "cg-artifacts"),  # not a registered variable
+])
+def test_cli_config_error_exits_2_with_one_line(monkeypatch, capsys, env_name, value):
+    from repro.cli import main
+
+    monkeypatch.setenv(env_name, value)
+    assert main(["matrix", "--apps", "NVD-MT", "--scale", "test", "--workers", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert env_name in err

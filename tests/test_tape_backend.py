@@ -392,7 +392,7 @@ __kernel void spe(__global float* out, __global const float* in)
 """
 
 
-@pytest.mark.parametrize("backend", ("reference", "tape", "codegen"))
+@pytest.mark.parametrize("backend", ("reference", "tape"))
 @pytest.mark.parametrize("tape_batch", (1, 256))
 @pytest.mark.parametrize(
     "source, message",
