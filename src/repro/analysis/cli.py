@@ -21,17 +21,12 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.frontend import FrontendError
+from repro.ir.function import UnknownKernelError
 
 from repro.analysis.driver import analyze_app, analyze_source
-
-
-def _parse_size(text: Optional[str]) -> Optional[List[int]]:
-    if not text:
-        return None
-    return [int(t) for t in text.replace("x", ",").split(",") if t]
 
 
 def _parse_scalar(text: str):
@@ -42,7 +37,7 @@ def _parse_scalar(text: str):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from repro.cli import add_session_flags
+    from repro.cli import add_session_flags, parse_size
 
     p = argparse.ArgumentParser(
         prog="repro analyze",
@@ -65,9 +60,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="kernel name within a source file (default: the only one)")
     p.add_argument("-D", dest="defines", action="append", default=[],
                    metavar="NAME=VALUE", help="preprocessor definition")
-    p.add_argument("--global-size", default=None, metavar="GX[,GY[,GZ]]",
+    p.add_argument("--global-size", default=None, type=parse_size,
+                   metavar="GX[,GY[,GZ]]",
                    help="NDRange global size for source-file targets")
-    p.add_argument("--local-size", default=None, metavar="LX[,LY[,LZ]]",
+    p.add_argument("--local-size", default=None, type=parse_size,
+                   metavar="LX[,LY[,LZ]]",
                    help="work-group size for source-file targets")
     p.add_argument("--arg", dest="scalar_args", action="append", default=[],
                    metavar="NAME=VALUE",
@@ -89,7 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    p = build_parser()
+    args = p.parse_args(argv)
     if args.update_golden and not args.golden:
         print("error: --update-golden requires --golden FILE", file=sys.stderr)
         return 2
@@ -142,8 +140,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         Path(path).read_text(),
                         kernel_name=args.kernel,
                         defines=defines,
-                        global_size=_parse_size(args.global_size),
-                        local_size=_parse_size(args.local_size),
+                        global_size=args.global_size,
+                        local_size=args.local_size,
                         scalar_args=scalar_args,
                         buffer_bytes=args.buffer_bytes,
                         local_arg_sizes=local_args or None,
@@ -153,6 +151,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 except FrontendError as exc:
                     print(f"error: {path}: {exc}", file=sys.stderr)
                     return 1
+                except UnknownKernelError as exc:
+                    p.error(f"{path}: {exc}")
                 reports.append((label, rep))
 
     lines = [rep.summary_line(label) for label, rep in reports]

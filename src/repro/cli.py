@@ -34,7 +34,8 @@ Subcommands:
 Every subcommand (and the default kernel command) accepts ``--config
 FILE`` (a JSON session config, see :mod:`repro.session.config`) and
 ``--trace-out PATH`` (structured JSONL event stream).  Bad arguments —
-an unreadable file, a non-positive count — are usage errors: exit 2,
+an unreadable file, a non-positive count, a malformed ``--local-size``,
+a ``--kernel`` the file does not define — are usage errors: exit 2,
 no traceback.  So is a bad configuration (an unknown ``REPRO_*``
 variable, a value outside a variable's choices, a broken ``--config``
 file): one ``error:`` line on stderr naming the variable, exit 2.
@@ -45,9 +46,11 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Tuple
 
 from repro.core import GroverError
 from repro.frontend import FrontendError
+from repro.ir.function import UnknownKernelError
 from repro.ir.printer import print_function
 from repro.session.config import ConfigError
 
@@ -84,6 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--local-size",
         default=None,
+        type=parse_size,
         metavar="LX[,LY[,LZ]]",
         help="work-group geometry for the $REPRO_ANALYZE race/divergence "
         "gate (without it, undecidable access pairs only warn)",
@@ -104,6 +108,20 @@ def add_session_flags(p: argparse.ArgumentParser) -> None:
         default=None,
         help="write structured events as JSONL to this path",
     )
+
+
+def parse_size(text: str) -> Tuple[int, ...]:
+    """An NDRange size ``X[,Y[,Z]]`` (``x`` also separates), as an
+    argparse ``type=``: anything else is a usage error."""
+    try:
+        dims = tuple(int(t) for t in text.replace("x", ",").split(","))
+    except ValueError:
+        dims = ()
+    if not 1 <= len(dims) <= 3 or min(dims) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected 1 to 3 positive integers X[,Y[,Z]], got {text!r}"
+        )
+    return dims
 
 
 def require_positive(p: argparse.ArgumentParser, *flags) -> None:
@@ -192,10 +210,13 @@ def passes_main(argv=None) -> int:
             pre = preprocess(source, defines)
             ast = CParser().parse(pre.text, filename=args.run)
             module = lower_translation_unit(ast, pre.kernel_names, args.run)
-            kernel = module.kernel(args.kernel)
         except (ParseError, FrontendError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
+        try:
+            kernel = module.kernel(args.kernel)
+        except UnknownKernelError as exc:
+            p.error(str(exc))
         pm = session.pass_manager(pipeline=args.pipeline, verify_between=True)
         with session.activate():
             results = pm.run_function(kernel)
@@ -261,6 +282,8 @@ def _dispatch(argv) -> int:
         except FrontendError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
+        except UnknownKernelError as exc:
+            p.error(str(exc))
 
         if args.before:
             print("; ---- before Grover ----")
@@ -268,16 +291,12 @@ def _dispatch(argv) -> int:
             print()
 
         arrays = args.arrays.split(",") if args.arrays else None
-        local_size = (
-            tuple(int(t) for t in args.local_size.replace("x", ",").split(","))
-            if args.local_size else None
-        )
         try:
             # through the session so the $REPRO_ANALYZE race/divergence
             # veto gate applies (RaceDetected is a GroverError)
             report = session.disable_local_memory(
                 kernel,
-                local_size=local_size,
+                local_size=args.local_size,
                 arrays=arrays,
                 remove_barriers=not args.keep_barriers,
             )

@@ -125,6 +125,14 @@ class Function:
         return f"<{kind} {self.name} ({len(self.blocks)} blocks)>"
 
 
+class UnknownKernelError(KeyError):
+    """A kernel name a module does not define, or no name where the
+    module has several kernels; the message lists the kernels."""
+
+    def __str__(self) -> str:
+        return str(self.args[0])
+
+
 class Module:
     """A translation unit: a set of functions plus named constants."""
 
@@ -142,16 +150,24 @@ class Module:
         return [f for f in self.functions.values() if f.is_kernel]
 
     def kernel(self, name: Optional[str] = None) -> Function:
-        """Fetch a kernel by name, or the sole kernel if unambiguous."""
-        if name is not None:
-            fn = self.functions[name]
-            if not fn.is_kernel:
-                raise KeyError(f"{name} is not a kernel")
+        """Fetch a kernel by name, or the sole kernel if unambiguous.
+
+        Raises :class:`UnknownKernelError` naming the module's kernels
+        when ``name`` is not one of them, or is omitted and the module
+        does not have exactly one.
+        """
+        fn = self.functions.get(name) if name is not None else None
+        if fn is not None and fn.is_kernel:
             return fn
         ks = self.kernels()
-        if len(ks) != 1:
-            raise KeyError(f"module has {len(ks)} kernels; specify a name")
-        return ks[0]
+        if name is None and len(ks) == 1:
+            return ks[0]
+        names = ", ".join(k.name for k in ks) or "none"
+        if name is not None:
+            raise UnknownKernelError(f"no kernel {name!r} (kernels: {names})")
+        raise UnknownKernelError(
+            f"module has {len(ks)} kernels; specify one of: {names}"
+        )
 
     def __iter__(self) -> Iterator[Function]:
         return iter(self.functions.values())

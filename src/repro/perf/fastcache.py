@@ -15,9 +15,11 @@ Two observations turn the per-access LRU walk into batch array work:
    ``assoc`` distinct lines over the whole stream can never evict:
    every repeat access hits, decidable with a few array passes and no
    per-access Python.  Real traces (tiled kernels reusing a warm local
-   arena) resolve >90% of their accesses this way; only the sets that
-   genuinely overflow their ways are walked sequentially, which bounds
-   the worst case at reference speed.
+   arena) resolve >90% of their accesses this way.  In the sets that
+   do overflow their ways, the distinct-line count of each window is
+   a popcount over a range-OR sparse table of per-line bitsets, still
+   whole-array work; only a set whose table would exceed a fixed
+   memory budget is walked sequentially, at reference speed.
 
 2. **Hierarchy fills are no-ops.**  Because ``access`` inserts on miss
    before lower levels are probed, the upper-level ``fill`` calls made
@@ -89,73 +91,219 @@ def lru_hits(lines: np.ndarray, n_sets: int, assoc: int) -> np.ndarray:
     Accesses bind only within a set, so the stream is re-ordered
     set-major (stable) and each access is classified by the
     stack-distance criterion — it hits iff it has a previous occurrence
-    and fewer than ``assoc`` *distinct* same-set lines appeared since.
-    Two tiers resolve the stream:
+    ``p`` and fewer than ``assoc`` *distinct* same-set lines appeared
+    strictly between ``p`` and it.  One stable sort by line yields
+    every access's previous occurrence, and decides most accesses
+    without looking inside the window:
 
-    1. **Unconflicted sets** (vectorised) — a set touched by at most
-       ``assoc`` distinct lines over the whole stream can never evict,
-       so every access with a previous occurrence hits.  On real
-       traces (tiled kernels with a warm local arena) this resolves
-       the vast majority of accesses in a handful of array passes.
-    2. **Conflicted sets** (compact sequential walk) — sets that do
-       overflow their ways carry an irreducible sequential dependency;
-       their sub-stream is walked with the reference LRU update, which
-       bounds the worst case (every set conflicted) at reference
-       speed while the common case stays array-bound.
+    1. no previous occurrence: a miss;
+    2. a set touched by at most ``assoc`` distinct lines over the whole
+       stream can never evict, so every repeat in it hits.  On real
+       traces (tiled kernels with a warm local arena) this resolves the
+       vast majority of accesses, and a stream with no overflowing set
+       is done after these few array passes;
+    3. fewer than ``assoc`` accesses since ``p``: a hit.
+
+    The remaining repeats in *conflicted* sets (ones that overflow
+    their ways) take the window test of :func:`_window_hits`.
     """
     lines = np.ascontiguousarray(lines, dtype=np.int64)
     n = len(lines)
     if n == 0:
         return np.zeros(0, dtype=bool)
 
-    # set-major stable ordering: windows (prev, i) become contiguous
-    # per-set runs, so position comparisons never cross sets
-    sets = lines % n_sets
+    # set-major stable ordering: windows (p, i) become contiguous
+    # per-set runs, so position comparisons never cross sets.  Set ids
+    # narrowed to 16 bits or fewer take numpy's radix sort.
+    sets = (lines % n_sets).astype(np.min_scalar_type(n_sets - 1))
     order = np.argsort(sets, kind="stable")
     bucketed = lines[order]
 
-    has_prev, first_lines = _prev_exists(bucketed)
-
-    # tier 1: sets that never overflow their ways
-    u_per_set = np.bincount(
-        (first_lines % n_sets).astype(np.intp), minlength=n_sets
-    )
-    unconflicted = u_per_set <= assoc
-    in_small = unconflicted[sets[order]]
-
+    # stable sort by line: each equal neighbour pair in it is an access
+    # and its previous occurrence, in stream order
+    by_line = np.argsort(bucketed, kind="stable")
+    sorted_lines = bucketed[by_line]
+    same = np.zeros(n, dtype=bool)
+    np.equal(sorted_lines[1:], sorted_lines[:-1], out=same[1:])
     hit_b = np.zeros(n, dtype=bool)
-    hit_b[in_small] = has_prev[in_small]
-    big_idx = np.flatnonzero(~in_small)
-    if big_idx.size:
-        # the sub-stream keeps set-major grouping and per-set order,
-        # and conflicted sets appear in it wholesale, so windows are
-        # unchanged
-        hit_b[big_idx] = _conflicted_hits(bucketed[big_idx], n_sets, assoc)
+    hit_b[by_line] = same
+
+    line_set = (sorted_lines[~same] % n_sets).astype(np.intp)
+    u_per_set = np.bincount(line_set, minlength=n_sets)
+    if (u_per_set > assoc).any():
+        _decide_conflicted(
+            hit_b, bucketed, by_line, same, line_set, u_per_set, n_sets, assoc
+        )
 
     hits = np.empty(n, dtype=bool)
     hits[order] = hit_b
     return hits
 
 
-def _prev_exists(bucketed: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(has-previous-occurrence mask, first occurrence of each line)."""
-    by_line = np.argsort(bucketed, kind="stable")
-    sorted_lines = bucketed[by_line]
-    same = np.zeros(len(bucketed), dtype=bool)
-    np.equal(sorted_lines[1:], sorted_lines[:-1], out=same[1:])
-    has_prev = np.zeros(len(bucketed), dtype=bool)
-    has_prev[by_line] = same
-    return has_prev, sorted_lines[~same]
+#: uint64 words one range-OR table may hold (8 MiB).  A set's table has
+#: one row per access and one bit per distinct line, so a long
+#: streaming set could otherwise need hundreds of MB.
+_TABLE_WORDS = 1 << 20
+
+
+def _decide_conflicted(
+    hit_b: np.ndarray,
+    bucketed: np.ndarray,
+    by_line: np.ndarray,
+    same: np.ndarray,
+    line_set: np.ndarray,
+    u_per_set: np.ndarray,
+    n_sets: int,
+    assoc: int,
+) -> None:
+    """Overwrite ``hit_b`` (set-major; on entry "has a previous
+    occurrence") with the exact verdicts of the conflicted sets.
+
+    ``line_set`` is the set of each distinct line, in the line order of
+    ``by_line``.  Repeats whose window needs a distinct-line count are
+    answered chunk by chunk of whole sets, each chunk's table within
+    ``_TABLE_WORDS``; a single set over that budget takes the reference
+    LRU walk instead.
+    """
+    # the line-sorted positions of the conflicted sets' accesses: whole
+    # runs of equal lines, so each run still starts with a first use
+    run_len = np.diff(np.flatnonzero(~same), append=len(same))
+    conflicted = u_per_set > assoc
+    conf_run = conflicted[line_set]
+    keep = np.repeat(conf_run, run_len)
+    pos, repeat = by_line[keep], same[keep]
+    set_len = np.bincount(line_set, weights=run_len, minlength=n_sets).astype(np.int64)
+    run_len, run_set = run_len[conf_run], line_set[conf_run]
+
+    # a window of fewer than ``assoc`` accesses cannot hold ``assoc``
+    # distinct lines, so those repeats hit whatever the set
+    pair = np.flatnonzero(repeat)
+    cur, prev = pos[pair], pos[pair - 1]
+    ask = cur - prev > assoc
+    if not ask.any():
+        return
+    cur, prev = cur[ask], prev[ask]
+    cur_set = np.repeat(run_set, run_len)[pair[ask]]
+
+    # a line's bit is its rank among its set's distinct lines in
+    # first-occurrence order: first occurrences come set-major in
+    # ``bucketed``, so sorting them lays each set's lines out in a block
+    by_first = np.argsort(pos[~repeat])
+    u_conf = np.where(conflicted, u_per_set, 0)
+    line_rank = np.empty(len(by_first), dtype=np.int64)
+    line_rank[by_first] = np.arange(len(by_first)) - (
+        np.cumsum(u_conf) - u_conf
+    )[run_set[by_first]]
+    # defined at the conflicted sets' positions only
+    rank = np.empty(len(bucketed), dtype=np.int64)
+    rank[pos] = np.repeat(line_rank, run_len)
+
+    set_start = np.cumsum(set_len) - set_len
+    words = (u_per_set + 63) >> 6
+    asked = np.flatnonzero(np.bincount(cur_set, minlength=n_sets))
+    walked = set_len[asked] * words[asked] > _TABLE_WORDS
+    for s in asked[walked]:
+        run = slice(set_start[s], set_start[s] + set_len[s])
+        hit_b[run] = _conflicted_hits(bucketed[run], n_sets, assoc)
+
+    chunks = _chunk_sets(asked[~walked], set_len, words)
+    chunk_of = np.full(n_sets, -1)
+    for c, chunk in enumerate(chunks):
+        chunk_of[chunk] = c
+    for c, chunk in enumerate(chunks):
+        q = chunk_of[cur_set] == c
+        hit_b[cur[q]] = _window_hits(
+            chunk, cur[q], prev[q], cur_set[q], rank, set_len, set_start,
+            words, assoc,
+        )
+
+
+def _chunk_sets(
+    set_ids: np.ndarray, set_len: np.ndarray, words: np.ndarray
+) -> List[np.ndarray]:
+    """Split ``set_ids`` (each within budget alone) into consecutive
+    runs whose table — total accesses × widest bitset — fits
+    ``_TABLE_WORDS``."""
+    if not set_ids.size:
+        return []
+    if set_len[set_ids].sum() * words[set_ids].max() <= _TABLE_WORDS:
+        return [set_ids]
+    chunks: List[np.ndarray] = []
+    start = rows = width = 0
+    for j, s in enumerate(set_ids.tolist()):
+        grown = (rows + set_len[s], max(width, words[s]))
+        if grown[0] * grown[1] > _TABLE_WORDS:
+            chunks.append(set_ids[start:j])
+            start, grown = j, (set_len[s], words[s])
+        rows, width = grown
+    chunks.append(set_ids[start:])
+    return chunks
+
+
+def _window_hits(
+    chunk: np.ndarray,
+    cur: np.ndarray,
+    prev: np.ndarray,
+    cur_set: np.ndarray,
+    rank: np.ndarray,
+    set_len: np.ndarray,
+    set_start: np.ndarray,
+    words: np.ndarray,
+    assoc: int,
+) -> np.ndarray:
+    """Decide repeats ``cur`` (previous occurrences ``prev``, both
+    set-major positions in the sets of ``chunk``) by counting the
+    distinct lines strictly between them.
+
+    The chunk's accesses are laid out set after set, each a bitset of
+    its line's rank, stored word-major (one row per uint64 word).  A
+    range-OR sparse table is built in place, level ``k`` holding the OR
+    of ``2**k`` consecutive accesses; a window of ``g`` accesses is the
+    OR of two overlapping level-``floor(log2 g)`` blocks, answered right
+    after that level is built.  A window never spans two sets, so sets
+    may share rank bits.
+    """
+    lens = set_len[chunk]
+    m = int(lens.sum())
+    shift = np.zeros(len(set_len), dtype=np.int64)
+    shift[chunk] = set_start[chunk] - (np.cumsum(lens) - lens)
+    r = rank[np.arange(m) + np.repeat(shift[chunk], lens)]
+    table = np.zeros((int(words[chunk].max()), m), dtype=np.uint64)
+    table[r >> 6, np.arange(m)] = np.left_shift(
+        np.uint64(1), (r & 63).astype(np.uint64)
+    )
+
+    local = cur - shift[cur_set]
+    gap = cur - prev - 1
+    level = np.frexp(gap)[1] - 1  # floor(log2 gap), exact for ints
+    lo = local - gap
+    hi = local - np.left_shift(1, level)
+    by_level = np.argsort(level, kind="stable")
+    bounds = np.searchsorted(level[by_level], np.arange(level.max() + 2))
+    out = np.empty(len(cur), dtype=bool)
+    for k in range(int(level.max()) + 1):
+        if k:
+            half = 1 << (k - 1)
+            for row in table:
+                row[: m - half] |= row[half:]
+        q = by_level[bounds[k] : bounds[k + 1]]
+        if q.size:
+            lo_q, hi_q = lo[q], hi[q]
+            distinct = np.zeros(q.size, dtype=np.int64)
+            for row in table:
+                distinct += np.bitwise_count(row[lo_q] | row[hi_q])
+            out[q] = distinct < assoc
+    return out
 
 
 def _conflicted_hits(sub: np.ndarray, n_sets: int, assoc: int) -> np.ndarray:
-    """Hit mask for the set-major sub-stream of conflicted sets.
+    """Hit mask for a set-major sub-stream, by the reference LRU walk.
 
     The sub-stream is grouped by set (one contiguous run per set), so
-    the reference LRU walk runs without per-access set lookups: the
-    way list resets at each run boundary.  This is the only sequential
-    part of the fast path, and it touches only sets that actually
-    overflow their associativity.
+    the walk runs without per-access set lookups: the way list resets
+    at each run boundary.  This is the only sequential part of the fast
+    path; it runs only on a set whose window-test table would exceed
+    ``_TABLE_WORDS``.
     """
     out = np.empty(len(sub), dtype=bool)
     cur_set = -1

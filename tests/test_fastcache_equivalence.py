@@ -6,14 +6,19 @@ implementations with the same randomized streams (strided, column,
 streaming and uniform-random patterns, plus warm fills and chunked
 incremental access) and require identical per-access hit masks,
 ``CacheStats`` and ``HierarchyCounts`` — including the next-line
-prefetcher's 4 KiB page-boundary rule.
+prefetcher's 4 KiB page-boundary rule.  Sets that overflow their ways
+are decided by a bitset window test; its own section drives it through
+multi-word bitsets, high associativity, long windows, the CPU models'
+geometries and its memory-budget fallback to the sequential walk.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.perf import fastcache
 from repro.perf.cache import CacheHierarchy, SetAssocCache
+from repro.perf.devices import CPU_DEVICES
 from repro.perf.fastcache import (
     FastCacheHierarchy,
     FastSetAssocCache,
@@ -123,6 +128,125 @@ def test_conflicted_set_exact_eviction_order():
     # with 3 ways everything after the first round hits
     hits3 = lru_hits(lines, 8, 3)
     assert hits3.sum() == 6
+
+
+# -- conflicted sets: the bitset window test -----------------------------------
+
+
+def _reference_hits(lines: np.ndarray, size_kb: float, assoc: int) -> np.ndarray:
+    ref = SetAssocCache(size_kb, assoc)
+    return np.array([ref.access(line) for line in lines.tolist()], dtype=bool)
+
+
+def _set_stream(rng, n_sets: int, sets: int, distinct: int, n: int) -> np.ndarray:
+    """``n`` accesses spread over ``sets`` sets, each touched by up to
+    ``distinct`` lines: uniform reuse mixed with cyclic sweeps, so the
+    windows range from a few accesses to most of the stream."""
+    set_ids = rng.choice(n_sets, size=sets, replace=False)
+    tags = rng.integers(0, distinct, n)
+    sweep = rng.random(n) < 0.5
+    tags[sweep] = np.arange(n)[sweep] % distinct
+    return (tags * n_sets + rng.choice(set_ids, n)).astype(np.int64)
+
+
+@pytest.mark.parametrize("assoc", [2, 8, 16, 20])
+@pytest.mark.parametrize("distinct", [40, 100, 200])
+def test_window_test_multiword_bitsets(assoc, distinct):
+    """Sets with more than 64 and 128 distinct lines need 2 and 4 words
+    per bitset; associativity reaches the LLC's 16 and 20 ways."""
+    rng = np.random.default_rng(assoc * 1000 + distinct)
+    n_sets = 4
+    lines = _set_stream(rng, n_sets, 3, distinct, 2500)
+    size_kb = n_sets * assoc * 64 / 1024
+    hits = lru_hits(lines, n_sets, assoc)
+    assert np.array_equal(hits, _reference_hits(lines, size_kb, assoc))
+    assert 0 < hits.sum() < len(lines)
+
+
+@pytest.mark.parametrize("assoc", [8, 16, 20])
+def test_window_test_long_windows(assoc):
+    """Windows of more than 2**10 accesses, decided at the table's top
+    levels: a reuse after ``assoc - 1`` other lines hits, after
+    ``assoc`` it misses, however long the window."""
+    filler_hit = [1 + k % (assoc - 1) for k in range(1100)]
+    filler_miss = [1 + k % assoc for k in range(1500)]
+    tags = [0] + filler_hit + [0] + filler_miss + [0]
+    rng = np.random.default_rng(assoc)
+    tags += rng.integers(0, 3 * assoc, 2000).tolist()
+    n_sets = 2
+    lines = np.array(tags, dtype=np.int64) * n_sets + 1
+    hits = lru_hits(lines, n_sets, assoc)
+    assert np.array_equal(hits, _reference_hits(lines, n_sets * assoc * 64 / 1024, assoc))
+    assert hits[len(filler_hit) + 1] and not hits[len(filler_hit) + len(filler_miss) + 2]
+
+
+def _cpu_levels():
+    for dev in CPU_DEVICES.values():
+        yield f"{dev.name}-L1", (dev.l1[0], dev.l1[1])
+        yield f"{dev.name}-L2", (dev.l2[0], dev.l2[1])
+        if dev.l3 is not None:
+            yield f"{dev.name}-LLC", (dev.l3[0] / dev.cores, dev.l3[1])
+
+
+@pytest.mark.parametrize(
+    "size_kb, assoc", [spec for _, spec in _cpu_levels()],
+    ids=[name for name, _ in _cpu_levels()],
+)
+def test_window_test_cpu_geometries(size_kb, assoc):
+    """The L1, L2 and per-core LLC geometries the CPU models price on,
+    driven by column walks that pile lines into a few sets."""
+    ref, fast = SetAssocCache(size_kb, assoc), FastSetAssocCache(size_kb, assoc)
+    rng = np.random.default_rng(int(size_kb) + assoc)
+    lines = _set_stream(rng, fast.n_sets, 6, 3 * assoc, 3000)
+    ref_hits = np.array([ref.access(line) for line in lines.tolist()], dtype=bool)
+    assert np.array_equal(fast.access_many(lines), ref_hits)
+    assert (ref.stats.accesses, ref.stats.hits) == (fast.stats.accesses, fast.stats.hits)
+
+
+def _spy(monkeypatch, name: str) -> list:
+    calls = []
+    real = getattr(fastcache, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(fastcache, name, spy)
+    return calls
+
+
+def test_set_over_table_budget_takes_the_walk(monkeypatch):
+    """A streaming set whose table (accesses x distinct lines / 64
+    words) exceeds the budget is walked; another conflicted set in the
+    same stream still takes the window test."""
+    walks = _spy(monkeypatch, "_conflicted_hits")
+    windows = _spy(monkeypatch, "_window_hits")
+    n_sets, assoc, distinct = 4, 8, 2100
+    stream_tags = np.tile(np.arange(distinct), 16)
+    small = np.random.default_rng(0).integers(0, 3 * assoc, 3000)
+    lines = np.concatenate([stream_tags * n_sets, small * n_sets + 1])
+    words = len(stream_tags) * -(-distinct // 64)
+    assert words > fastcache._TABLE_WORDS
+    hits = lru_hits(lines, n_sets, assoc)
+    assert np.array_equal(hits, _reference_hits(lines, n_sets * assoc * 64 / 1024, assoc))
+    assert len(walks) == 1 and len(walks[0][0]) == len(stream_tags)
+    assert len(windows) == 1
+
+
+def test_sets_split_into_chunks_under_a_small_budget(monkeypatch):
+    """Conflicted sets too many for one table are answered chunk by
+    chunk, and a set too large for any chunk is walked."""
+    monkeypatch.setattr(fastcache, "_TABLE_WORDS", 2000)
+    walks = _spy(monkeypatch, "_conflicted_hits")
+    windows = _spy(monkeypatch, "_window_hits")
+    rng = np.random.default_rng(5)
+    n_sets, assoc = 16, 4
+    # a dozen sets of ~330 accesses x 2 words, and one of 1500 x 2
+    big_set = rng.integers(0, 100, 1500) * n_sets + n_sets - 1
+    lines = np.concatenate([_set_stream(rng, n_sets - 1, 12, 70, 4000), big_set])
+    hits = lru_hits(lines, n_sets, assoc)
+    assert np.array_equal(hits, _reference_hits(lines, n_sets * assoc * 64 / 1024, assoc))
+    assert len(walks) == 1 and len(windows) > 1
 
 
 # -- hierarchy (incl. prefetch page rule) --------------------------------------

@@ -1,6 +1,8 @@
 """Coverage for remaining corners: comma operator, pointers, vector
 selects, CLI kernel selection, prod-symbol rendering."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,9 @@ __kernel void t(__global int* out)
         np.testing.assert_array_equal(outs["out"], (-64 + np.arange(8)) >> 2)
 
 
+TRANSPOSE = str(Path(__file__).resolve().parents[1] / "examples" / "transpose.cl")
+
+
 class TestCLICorners:
     TWO_KERNELS = """
 __kernel void first(__global float* out, __global const float* in)
@@ -181,6 +186,32 @@ __kernel void second(__global float* out)
         f.write_text(self.TWO_KERNELS)
         rc = main([str(f), "--kernel", "second"])
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ([TRANSPOSE, "--kernel", "nosuch"], "no kernel 'nosuch' (kernels: transpose)"),
+            (["passes", "--run", TRANSPOSE, "--kernel", "nosuch"],
+             "no kernel 'nosuch' (kernels: transpose)"),
+            (["analyze", TRANSPOSE, "--kernel", "nosuch"],
+             "no kernel 'nosuch' (kernels: transpose)"),
+            ([TRANSPOSE, "--local-size", "16xa"], "argument --local-size"),
+            (["analyze", TRANSPOSE, "--local-size", "4xq"], "argument --local-size"),
+        ],
+        ids=["kernel", "passes-kernel", "analyze-kernel", "local-size",
+             "analyze-local-size"],
+    )
+    def test_bad_kernel_or_local_size_is_a_usage_error(self, argv, message, capsys):
+        """Exit 2 with one ``error:`` line, never a traceback."""
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and message in errors[0]
+        assert "Traceback" not in err
 
 
 class TestLinExprProdRendering:
