@@ -84,6 +84,10 @@ def all_apps() -> List[App]:
     return [APPS[k] for k in sorted(APPS)]
 
 
+#: problem scales every app defines, smallest first: ``test`` and
+#: ``smoke`` for correctness checks, ``bench`` for the paper's numbers
+SCALES = ("test", "smoke", "small", "bench")
+
 #: the paper's Table III row order
 TABLE_ORDER = [
     "AMD-SS",
@@ -103,3 +107,15 @@ TABLE_ORDER = [
 def table_apps() -> List[App]:
     _ensure_loaded()
     return [APPS[k] for k in TABLE_ORDER]
+
+
+def validate_app_ids(apps: Sequence[str]) -> List[str]:
+    """Check every id against the Table III rows; unknown names raise a
+    ``ValueError`` that lists the valid ids."""
+    unknown = [a for a in apps if a not in TABLE_ORDER]
+    if unknown:
+        raise ValueError(
+            f"unknown app id(s): {', '.join(unknown)}; "
+            f"valid ids: {', '.join(TABLE_ORDER)}"
+        )
+    return list(apps)

@@ -6,11 +6,6 @@ Fig. 9 pipeline from the terminal.
 
 Subcommands:
 
-* ``python -m repro.cli bench [...]`` — the perf regression harness
-  (see :mod:`repro.perf.bench`): times compile→launch→trace→cycles for
-  the headline workloads and writes ``BENCH_pipeline.json``; with
-  ``--workers N`` it also times (and differentially verifies) the
-  experiment matrix fanned out case by case over the warm pool.
 * ``python -m repro.cli matrix [...]`` — the (app × device) experiment
   matrix (Table IV / Fig. 10 / extension-GPU scoring), optionally
   fanned out with ``--workers N`` (see :mod:`repro.parallel.matrix`).
@@ -35,7 +30,8 @@ Every subcommand (and the default kernel command) accepts ``--config
 FILE`` (a JSON session config, see :mod:`repro.session.config`) and
 ``--trace-out PATH`` (structured JSONL event stream).  Bad arguments —
 an unreadable file, a non-positive count, a malformed ``--local-size``,
-a ``--kernel`` the file does not define — are usage errors: exit 2,
+a ``--kernel`` the file does not define, an ``--arrays`` name the kernel
+does not declare ``__local`` — are usage errors: exit 2,
 no traceback.  So is a bad configuration (an unknown ``REPRO_*``
 variable, a value outside a variable's choices, a broken ``--config``
 file): one ``error:`` line on stderr naming the variable, exit 2.
@@ -49,6 +45,7 @@ from pathlib import Path
 from typing import Tuple
 
 from repro.core import GroverError
+from repro.core.candidates import UnknownArrayError
 from repro.frontend import FrontendError
 from repro.ir.function import UnknownKernelError
 from repro.ir.printer import print_function
@@ -244,10 +241,6 @@ def main(argv=None) -> int:
 
 
 def _dispatch(argv) -> int:
-    if argv and argv[0] == "bench":
-        from repro.perf.bench import main as bench_main
-
-        return bench_main(list(argv[1:]))
     if argv and argv[0] == "matrix":
         from repro.parallel.matrix import main as matrix_main
 
@@ -300,6 +293,8 @@ def _dispatch(argv) -> int:
                 arrays=arrays,
                 remove_barriers=not args.keep_barriers,
             )
+        except UnknownArrayError as exc:
+            p.error(str(exc))
         except GroverError as exc:
             print(
                 f"grover: cannot disable local memory: {exc}", file=sys.stderr

@@ -30,6 +30,14 @@ from repro.ir.values import Argument, LocalArray, Value
 LocalObject = Union[LocalArray, Argument]
 
 
+class UnknownArrayError(KeyError):
+    """An ``arrays=`` name the kernel does not declare in local memory;
+    the message lists the kernel's local arrays."""
+
+    def __str__(self) -> str:
+        return str(self.args[0])
+
+
 def base_object(ptr: Value) -> Optional[Value]:
     """Walk a pointer value to its root object (through GEPs/casts)."""
     seen = 0
@@ -105,11 +113,14 @@ def find_candidates(
         if isinstance(a.type, PointerType) and a.type.addrspace == AddressSpace.LOCAL:
             objects.append(a)
     if arrays is not None:
-        objects = [o for o in objects if o.name in arrays]
-        known = {o.name for o in objects}
-        missing = set(arrays) - known
+        names = [o.name for o in objects]
+        missing = sorted(set(arrays) - set(names))
         if missing:
-            raise KeyError(f"no such local data structure(s): {sorted(missing)}")
+            raise UnknownArrayError(
+                f"no such local data structure(s) in kernel {fn.name!r}: "
+                f"{', '.join(missing)} (local arrays: {', '.join(names) or 'none'})"
+            )
+        objects = [o for o in objects if o.name in arrays]
 
     doms = dominators(fn)
     candidates: List[Candidate] = []

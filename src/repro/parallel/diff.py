@@ -4,8 +4,8 @@ The fast paths' contract is *bit-identity*: the tape backend must
 produce exactly the trace, outputs and model cycles of the reference
 interpreter, and a fanned-out experiment matrix exactly the serial
 grid.  This module is the single arbiter of that contract —
-the differential test suite, ``repro bench``, search verification and
-the fuzz oracle all compare through it, so a violation always surfaces
+the differential test suite, search verification and the fuzz oracle
+all compare through it, so a violation always surfaces
 as the same readable "first mismatch" description instead of a deep
 assertion failure.
 """

@@ -206,6 +206,8 @@ def _parse_devices(spec: str) -> Tuple[str, ...]:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    from repro.apps.registry import SCALES, validate_app_ids
+
     p = argparse.ArgumentParser(
         prog="repro matrix",
         description="Run the (app x device) experiment matrix, optionally "
@@ -218,7 +220,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                    help="'cpu', 'gpu', 'all', or comma-separated device names")
     p.add_argument("--workers", type=int, default=None,
                    help="parallel cases (default: $REPRO_WORKERS, then 1)")
-    p.add_argument("--scale", default="bench", help="problem scale")
+    p.add_argument("--scale", default="bench", choices=SCALES,
+                   help="problem scale")
     p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
                    help="gain/loss threshold (paper: 0.05)")
     p.add_argument("--json", dest="json_path", default=None,
@@ -230,7 +233,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = p.parse_args(argv)
 
     from repro.cli import require_positive
-    from repro.perf.bench import validate_app_ids
     from repro.perf.devices import DEVICES
     from repro.reporting import ascii_table, normalized_perf_table
     from repro.session import session_from_flags

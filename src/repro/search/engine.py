@@ -528,7 +528,7 @@ def render_search(run: SearchRunResult) -> str:
 
 def main(argv: Optional[List[str]] = None) -> int:
     from repro.cli import add_session_flags, require_positive
-    from repro.perf.bench import validate_app_ids
+    from repro.apps.registry import SCALES, validate_app_ids
     from repro.perf.devices import DEVICES
     from repro.rules import rule_names
     from repro.session import session_from_flags
@@ -551,7 +551,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                    help="max pipeline length (default: $REPRO_SEARCH_DEPTH)")
     p.add_argument("--greedy", action="store_true",
                    help="greedy baseline: beam width 1")
-    p.add_argument("--scale", default="test", help="problem scale")
+    p.add_argument("--scale", default="test", choices=SCALES,
+                   help="problem scale")
     p.add_argument("--sample-groups", type=int, default=None,
                    help="traced groups per scoring launch "
                    "(default: $REPRO_SEARCH_SAMPLE_GROUPS)")

@@ -6,7 +6,7 @@ environment < explicit keywords), owns the LRU compile cache, chooses the
 cache-simulation backend and the default worker count, and exposes every
 pipeline entry point — ``compile_source``, ``disable_local_memory``,
 ``run_app``, ``launch``, ``run_matrix``, ``autotune``, ``figure10``,
-``table4``, ``bench`` — as methods that run with the session active, so
+``table4``, ``search`` — as methods that run with the session active, so
 config lookups deep inside ``perf/fastcache.py`` or ``parallel/pool.py``
 see *this* session's values.
 
@@ -87,7 +87,12 @@ class Session:
         self._jsonl: Optional[JsonlSink] = None
         trace_out = self.get("trace_out")
         if trace_out:
-            self._jsonl = JsonlSink(trace_out)
+            try:
+                self._jsonl = JsonlSink(trace_out)
+            except OSError as exc:
+                raise ConfigError(
+                    f"cannot open trace output {trace_out}: {exc.strerror or exc}"
+                ) from None
             events.attach(self._jsonl)
 
     # -- configuration ---------------------------------------------------------
@@ -358,12 +363,6 @@ class Session:
 
         with self.activate():
             return table4(**kwargs)
-
-    def bench(self, **kwargs):
-        from repro.perf.bench import run_bench
-
-        with self.activate():
-            return run_bench(**kwargs)
 
     def search(self, options=None, **kwargs):
         """Beam-search rewrite-rule pipelines (see :mod:`repro.search`).

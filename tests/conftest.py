@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from repro.frontend import compile_kernel
+from repro.perf.cpumodel import CPUModel
+from repro.perf.devices import CPUSpec
+from repro.perf.gpumodel import GPUModel
 from repro.runtime import Memory, launch
 
 #: the paper's Fig. 1(a) kernel — used all over the suite
@@ -98,6 +101,24 @@ def execute_kernel(kernel, args_spec, global_size, local_size, outs):
         for name, (dtype, shape) in outs.items()
     }
     return kernel, results
+
+
+def assert_pricing_exact(trace, spec):
+    """Fast and reference pricing of ``trace`` on device ``spec`` agree
+    group by group with the memo off: per-level hits, memory misses and
+    prefetches on a CPU, transactions and memory cycles on a GPU."""
+    if isinstance(spec, CPUSpec):
+        model, fields = CPUModel, ("level_hits", "memory_misses", "prefetched")
+    else:
+        model, fields = GPUModel, ("transactions", "mem_cycles")
+    ref = model(spec, memoize=False, backend="reference")
+    fast = model(spec, memoize=False, backend="fast")
+    for g in trace.groups:
+        want = [getattr(ref.time_group(g), f) for f in fields]
+        got = [getattr(fast.time_group(g), f) for f in fields]
+        assert got == want, (
+            f"{spec.name} group {g.group_id}: fast {got} != reference {want}"
+        )
 
 
 @pytest.fixture(autouse=True)

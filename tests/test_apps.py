@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from repro.apps.harness import compile_app, run_app, validate_app
-from repro.apps.registry import TABLE_ORDER, get_app, table_apps
+from repro.apps.registry import (
+    SCALES,
+    TABLE_ORDER,
+    get_app,
+    table_apps,
+    validate_app_ids,
+)
 
 ALL_APPS = TABLE_ORDER
 
@@ -47,6 +53,11 @@ class TestRegistry:
         with pytest.raises(KeyError):
             get_app("XXX-YY")
 
+    def test_validate_app_ids_lists_the_valid_ids(self):
+        assert validate_app_ids(["NVD-MT", "PAB-ST"]) == ["NVD-MT", "PAB-ST"]
+        with pytest.raises(ValueError, match="NVD-TYPO; valid ids: AMD-SS, "):
+            validate_app_ids(["NVD-MT", "NVD-TYPO"])
+
     def test_every_app_uses_local_memory(self):
         for app in table_apps():
             kernel, _ = compile_app(app, "with")
@@ -59,7 +70,7 @@ class TestRegistry:
 
     def test_problem_scales_exist(self):
         for app in table_apps():
-            for scale in ("test", "bench"):
+            for scale in SCALES:
                 p = app.make_problem(scale)
                 assert p.global_size and p.local_size
                 assert p.expected

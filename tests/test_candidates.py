@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.core.candidates import base_object, find_candidates, strip_casts
+from repro.core.candidates import (
+    UnknownArrayError,
+    base_object,
+    find_candidates,
+    strip_casts,
+)
 from repro.frontend import compile_kernel
 from repro.ir.instructions import GEP, Load, Store
 from repro.ir.types import AddressSpace
@@ -45,7 +50,7 @@ class TestDetection:
 
     def test_unknown_array_name(self):
         fn = compile_kernel(MM_SOURCE)
-        with pytest.raises(KeyError, match="no such local"):
+        with pytest.raises(UnknownArrayError, match=r"Zs \(local arrays: As, Bs\)"):
             find_candidates(fn, arrays=["Zs"])
 
     def test_reduction_rejected(self):

@@ -10,15 +10,20 @@ prefetcher's 4 KiB page-boundary rule.  Sets that overflow their ways
 are decided by a bitset window test; its own section drives it through
 multi-word bitsets, high associativity, long windows, the CPU models'
 geometries and its memory-budget fallback to the sequential walk.
+Real app traces close the loop: both variants of every Table III app
+price identically through the CPU and GPU models on either backend
+(the same check at bench scale is ``benchmarks/test_pricing_equivalence.py``).
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.apps.harness import run_app
+from repro.apps.registry import TABLE_ORDER, get_app
 from repro.perf import fastcache
 from repro.perf.cache import CacheHierarchy, SetAssocCache
-from repro.perf.devices import CPU_DEVICES
+from repro.perf.devices import CPU_DEVICES, FERMI, SNB
 from repro.perf.fastcache import (
     FastCacheHierarchy,
     FastSetAssocCache,
@@ -27,6 +32,7 @@ from repro.perf.fastcache import (
     make_hierarchy,
     set_cache_backend,
 )
+from tests.conftest import assert_pricing_exact
 
 # -- stream generators ----------------------------------------------------------
 
@@ -296,6 +302,21 @@ def test_prefetch_page_boundary_rule():
     assert (a.memory, a.prefetched) == (b.memory, b.prefetched)
     # misses at lines 64 and 128 start new pages: not prefetched
     assert a.prefetched == 130 - 1 - 2
+
+
+# -- the Table III apps, priced on SNB and Fermi -------------------------------
+
+
+@pytest.mark.parametrize("app_id", TABLE_ORDER)
+def test_table_app_traces_price_exactly(app_id):
+    """Both variants at test scale, 4 sampled groups, memo off."""
+    app = get_app(app_id)
+    for variant in ("with", "without"):
+        trace = run_app(
+            app, variant, "test", collect_trace=True, sample_groups=4
+        ).trace
+        assert_pricing_exact(trace, SNB)
+        assert_pricing_exact(trace, FERMI)
 
 
 # -- backend plumbing -----------------------------------------------------------

@@ -197,9 +197,12 @@ __kernel void second(__global float* out)
              "no kernel 'nosuch' (kernels: transpose)"),
             ([TRANSPOSE, "--local-size", "16xa"], "argument --local-size"),
             (["analyze", TRANSPOSE, "--local-size", "4xq"], "argument --local-size"),
+            ([TRANSPOSE, "--arrays", "lm,nope"],
+             "no such local data structure(s) in kernel 'transpose': nope "
+             "(local arrays: lm)"),
         ],
         ids=["kernel", "passes-kernel", "analyze-kernel", "local-size",
-             "analyze-local-size"],
+             "analyze-local-size", "arrays"],
     )
     def test_bad_kernel_or_local_size_is_a_usage_error(self, argv, message, capsys):
         """Exit 2 with one ``error:`` line, never a traceback."""

@@ -284,16 +284,15 @@ def test_cli_search_golden_drift_fails(tmp_path, capsys):
         (["matrix", "--apps", "NOPE"], "unknown app"),
         (["matrix", "--devices", "Nope"], "unknown device"),
         (["matrix", "--workers", "0"], "--workers must be a positive integer"),
-        (["bench", "--workers", "0"], "--workers must be a positive integer"),
-        (["bench", "--sample-groups", "0"],
-         "--sample-groups must be a positive integer"),
+        (["matrix", "--scale", "nope"], "argument --scale: invalid choice"),
+        (["search", "--scale", "nope"], "argument --scale: invalid choice"),
         (["fuzz", "--workers", "0"], "--workers must be a positive integer"),
         (["fuzz", "--count", "-3"], "--count must be a positive integer"),
         (["nope.cl"], "cannot read nope.cl"),
         (["passes", "--run", "missing.cl"], "cannot read missing.cl"),
     ],
     ids=["app", "device", "rule", "beam", "depth", "matrix-app", "matrix-device",
-         "matrix-workers", "bench-workers", "bench-sample-groups",
+         "matrix-workers", "matrix-scale", "search-scale",
          "fuzz-workers", "fuzz-count", "kernel-file", "passes-file"],
 )
 def test_cli_search_rejects_unknown_app(argv, message, capsys):
@@ -313,18 +312,6 @@ def test_session_search_entry_point():
     assert len(run.results) == 1 and run.results[0].verified
     with pytest.raises(TypeError, match="not both"):
         Session(env={}).search(SearchOptions(), depth=1)
-
-
-def test_bench_search_tier():
-    from repro.perf.bench import SCHEMA_VERSION, bench_search
-
-    assert SCHEMA_VERSION == 9
-    with Session(env={}, search_depth=1).activate():
-        out = bench_search(("NVD-MT",), workers=1)
-    entry = out["apps"]["NVD-MT"]
-    assert entry["searched_cycles"] <= entry["default_cycles"]
-    assert isinstance(entry["pipeline"], list)
-    assert entry["device"] == "Fermi"
 
 
 def test_cli_passes_lists_rule_metadata(capsys):

@@ -193,6 +193,26 @@ def test_session_trace_out_writes_valid_jsonl(tmp_path):
     assert validate_jsonl(str(path)) == n
 
 
+def test_unopenable_trace_out_is_a_config_error(tmp_path, capsys):
+    """A sink in a missing directory is a ConfigError naming the path,
+    whether it comes from a keyword, ``$REPRO_TRACE_OUT`` or
+    ``--trace-out`` (one ``error:`` line, exit 2, no traceback)."""
+    from repro.cli import main
+    from repro.session import ConfigError
+
+    missing = str(tmp_path / "nope" / "events.jsonl")
+    for session_kwargs in ({"env": {}, "trace_out": missing},
+                           {"env": {"REPRO_TRACE_OUT": missing}}):
+        with pytest.raises(ConfigError, match="cannot open trace output") as exc:
+            Session(**session_kwargs)
+        assert missing in str(exc.value)
+    argv = ["matrix", "--apps", "NVD-MT", "--scale", "test", "--trace-out", missing]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and missing in err
+    assert "Traceback" not in err
+
+
 def test_validate_jsonl_rejects_bad_lines(tmp_path):
     def write(lines):
         p = tmp_path / "bad.jsonl"

@@ -12,6 +12,9 @@ the scalar path).  The recorder also keeps what a serial launch's first
 group decides for the launch: the leader's barrier-divergence error,
 the private-arena allocations, and faults surfacing in pick order.
 
+Every Table III app is diffed too: both variants, tape against
+reference, on real kernels.
+
 Also covered here: the iterative ``_reverse_postorder`` on a deep
 single-chain CFG, and ``launch``'s exception path (arena buffers freed,
 ``launch_end`` emitted with ``error=``, a named ``MemoryFault`` on every
@@ -27,6 +30,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis import replay_trace
+from repro.apps.harness import compile_app, execute_app
+from repro.apps.registry import TABLE_ORDER, get_app
 from repro.frontend import compile_kernel
 from repro.ir.builder import IRBuilder
 from repro.ir.function import Function
@@ -154,6 +159,31 @@ def test_tape_matches_reference_on_random_affine_kernels(coeffs):
     ref_report = replay_trace(ref_trace, kernel=kernel)
     tape_report = replay_trace(tape_trace, kernel=kernel)
     assert len(ref_report.findings) == len(tape_report.findings)
+
+
+# ---------------------------------------------------------------------------
+# the Table III apps: tape == reference on real kernels
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("app_id", TABLE_ORDER)
+def test_table_app_traces_match_reference(app_id):
+    """Both variants at smoke scale, 4 sampled groups.  The session's
+    other knobs still apply, so ``REPRO_TRACE_SPILL_MB=1`` diffs a
+    spilled tape trace."""
+    app = get_app(app_id)
+    for variant in ("with", "without"):
+        kernel, _ = compile_app(app, variant)
+        traces = {}
+        for backend in ("reference", "tape"):
+            with Session(exec_backend=backend).activate():
+                traces[backend] = execute_app(
+                    app, kernel, variant=variant, scale="smoke",
+                    collect_trace=True, sample_groups=4,
+                ).trace
+        assert_traces_equal(
+            traces["reference"], traces["tape"], f"{app_id}[{variant}]"
+        )
 
 
 @pytest.mark.parametrize("groups", (4, 256))
