@@ -32,7 +32,12 @@ from repro.analysis.model import (
     Finding,
     RaceDetected,
 )
-from repro.analysis.races import analyze_races_static, check_staging, collect_accesses
+from repro.analysis.races import (
+    KernelFacts,
+    analyze_races_static,
+    check_staging,
+    collect_accesses,
+)
 
 __all__ = [
     "AnalysisReport",
@@ -48,6 +53,7 @@ __all__ = [
     "analyze_source",
     "differential_check",
     "DifferentialResult",
+    "KernelFacts",
     "analyze_races_static",
     "check_staging",
     "collect_accesses",

@@ -21,10 +21,11 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Dict, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.frontend import FrontendError
 from repro.ir.function import UnknownKernelError
+from repro.runtime.errors import MemoryFault, RuntimeLaunchError
 
 from repro.analysis.driver import analyze_app, analyze_source
 
@@ -34,6 +35,32 @@ def _parse_scalar(text: str):
         return int(text, 0)
     except ValueError:
         return float(text)
+
+
+def _positive_int(text: str) -> int:
+    """argparse ``type=``: an integer of at least 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return n
+
+
+def _named(convert: Callable[[str], object], what: str) -> Callable[[str], Tuple[str, object]]:
+    """argparse ``type=`` for ``NAME=VALUE``, the value read by ``convert``."""
+
+    def parse(text: str) -> Tuple[str, object]:
+        name, sep, value = text.partition("=")
+        try:
+            if name and sep:
+                return name, convert(value)
+        except (ValueError, argparse.ArgumentTypeError):
+            pass
+        raise argparse.ArgumentTypeError(f"expected NAME={what}, got {text!r}")
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -67,12 +94,12 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="LX[,LY[,LZ]]",
                    help="work-group size for source-file targets")
     p.add_argument("--arg", dest="scalar_args", action="append", default=[],
-                   metavar="NAME=VALUE",
+                   type=_named(_parse_scalar, "NUMBER"), metavar="NAME=VALUE",
                    help="scalar kernel argument for source-file targets")
     p.add_argument("--local-arg", dest="local_args", action="append", default=[],
-                   metavar="NAME=BYTES",
+                   type=_named(_positive_int, "BYTES"), metavar="NAME=BYTES",
                    help="byte size of a __local pointer argument")
-    p.add_argument("--buffer-bytes", type=int, default=None,
+    p.add_argument("--buffer-bytes", type=_positive_int, default=None,
                    help="size of each synthetic global buffer "
                    "(default: 16 bytes per work-item)")
     p.add_argument("--verbose", "-v", action="store_true",
@@ -100,14 +127,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     for d in args.defines:
         name, _, value = d.partition("=")
         defines[name] = value or "1"
-    scalar_args = {}
-    for a in args.scalar_args:
-        name, _, value = a.partition("=")
-        scalar_args[name] = _parse_scalar(value)
-    local_args = {}
-    for a in args.local_args:
-        name, _, value = a.partition("=")
-        local_args[name] = int(value)
+    scalar_args = dict(args.scalar_args)
+    local_args = dict(args.local_args)
 
     from repro.session import session_from_flags
 
@@ -151,7 +172,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 except FrontendError as exc:
                     print(f"error: {path}: {exc}", file=sys.stderr)
                     return 1
-                except UnknownKernelError as exc:
+                except (UnknownKernelError, RuntimeLaunchError, MemoryFault) as exc:
                     p.error(f"{path}: {exc}")
                 reports.append((label, rep))
 

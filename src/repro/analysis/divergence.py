@@ -40,6 +40,7 @@ from repro.ir.instructions import (
 )
 
 from repro.analysis.model import AnalysisReport, Finding
+from repro.analysis.races import KernelFacts
 
 __all__ = ["uniform_analysis", "find_divergent_barriers", "analyze_divergence"]
 
@@ -137,9 +138,11 @@ def uniform_analysis(
     return varying, nonuniform
 
 
-def find_divergent_barriers(fn: Function) -> List[Tuple[Call, Instruction]]:
+def find_divergent_barriers(
+    fn: Function, facts: Optional[KernelFacts] = None
+) -> List[Tuple[Call, Instruction]]:
     """(barrier, witness varying branch) pairs, in program order."""
-    _, nonuniform = uniform_analysis(fn)
+    nonuniform = (facts or KernelFacts(fn)).nonuniform
     out: List[Tuple[Call, Instruction]] = []
     for bb in fn.blocks:
         witness = nonuniform.get(bb)
@@ -151,9 +154,13 @@ def find_divergent_barriers(fn: Function) -> List[Tuple[Call, Instruction]]:
     return out
 
 
-def analyze_divergence(fn: Function, report: Optional[AnalysisReport] = None) -> AnalysisReport:
+def analyze_divergence(
+    fn: Function,
+    report: Optional[AnalysisReport] = None,
+    facts: Optional[KernelFacts] = None,
+) -> AnalysisReport:
     report = report or AnalysisReport(fn.name)
-    for barrier, branch in find_divergent_barriers(fn):
+    for barrier, branch in find_divergent_barriers(fn, facts):
         assert barrier.parent is not None and branch.parent is not None
         report.add(
             Finding(

@@ -24,14 +24,14 @@ import numpy as np
 from repro.ir.function import Function
 from repro.ir.types import AddressSpace, PointerType
 from repro.runtime.buffers import Memory
-from repro.runtime.errors import BarrierDivergenceError
+from repro.runtime.errors import BarrierDivergenceError, RuntimeLaunchError
 from repro.runtime.ndrange import launch
 from repro.session import events
 
 from repro.analysis.divergence import analyze_divergence
 from repro.analysis.dynamic import apply_replay
 from repro.analysis.model import AnalysisReport, Finding
-from repro.analysis.races import analyze_races_static, check_staging
+from repro.analysis.races import KernelFacts, analyze_races_static, check_staging
 
 __all__ = [
     "analyze_kernel",
@@ -54,13 +54,14 @@ def analyze_kernel(
     t0 = time.perf_counter()
     events.emit("analysis_start", kernel=fn.name, mode=mode)
     report = AnalysisReport(fn.name, tuple(local_size) if local_size else None)
-    analyze_races_static(fn, local_size, report)
-    check_staging(fn, report)
-    analyze_divergence(fn, report)
+    facts = KernelFacts(fn)
+    analyze_races_static(fn, local_size, report, facts)
+    check_staging(fn, report, facts)
+    analyze_divergence(fn, report, facts)
     for f in extra_findings or []:
         report.add(f)
     if trace is not None:
-        apply_replay(report, trace, fn)
+        apply_replay(report, trace, fn, facts)
     for f in report.findings:
         events.emit(
             "analysis_finding",
@@ -181,11 +182,11 @@ def analyze_source(
                 if a.type.addrspace == AddressSpace.LOCAL:
                     continue  # bound via local_arg_sizes
                 buf = mem.alloc(nbytes, a.name)
-                buf.data[:] = (np.arange(nbytes, dtype=np.int64) % 251).astype(np.uint8)
+                buf.data[:nbytes] = (np.arange(nbytes, dtype=np.int64) % 251).astype(np.uint8)
                 args[a.name] = buf
             else:
                 if scalar_args is None or a.name not in scalar_args:
-                    raise ValueError(
+                    raise RuntimeLaunchError(
                         f"kernel scalar argument {a.name!r} needs a value "
                         "(pass --arg name=value)"
                     )

@@ -22,7 +22,7 @@ against) the static verdicts, never replaces them.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from repro.ir.types import AddressSpace
 from repro.runtime.trace import GroupTrace, KernelTrace
 
 from repro.analysis.model import AnalysisReport, Finding
+from repro.analysis.races import KernelFacts
 
 __all__ = ["replay_group", "replay_trace", "apply_replay"]
 
@@ -50,22 +51,17 @@ def _expand(offsets: np.ndarray, lanes: np.ndarray, size: int) -> Tuple[np.ndarr
     )
 
 
-def _obj_names(kernel: Optional[Function]) -> Dict[int, str]:
-    """inst id -> the name of the object the access targets (best effort)."""
-    if kernel is None:
-        return {}
-    from repro.analysis.races import collect_accesses
-
-    return {acc.inst.id: acc.obj_name for acc in collect_accesses(kernel)}
-
-
 def replay_group(
     gt: GroupTrace,
     report: AnalysisReport,
-    kernel: Optional[Function] = None,
+    names: Optional[Dict[int, str]] = None,
 ) -> None:
-    """Check one work-group's trace; findings are added to ``report``."""
-    names = _obj_names(kernel)
+    """Check one work-group's trace; findings are added to ``report``.
+
+    ``names`` maps an access's inst id to the object it targets; an
+    access without an entry is named after its buffer id.
+    """
+    names = names or {}
 
     def obj(inst_id: int, buffer_id: int) -> str:
         return names.get(inst_id, f"buffer#{buffer_id}")
@@ -231,15 +227,22 @@ def replay_trace(
     trace: KernelTrace,
     report: Optional[AnalysisReport] = None,
     kernel: Optional[Function] = None,
+    facts: Optional[KernelFacts] = None,
 ) -> AnalysisReport:
     """Replay every traced group (intra-group checks only)."""
     report = report or AnalysisReport(kernel.name if kernel else "<trace>")
+    names = (facts or KernelFacts(kernel)).obj_names if kernel else {}
     for gt in trace.groups:
-        replay_group(gt, report, kernel)
+        replay_group(gt, report, names)
     return report
 
 
-def apply_replay(report: AnalysisReport, trace: KernelTrace, kernel: Function) -> None:
+def apply_replay(
+    report: AnalysisReport,
+    trace: KernelTrace,
+    kernel: Function,
+    facts: Optional[KernelFacts] = None,
+) -> None:
     """Resolve the report's statically undecided pairs with a replay.
 
     When the trace covers every launched group (no sampling), a clean
@@ -247,7 +250,7 @@ def apply_replay(report: AnalysisReport, trace: KernelTrace, kernel: Function) -
     moved to the dynamically-decided bucket.  A sampled trace keeps them
     undecided (the replay findings still land on the report).
     """
-    replay_trace(trace, report, kernel)
+    replay_trace(trace, report, kernel, facts)
     report.replayed = trace.sampled_groups == trace.total_groups
     if report.replayed:
         report.pairs_dynamic += report.pairs_undecided

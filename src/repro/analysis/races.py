@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm, prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -60,6 +61,7 @@ from repro.analysis.model import AnalysisReport, Deferral, Finding
 
 __all__ = [
     "Access",
+    "KernelFacts",
     "PairDecision",
     "collect_accesses",
     "phase_regions",
@@ -181,14 +183,19 @@ def _pointer_offset(ctx: AffineContext, ptr: Value) -> Tuple[Optional[Value], Li
     return None, off
 
 
-def collect_accesses(fn: Function, ctx: Optional[AffineContext] = None) -> List[Access]:
+def collect_accesses(
+    fn: Function,
+    ctx: Optional[AffineContext] = None,
+    regions: Optional[Dict[Instruction, int]] = None,
+) -> List[Access]:
     """Every ``__local``/``__global`` load and store of the kernel.
 
     ``__constant`` and ``__private`` accesses cannot race (read-only /
     per-work-item) and are skipped.
     """
     ctx = ctx or AffineContext(fn)
-    regions, _ = phase_regions(fn)
+    if regions is None:
+        regions, _ = phase_regions(fn)
     out: List[Access] = []
     for bb in fn.blocks:
         for inst in bb.instructions:
@@ -213,6 +220,42 @@ def collect_accesses(fn: Function, ctx: Optional[AffineContext] = None) -> List[
                 )
             )
     return out
+
+
+class KernelFacts:
+    """The static facts every analysis stage of one kernel reads.
+
+    Each fact is derived on first use and then shared, so one
+    :func:`~repro.analysis.driver.analyze_kernel` call walks the kernel
+    once for its phase regions, uniformity and access list, however many
+    stages read them.  A stage called on its own builds a fresh instance.
+    The facts describe the IR as it was when first read: build a new
+    instance after rewriting the kernel.
+    """
+
+    def __init__(self, fn: Function) -> None:
+        self.fn = fn
+
+    @cached_property
+    def phases(self) -> Tuple[Dict[Instruction, int], int]:
+        """``(region_of_inst, barrier_count)``, see :func:`phase_regions`."""
+        return phase_regions(self.fn)
+
+    @cached_property
+    def nonuniform(self) -> Dict[BasicBlock, Optional[Instruction]]:
+        """Non-uniformly executed blocks -> witness varying branch."""
+        from repro.analysis.divergence import uniform_analysis
+
+        return uniform_analysis(self.fn)[1]
+
+    @cached_property
+    def accesses(self) -> List[Access]:
+        return collect_accesses(self.fn, regions=self.phases[0])
+
+    @cached_property
+    def obj_names(self) -> Dict[int, str]:
+        """inst id -> name of the object the access targets."""
+        return {acc.inst.id: acc.obj_name for acc in self.accesses}
 
 
 # ---------------------------------------------------------------------------
@@ -376,27 +419,26 @@ def analyze_races_static(
     fn: Function,
     local_size: Optional[Sequence[int]] = None,
     report: Optional[AnalysisReport] = None,
+    facts: Optional[KernelFacts] = None,
 ) -> AnalysisReport:
     """Run the static race analysis; undecided pairs are recorded on the
     report (``pairs_undecided``) for the dynamic replay to resolve."""
-    from repro.analysis.divergence import uniform_analysis
-
+    facts = facts or KernelFacts(fn)
     report = report or AnalysisReport(
         fn.name, tuple(local_size) if local_size else None
     )
-    accesses = collect_accesses(fn)
-    _, report.barriers = phase_regions(fn)
+    report.barriers = facts.phases[1]
     # Accesses in non-uniformly-executed blocks (e.g. guarded halo
     # stores) run only for a lane subset the index box cannot model;
     # deciding them statically would report phantom overlaps, so their
     # pairs go to the dynamic replay instead.
-    _, nonuniform = uniform_analysis(fn)
+    nonuniform = facts.nonuniform
 
     def guarded(acc: Access) -> bool:
         return acc.inst.parent in nonuniform
 
     groups: Dict[tuple, List[Access]] = {}
-    for acc in accesses:
+    for acc in facts.accesses:
         # unknown-base pointers (never produced by the frontend) all fall
         # into one conservative bucket so they still pair up
         key = (acc.space, id(acc.base) if acc.base is not None else None, acc.region)
@@ -451,37 +493,38 @@ def analyze_races_static(
     return report
 
 
-def check_staging(fn: Function, report: AnalysisReport) -> AnalysisReport:
+def check_staging(
+    fn: Function, report: AnalysisReport, facts: Optional[KernelFacts] = None
+) -> AnalysisReport:
     """Grover-legality check: every ``__local`` store must stage a value
     loaded from global/constant memory (the software-cache pattern the
     transformation reverses).  A computed value staged into local memory
     — a reduction accumulator, a read-modify-write — is *irreversible*:
     no global address holds that value, which is exactly why the solver
     rejects such kernels."""
-    for bb in fn.blocks:
-        for inst in bb.instructions:
-            if not isinstance(inst, Store) or inst.addrspace != AddressSpace.LOCAL:
-                continue
-            src = strip_casts(inst.value)
-            if isinstance(src, Load) and src.addrspace in (
-                AddressSpace.GLOBAL,
-                AddressSpace.CONSTANT,
-            ):
-                continue
-            base, _ = _pointer_offset(AffineContext(fn), inst.ptr)
-            obj = getattr(base, "name", None) or "?"
-            report.add(
-                Finding(
-                    kind="non-global-staging",
-                    space="local",
-                    obj=obj,
-                    detail=(
-                        f"store %{inst.id} stages a computed value "
-                        f"({type(src).__name__}) into {obj!r}; no global "
-                        "address holds it, so the access is irreversible"
-                    ),
-                    decided_by="static",
-                    a_inst=inst.id,
-                )
+    for acc in (facts or KernelFacts(fn)).accesses:
+        if not acc.is_store or acc.space != AddressSpace.LOCAL:
+            continue
+        inst = acc.inst
+        src = strip_casts(inst.value)
+        if isinstance(src, Load) and src.addrspace in (
+            AddressSpace.GLOBAL,
+            AddressSpace.CONSTANT,
+        ):
+            continue
+        obj = getattr(acc.base, "name", None) or "?"
+        report.add(
+            Finding(
+                kind="non-global-staging",
+                space="local",
+                obj=obj,
+                detail=(
+                    f"store %{inst.id} stages a computed value "
+                    f"({type(src).__name__}) into {obj!r}; no global "
+                    "address holds it, so the access is irreversible"
+                ),
+                decided_by="static",
+                a_inst=inst.id,
             )
+        )
     return report

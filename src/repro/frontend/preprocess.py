@@ -11,7 +11,9 @@ Responsibilities:
    ``__local`` -> ``_Atomic``, ``__constant`` -> ``volatile const``),
    recording that this translation happened;
 4. find ``__kernel`` entry points (OpenCL kernels return ``void``);
-5. prepend a typedef prelude so pycparser accepts OpenCL type names.
+5. prepend the prelude typedefs of the OpenCL type names the kernel
+   uses, so pycparser accepts them, then a ``#line 1`` marker so
+   diagnostics carry the kernel's own line numbers.
 
 The output is plain C99 text suitable for :mod:`pycparser` plus the list
 of kernel names.
@@ -36,6 +38,7 @@ QUAL_MAP = {
 }
 
 #: prelude typedefs — names only; the lowering resolves semantics itself.
+#: A kernel gets only the lines whose type name it uses.
 PRELUDE = """
 typedef unsigned long size_t;
 typedef unsigned char uchar;
@@ -63,6 +66,10 @@ PRELUDE_DEFINES = {
 }
 
 _TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+#: type name -> its prelude typedef line
+_PRELUDE_TYPEDEFS = {
+    line.split()[-1].rstrip(";"): line for line in PRELUDE.strip().splitlines()
+}
 _KERNEL_RE = re.compile(r"\b(?:__kernel|kernel)\b\s+(?:\w+\s+)*?void\s+([A-Za-z_]\w*)\s*\(")
 
 
@@ -71,8 +78,6 @@ class PreprocessResult:
     text: str
     kernel_names: List[str]
     macros: Dict[str, str] = field(default_factory=dict)
-    #: lines of prelude prepended (to offset diagnostics)
-    prelude_lines: int = 0
 
 
 def strip_comments(src: str) -> str:
@@ -330,11 +335,10 @@ def preprocess(source: str, defines: Optional[Dict[str, object]] = None) -> Prep
             "no __kernel entry point found (kernels must be '__kernel void name(...)')"
         )
     text = translate_qualifiers(text)
-    prelude = PRELUDE.strip("\n")
-    prelude_lines = prelude.count("\n") + 1
+    used = set(_TOKEN_RE.findall(text))
+    prelude = [line for name, line in _PRELUDE_TYPEDEFS.items() if name in used]
     return PreprocessResult(
-        text=prelude + "\n" + text,
+        text="\n".join(prelude + ["#line 1", text]),
         kernel_names=kernels,
         macros=macros,
-        prelude_lines=prelude_lines,
     )

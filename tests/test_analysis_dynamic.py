@@ -187,3 +187,42 @@ __kernel void k(__global float* out, __global const float* in, int H) {
         apply_replay(report, res.trace, kernel)
         assert not report.replayed
         assert report.pairs_undecided == before  # sampling is not proof
+
+
+class TestFactsDerivedOnce:
+    GUARDED = """
+__kernel void k(__global float* out, __global const float* in) {
+    __local float lm[64];
+    int lx = get_local_id(0);
+    lm[lx] = in[get_global_id(0)];
+    if (lx == 0) lm[1] = in[get_global_id(0)];
+    barrier(CLK_LOCAL_MEM_FENCE);
+    out[get_global_id(0)] = lm[lx];
+}
+"""
+
+    def test_one_analysis_derives_each_fact_once(self, monkeypatch):
+        """Static stages and the replay of every group share one set of
+        accesses, phase regions and uniformity facts."""
+        from repro.analysis import divergence, races
+
+        calls = {}
+
+        def counted(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(races, "collect_accesses")
+        counted(races, "phase_regions")
+        counted(divergence, "uniform_analysis")
+        kernel, trace = _trace(self.GUARDED, (256,), (64,))
+        assert len(trace.groups) == 4
+        report = analyze_kernel(kernel, (64,), trace)
+        assert report.replayed and report.verdict == "race"
+        assert report.barriers == 1
+        assert calls == {"collect_accesses": 1, "phase_regions": 1, "uniform_analysis": 1}

@@ -4,6 +4,7 @@ import pytest
 
 from repro.frontend.errors import FrontendError
 from repro.frontend.preprocess import (
+    PRELUDE,
     find_kernels,
     preprocess,
     run_directives,
@@ -171,4 +172,50 @@ class TestFullPreprocess:
         assert "__kernel" not in result.text
         assert "__local" not in result.text
         assert "_Atomic float lm[16][16]" in result.text
-        assert "typedef" in result.text  # prelude present
+        # the transpose names no prelude type, so it gets no typedef
+        assert "typedef" not in result.text
+        assert result.text.startswith("#line 1\n")
+
+    def test_prelude_holds_exactly_the_named_types(self):
+        src = """
+#define IDX uint
+__kernel void k(__global float4* out, __global const uint4* in) {
+    IDX i = get_global_id(0);
+    size_t n = 4;
+    out[i].x = (float)in[i].y + n;  /* float2 only in a comment */
+}
+"""
+        text = preprocess(src).text
+        typedefs = [line for line in text.splitlines() if line.startswith("typedef")]
+        assert typedefs == [
+            "typedef unsigned long size_t;",
+            "typedef unsigned int uint;",
+            "typedef float float4;",
+            "typedef unsigned int uint4;",
+        ]
+        assert text.splitlines()[len(typedefs)] == "#line 1"
+
+    def test_kernel_naming_every_prelude_type_compiles(self):
+        from repro.frontend import compile_kernel
+
+        names = [line.split()[-1].rstrip(";") for line in PRELUDE.strip().splitlines()]
+        assert len(names) == 16
+        params = ", ".join(f"__global {n}* a{i}" for i, n in enumerate(names))
+        src = (
+            f"__kernel void k(__global float* out, {params})\n"
+            "{\n    out[get_global_id(0)] = 1.0f;\n}\n"
+        )
+        kernel = compile_kernel(src, cache=False)
+        assert len(kernel.args) == 17
+
+    def test_diagnostics_carry_kernel_line_numbers(self):
+        from repro.frontend import compile_kernel
+
+        src = (
+            "__kernel void k(__global uint* out) {\n"
+            "    int lx = get_local_id(0);\n"
+            "    out[lx] = nope + 1;\n"
+            "}\n"
+        )
+        with pytest.raises(FrontendError, match=r"^kernel_module:3:\d+: use of undeclared"):
+            compile_kernel(src, cache=False)

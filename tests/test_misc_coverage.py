@@ -151,6 +151,9 @@ __kernel void t(__global int* out)
 
 
 TRANSPOSE = str(Path(__file__).resolve().parents[1] / "examples" / "transpose.cl")
+#: a launch geometry for ``repro analyze`` on the transpose, and its scalars
+GEOMETRY = ["--global-size", "32,32", "--local-size", "16,16"]
+WH = ["--arg", "W=32", "--arg", "H=32"]
 
 
 class TestCLICorners:
@@ -200,9 +203,23 @@ __kernel void second(__global float* out)
             ([TRANSPOSE, "--arrays", "lm,nope"],
              "no such local data structure(s) in kernel 'transpose': nope "
              "(local arrays: lm)"),
+            (["analyze", TRANSPOSE, "--global-size", "30,32", "--local-size", "16,16", *WH],
+             "global size (30, 32) not divisible by local size (16, 16)"),
+            (["analyze", TRANSPOSE, *GEOMETRY],
+             "kernel scalar argument 'W' needs a value"),
+            (["analyze", TRANSPOSE, *GEOMETRY, "--arg", "W=abc"],
+             "argument --arg: expected NAME=NUMBER, got 'W=abc'"),
+            (["analyze", TRANSPOSE, *GEOMETRY, *WH, "--local-arg", "x"],
+             "argument --local-arg: expected NAME=BYTES, got 'x'"),
+            (["analyze", TRANSPOSE, *GEOMETRY, *WH, "--buffer-bytes", "0"],
+             "argument --buffer-bytes: expected a positive integer, got '0'"),
+            (["analyze", TRANSPOSE, *GEOMETRY, *WH, "--buffer-bytes", "4"],
+             "is outside buffer in (4 B)"),
         ],
         ids=["kernel", "passes-kernel", "analyze-kernel", "local-size",
-             "analyze-local-size", "arrays"],
+             "analyze-local-size", "arrays", "analyze-indivisible",
+             "analyze-missing-arg", "analyze-bad-arg", "analyze-bad-local-arg",
+             "analyze-zero-buffer", "analyze-small-buffer"],
     )
     def test_bad_kernel_or_local_size_is_a_usage_error(self, argv, message, capsys):
         """Exit 2 with one ``error:`` line, never a traceback."""
@@ -215,6 +232,16 @@ __kernel void second(__global float* out)
         errors = [line for line in err.splitlines() if "error:" in line]
         assert len(errors) == 1 and message in errors[0]
         assert "Traceback" not in err
+
+
+    def test_analyze_buffer_bytes_need_not_be_a_multiple_of_16(self, capsys):
+        """The synthetic buffers are padded to 16 bytes; only the first
+        ``--buffer-bytes`` get the byte pattern."""
+        from repro.cli import main
+
+        rc = main(["analyze", TRANSPOSE, *GEOMETRY, *WH, "--buffer-bytes", "4100"])
+        assert rc == 0
+        assert "transpose.cl" in capsys.readouterr().out
 
 
 class TestLinExprProdRendering:
