@@ -2,18 +2,27 @@
 
 The paper's pitch: the performance effect of local memory is
 unpredictable, so generate both kernel versions with Grover, measure,
-and keep the winner *per platform*.  This example tunes the
-NVIDIA-SDK-style tiled matmul on the three cache-only platforms of the
-evaluation (SNB, Nehalem, MIC) and one GPU (Fermi), showing that the
-best version genuinely differs across devices.
+and keep the winner *per platform*.  That is a depth-1 search over the
+one ``grover`` rule: :func:`~repro.apps.registry.kernel_app` wraps the
+kernel and its data in an app, and :func:`~repro.search.run_search`
+prices the original and the Grover variant on each device's model.  A
+winner ships only after the race analyzer and the reference-vs-tape
+differential run accept it.
+
+This example tunes the NVIDIA-SDK-style tiled matmul on the three
+cache-only platforms of the evaluation (SNB, Nehalem, MIC) and one GPU
+(Fermi).  The ``grover`` rule removes every tile it can invert, here
+both ``As`` and ``Bs``.  The sizes are small because every winner is
+verified on the full grid with the reference interpreter.
 
 Run:  python examples/autotune_matmul.py
 """
 
 import numpy as np
 
-from repro.autotune import autotune
+from repro.apps.registry import Problem, kernel_app
 from repro.reporting import ascii_table
+from repro.search import SearchOptions, run_search
 
 KERNEL = r"""
 #define BS 16
@@ -39,43 +48,41 @@ __kernel void matrixMul(__global float* C, __global float* A,
 
 
 def main():
-    m, k, n = 32, 128, 512
+    m, k, n = 32, 64, 128
     rng = np.random.default_rng(5)
-    inputs = {
-        "A": rng.random((m, k), dtype=np.float32),
-        "B": rng.random((k, n), dtype=np.float32),
-        "C": np.zeros((m, n), dtype=np.float32),
-        "wA": k,
-        "wB": n,
-    }
+    a = rng.random((m, k), dtype=np.float32)
+    b = rng.random((k, n), dtype=np.float32)
+    problem = Problem(
+        global_size=(n, m),
+        local_size=(16, 16),
+        inputs={"A": a, "B": b, "wA": k, "wB": n},
+        expected={"C": a @ b},
+    )
+    app = kernel_app(KERNEL, problem)
 
     rows = []
     for device in ("SNB", "Nehalem", "MIC", "Fermi"):
-        # tune the removal of the A tile only (the paper's NVD-MM-A case)
-        result = autotune(
-            KERNEL,
-            device,
-            global_size=(n, m),
-            local_size=(16, 16),
-            inputs=inputs,
-            arrays=["As"],
-        )
+        options = SearchOptions(apps=(app,), rules=("grover",), depth=1,
+                                device=device)
+        (result,) = run_search(options).results
+        (variant,) = result.candidates
         rows.append(
             [
                 device,
-                result.best,
-                f"{result.normalized_perf:.3f}",
-                f"{result.cycles_with:,.0f}",
-                f"{result.cycles_without:,.0f}",
+                "without" if result.winner.pipeline else "with",
+                f"{result.baseline.cycles / variant.cycles:.3f}",
+                f"{result.baseline.cycles:,.0f}",
+                f"{variant.cycles:,.0f}",
+                "yes" if result.verified else "NO",
             ]
         )
 
     print(
         ascii_table(
             ["device", "best version", "np (no-local/with-local)",
-             "cycles with", "cycles without"],
+             "cycles with", "cycles without", "verified"],
             rows,
-            title="auto-tuning NVD-MM-A: remove matrix A's local tile?",
+            title="auto-tuning tiled matmul: remove the local tiles?",
         )
     )
     print("\nnp > 1 means the Grover-transformed (no local memory) kernel wins.")

@@ -8,11 +8,20 @@ Layers (bottom-up):
 * :mod:`repro.frontend` — OpenCL C (subset) compiler built on pycparser;
 * :mod:`repro.runtime` — NDRange SIMT interpreter + memory tracing;
 * :mod:`repro.core` — **the Grover pass** (the paper's contribution);
+* :mod:`repro.analysis` — static race & barrier-divergence analyzer, the
+  second arbiter of Grover's legality;
+* :mod:`repro.rules` — Grover and its sibling rewrites as rules;
 * :mod:`repro.perf` — trace-driven CPU/GPU performance models for the
   paper's six platforms;
-* :mod:`repro.apps` — the 11 benchmark applications of Table I;
-* :mod:`repro.autotune` — the with/without auto-tuner;
-* :mod:`repro.experiments` — drivers regenerating every table & figure.
+* :mod:`repro.apps` — the 11 benchmark applications of Table I, and
+  :func:`~repro.apps.registry.kernel_app` for any other kernel;
+* :mod:`repro.search` — the one tuner: beam search over rule pipelines,
+  scored on the models and verified before a winner ships (the paper's
+  "generate both versions and measure" is ``rules=("grover",)``,
+  ``depth=1``);
+* :mod:`repro.experiments` — drivers regenerating every table & figure;
+* :mod:`repro.session` — configuration, caches, events and the pass
+  manager behind every entry point.
 
 Quick start::
 

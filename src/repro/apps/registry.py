@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -45,6 +46,40 @@ class App:
 
 
 APPS: Dict[str, App] = {}
+
+
+def _fixed_problem(problem: Problem, scale: str) -> Problem:
+    """``make_problem`` of a :func:`kernel_app`: one problem at every scale."""
+    return problem
+
+
+def kernel_app(
+    source: str,
+    problem: Problem,
+    kernel_name: Optional[str] = None,
+    defines: Optional[Dict[str, object]] = None,
+) -> App:
+    """Wrap any kernel and one :class:`Problem` in an :class:`App`, so
+    :func:`repro.search.run_search` can tune it like a Table I app.
+
+    The problem serves every scale.  The app is picklable (its
+    ``make_problem`` is a module-level ``functools.partial``), so it
+    ships to pool workers; its id is the kernel's name.  A source that
+    does not compile, or names no such kernel, raises here.
+    """
+    from repro.frontend import compile_kernel
+
+    name = compile_kernel(source, kernel_name, defines=defines).name
+    return App(
+        id=name,
+        title=name,
+        suite="user kernel",
+        source=source,
+        kernel_name=name,
+        arrays=None,
+        make_problem=functools.partial(_fixed_problem, problem),
+        defines=dict(defines or {}),
+    )
 
 
 def register(app: App) -> App:

@@ -40,10 +40,10 @@ the end of the batch the group finishes on the reference scalar path
 via :meth:`GroupExecutor.resume_block` — starting at the exact
 instruction that diverged, so no side effect is re-applied.  The
 leader is never evicted: the guard and the buffer check compare
-against row 0.  A group whose access falls outside its buffer is
-evicted the same way, unless it is the batch's first pick, which
-raises :class:`MemoryFault` directly; either way a fault surfaces in
-pick order, as in a serial launch.
+against row 0.  A group whose access falls outside its buffer, or
+whose lanes span two buffers, is evicted the same way, unless it is
+the batch's first pick, which raises :class:`MemoryFault` directly;
+either way a fault surfaces in pick order, as in a serial launch.
 
 Batching reorders the side effects of *different* groups; results are
 bit-identical to group-by-group execution for kernels whose work-groups are independent — the OpenCL
@@ -87,7 +87,7 @@ from repro.ir.types import (
 from repro.ir.values import Argument, Constant, LocalArray, Value
 from repro.runtime.buffers import OFFSET_BITS, OFFSET_MASK, Buffer, Memory
 from repro.runtime.builtins import WorkItemContext, eval_builtin
-from repro.runtime.errors import RuntimeLaunchError
+from repro.runtime.errors import MemoryFault, RuntimeLaunchError
 from repro.runtime.interpreter import (
     GroupExecutor,
     _np_type,
@@ -631,7 +631,7 @@ class TapeExecutor:
             id0 = int(ids.flat[0])
             bad = (ids != id0).any(axis=1)
             if bad.any():
-                keep = self._evict(bad, bb, idx, "buffer mismatch")
+                keep = self._span_fault(bad, bb, idx)
                 if not len(self.live):
                     return
                 addrs = addrs[keep]
@@ -724,7 +724,7 @@ class TapeExecutor:
             id0 = int(ids.flat[0])
             bad = (ids != id0).any(axis=1)
             if bad.any():
-                keep = self._evict(bad, bb, idx, "buffer mismatch")
+                keep = self._span_fault(bad, bb, idx)
                 if not len(self.live):
                     return
                 am = am[keep]
@@ -839,6 +839,19 @@ class TapeExecutor:
                         e.buffer_id = sid
                         e.offsets = e.offsets - slot * stride
             self._done[slot] = gt
+
+    def _span_fault(
+        self, bad: np.ndarray, bb: BasicBlock, inst_idx: int
+    ) -> np.ndarray:
+        """A batched access's ``bad`` rows touch a buffer other than the
+        leader's first lane's.  If the batch's first pick is one of them,
+        its own lanes span two buffers: it raises the reference's
+        :class:`MemoryFault` at once, as :meth:`_fault` does.  Any other
+        such group is evicted, and its resume meets the fault in pick
+        order."""
+        if bad[0] and self.live[0] == 0:
+            raise MemoryFault("access spans multiple buffers")
+        return self._evict(bad, bb, inst_idx, "buffer mismatch")
 
     def _fault(
         self,

@@ -46,11 +46,14 @@ import argparse
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
 from repro.parallel import pool as worker_pool
 from repro.parallel.pool import make_pool, resolve_workers
 from repro.session import events
+
+if TYPE_CHECKING:
+    from repro.apps.registry import App
 
 __all__ = [
     "CandidateEval",
@@ -111,7 +114,9 @@ class AppSearchResult:
 
 @dataclass
 class SearchOptions:
-    apps: Tuple[str, ...] = ()
+    #: registry ids or :class:`~repro.apps.registry.App` objects (see
+    #: :func:`~repro.apps.registry.kernel_app`); empty: every Table III app
+    apps: Tuple[Union[str, App], ...] = ()
     rules: Tuple[str, ...] = ()  # empty: every registered rule
     beam: Optional[int] = None   # None: session search_beam
     depth: Optional[int] = None  # None: session search_depth
@@ -152,7 +157,7 @@ def _apply_pipeline(kernel, pipeline: Sequence[str], geometry) -> Tuple[int, ...
 
 
 def evaluate_pipeline(
-    app_id: str,
+    app: App,
     pipeline: Sequence[str],
     scale: str,
     sample_groups: int,
@@ -184,11 +189,9 @@ def evaluate_pipeline(
     pipeline = tuple(pipeline)
     try:
         from repro.apps.harness import compile_app, execute_app
-        from repro.apps.registry import get_app
         from repro.perf import estimate_cost
         from repro.session import Session
 
-        app = get_app(app_id)
         problem = app.make_problem(scale)
         # a fresh, environment-isolated session: scoring must not depend
         # on the caller's REPRO_* environment (determinism contract)
@@ -196,7 +199,7 @@ def evaluate_pipeline(
             kernel, _ = compile_app(app, "with")
             rewrites = _apply_pipeline(kernel, pipeline, problem.local_size)
             if pipeline and rewrites[-1] == 0:
-                return CandidateEval(app_id, pipeline, rewrites, _FAILED, device_name)
+                return CandidateEval(app.id, pipeline, rewrites, _FAILED, device_name)
             run = execute_app(
                 app,
                 kernel,
@@ -206,12 +209,12 @@ def evaluate_pipeline(
                 sample_groups=sample_groups,
             )
             cost = estimate_cost(run.trace, device_name)
-        return CandidateEval(app_id, pipeline, rewrites, cost.cycles, device_name)
+        return CandidateEval(app.id, pipeline, rewrites, cost.cycles, device_name)
     except (FrontendError, VerificationError):
         raise
     except Exception as exc:
         return CandidateEval(
-            app_id,
+            app.id,
             pipeline,
             (),
             _FAILED,
@@ -220,10 +223,9 @@ def evaluate_pipeline(
         )
 
 
-def _eval_one(payload: Tuple[str, Tuple[str, ...], str, int, str]) -> CandidateEval:
+def _eval_one(payload: Tuple[App, Tuple[str, ...], str, int, str]) -> CandidateEval:
     """In-process evaluator (serial path and pool-failure fallback)."""
-    app_id, pipeline, scale, sample_groups, device_name = payload
-    return evaluate_pipeline(app_id, pipeline, scale, sample_groups, device_name)
+    return evaluate_pipeline(*payload)
 
 
 def _eval_in_worker(payload) -> CandidateEval:
@@ -256,7 +258,7 @@ def _fan_out(payloads: List[Tuple], pool) -> List[CandidateEval]:
 
 
 def verify_pipeline(
-    app_id: str,
+    app: App,
     pipeline: Sequence[str],
     scale: str,
 ) -> Tuple[bool, str]:
@@ -275,7 +277,6 @@ def verify_pipeline(
     from repro.frontend.errors import FrontendError
     from repro.ir.verifier import VerificationError
     from repro.apps.harness import compile_app, execute_app
-    from repro.apps.registry import get_app
     from repro.parallel.diff import (
         DifferentialMismatch,
         assert_outputs_equal,
@@ -284,7 +285,6 @@ def verify_pipeline(
     from repro.session import Session
 
     pipeline = tuple(pipeline)
-    app = get_app(app_id)
     problem = app.make_problem(scale)
     try:
         with Session(env={}, exec_backend="tape").activate():
@@ -313,15 +313,15 @@ def verify_pipeline(
                     collect_trace=True,
                 )
         ref, tape = runs["reference"], runs["tape"]
-        assert_traces_equal(ref.trace, tape.trace, f"{app_id} search winner [tape]")
+        assert_traces_equal(ref.trace, tape.trace, f"{app.id} search winner [tape]")
         assert_outputs_equal(
-            ref.outputs, tape.outputs, f"{app_id} search winner [tape]"
+            ref.outputs, tape.outputs, f"{app.id} search winner [tape]"
         )
         # byte-identical outputs against the untransformed kernel: every
         # shipped rule preserves computed values exactly (it reorders or
         # re-homes memory traffic, never arithmetic)
         assert_outputs_equal(
-            base.outputs, ref.outputs, f"{app_id} search winner vs default"
+            base.outputs, ref.outputs, f"{app.id} search winner vs default"
         )
     except DifferentialMismatch as exc:
         return False, f"differential: {exc}"
@@ -355,10 +355,11 @@ def _resolved(options: SearchOptions) -> Tuple[Tuple[str, ...], int, int, int, s
     return rules, int(beam), int(depth), int(sample_groups), str(device_name)
 
 
-def search_app(app_id: str, options: SearchOptions, pool=None) -> AppSearchResult:
+def search_app(app: App, options: SearchOptions, pool=None) -> AppSearchResult:
     """Beam-search one application; see the module docstring."""
     from repro.rules import get_rule
 
+    app_id = app.id
     rules, beam, depth, sample_groups, device_name = _resolved(options)
     for name in rules:
         get_rule(name)  # unknown rule names fail before any evaluation
@@ -373,7 +374,7 @@ def search_app(app_id: str, options: SearchOptions, pool=None) -> AppSearchResul
     )
 
     def payload(pipeline: Tuple[str, ...]):
-        return (app_id, pipeline, options.scale, sample_groups, device_name)
+        return (app, pipeline, options.scale, sample_groups, device_name)
 
     baseline = _eval_one(payload(()))
     if baseline.error:
@@ -435,7 +436,7 @@ def search_app(app_id: str, options: SearchOptions, pool=None) -> AppSearchResul
     verified = False
     rejected: List[str] = []
     for cand in ranked:
-        ok, reason = verify_pipeline(app_id, cand.pipeline, options.scale)
+        ok, reason = verify_pipeline(app, cand.pipeline, options.scale)
         events.emit(
             "search_verified",
             app=app_id,
@@ -474,11 +475,14 @@ def search_app(app_id: str, options: SearchOptions, pool=None) -> AppSearchResul
 
 
 def run_search(options: SearchOptions) -> SearchRunResult:
-    """Search every requested app (default: the full Table III set)."""
-    from repro.apps.registry import table_apps
+    """Search every requested app (default: the full Table III set);
+    registry ids resolve here, once."""
+    from repro.apps.registry import get_app, table_apps
 
     t0 = time.perf_counter()
-    apps = tuple(options.apps) or tuple(a.id for a in table_apps())
+    apps = [
+        get_app(a) if isinstance(a, str) else a for a in options.apps
+    ] or table_apps()
     n_workers = resolve_workers(options.workers)
     pool = (
         worker_pool.acquire(n_workers, factory=make_pool)
@@ -486,8 +490,8 @@ def run_search(options: SearchOptions) -> SearchRunResult:
         else None
     )
     run = SearchRunResult(options=options, workers=n_workers)
-    for app_id in apps:
-        run.results.append(search_app(app_id, options, pool))
+    for app in apps:
+        run.results.append(search_app(app, options, pool))
     run.wall_s = time.perf_counter() - t0
     return run
 

@@ -5,8 +5,8 @@ registry of :mod:`repro.session.config` (defaults < config dict/file <
 environment < explicit keywords), owns the LRU compile cache, chooses the
 cache-simulation backend and the default worker count, and exposes every
 pipeline entry point — ``compile_source``, ``disable_local_memory``,
-``run_app``, ``launch``, ``run_matrix``, ``autotune``, ``figure10``,
-``table4``, ``search`` — as methods that run with the session active, so
+``run_app``, ``launch``, ``run_matrix``, ``figure10``, ``table4``,
+``search`` — as methods that run with the session active, so
 config lookups deep inside ``perf/fastcache.py`` or ``parallel/pool.py``
 see *this* session's values.
 
@@ -345,12 +345,6 @@ class Session:
 
         with self.activate():
             return run_matrix(**kwargs)
-
-    def autotune(self, *args, **kwargs):
-        from repro.autotune.tuner import autotune
-
-        with self.activate():
-            return autotune(*args, **kwargs)
 
     def figure10(self, device_name: str, **kwargs):
         from repro.experiments import figure10

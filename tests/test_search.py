@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
+from repro.apps.registry import Problem, get_app, kernel_app
 from repro.search import (
     SearchOptions,
     evaluate_pipeline,
@@ -16,10 +19,14 @@ from repro.search import (
 from repro.session import Session, events
 from repro.session.events import validate_event
 
+from tests.conftest import MT_SOURCE, REDUCTION_SOURCE
+
+MT = get_app("NVD-MT")
+
 
 def _search(app_id="NVD-MT", **kw):
     kw.setdefault("workers", 1)
-    return search_app(app_id, SearchOptions(apps=(app_id,), **kw))
+    return search_app(get_app(app_id), SearchOptions(apps=(app_id,), **kw))
 
 
 # ---------------------------------------------------------------------------
@@ -28,7 +35,7 @@ def _search(app_id="NVD-MT", **kw):
 
 
 def test_evaluate_empty_pipeline_is_the_default():
-    ev = evaluate_pipeline("NVD-MT", (), "test", 8, "Fermi")
+    ev = evaluate_pipeline(MT, (), "test", 8, "Fermi")
     assert ev.error == ""
     assert ev.pipeline == () and ev.rewrites == ()
     assert np.isfinite(ev.cycles) and ev.cycles > 0
@@ -36,22 +43,20 @@ def test_evaluate_empty_pipeline_is_the_default():
 
 
 def test_evaluate_is_deterministic():
-    a = evaluate_pipeline("NVD-MT", ("pad-local-arrays",), "test", 8, "Fermi")
-    b = evaluate_pipeline("NVD-MT", ("pad-local-arrays",), "test", 8, "Fermi")
+    a = evaluate_pipeline(MT, ("pad-local-arrays",), "test", 8, "Fermi")
+    b = evaluate_pipeline(MT, ("pad-local-arrays",), "test", 8, "Fermi")
     assert a == b
     assert a.rewrites == (1,)
 
 
 def test_evaluate_unknown_rule_is_an_error_candidate():
-    ev = evaluate_pipeline("NVD-MT", ("bogus",), "test", 8, "Fermi")
+    ev = evaluate_pipeline(MT, ("bogus",), "test", 8, "Fermi")
     assert ev.error and ev.cycles == float("inf")
 
 
 def test_padding_changes_the_modelled_cycles():
-    base = evaluate_pipeline("NVD-MT", (), "test", 8, "Fermi")
-    padded = evaluate_pipeline(
-        "NVD-MT", ("pad-local-arrays",), "test", 8, "Fermi"
-    )
+    base = evaluate_pipeline(MT, (), "test", 8, "Fermi")
+    padded = evaluate_pipeline(MT, ("pad-local-arrays",), "test", 8, "Fermi")
     # the transpose tile serialises on banks; padding must be visible
     # to the GPU model (that's the whole payoff being searched for)
     assert padded.cycles < base.cycles
@@ -62,7 +67,7 @@ def test_noop_extension_is_not_launched():
     kernel: it comes back unpriced, with no launch and no error."""
     with events.collect() as sink:
         ev = evaluate_pipeline(
-            "NVD-MT", ("grover", "pad-local-arrays"), "test", 8, "Fermi"
+            MT, ("grover", "pad-local-arrays"), "test", 8, "Fermi"
         )
     # Grover removed the tile, so there is nothing left to pad
     assert ev.rewrites == (1, 0)
@@ -90,14 +95,14 @@ def test_noop_extension_is_not_launched():
 
 
 def test_verify_accepts_default_and_legal_pipelines():
-    ok, reason = verify_pipeline("NVD-MT", (), "test")
+    ok, reason = verify_pipeline(MT, (), "test")
     assert ok, reason
-    ok, reason = verify_pipeline("NVD-MT", ("pad-local-arrays",), "test")
+    ok, reason = verify_pipeline(MT, ("pad-local-arrays",), "test")
     assert ok, reason
 
 
 def test_verify_rejects_broken_pipelines():
-    ok, reason = verify_pipeline("NVD-MT", ("bogus",), "test")
+    ok, reason = verify_pipeline(MT, ("bogus",), "test")
     assert not ok and "bogus" in reason
 
 
@@ -141,21 +146,21 @@ def test_evaluate_reraises_deterministic_toolchain_errors(monkeypatch):
 
     _install_stub_rule(monkeypatch, VerificationError("stub broke the IR"))
     with pytest.raises(VerificationError, match="stub broke the IR"):
-        evaluate_pipeline("NVD-MT", ("stub",), "test", 8, "Fermi")
+        evaluate_pipeline(MT, ("stub",), "test", 8, "Fermi")
     with pytest.raises(VerificationError, match="stub broke the IR"):
-        verify_pipeline("NVD-MT", ("stub",), "test")
+        verify_pipeline(MT, ("stub",), "test")
 
     _install_stub_rule(monkeypatch, FrontendError("stub lowering bug"))
     with pytest.raises(FrontendError, match="stub lowering bug"):
-        evaluate_pipeline("NVD-MT", ("stub",), "test", 8, "Fermi")
+        evaluate_pipeline(MT, ("stub",), "test", 8, "Fermi")
 
 
 def test_evaluate_keyboard_interrupt_propagates(monkeypatch):
     _install_stub_rule(monkeypatch, KeyboardInterrupt())
     with pytest.raises(KeyboardInterrupt):
-        evaluate_pipeline("NVD-MT", ("stub",), "test", 8, "Fermi")
+        evaluate_pipeline(MT, ("stub",), "test", 8, "Fermi")
     with pytest.raises(KeyboardInterrupt):
-        verify_pipeline("NVD-MT", ("stub",), "test")
+        verify_pipeline(MT, ("stub",), "test")
 
 
 def test_candidate_failure_reason_reaches_the_event(monkeypatch):
@@ -163,7 +168,7 @@ def test_candidate_failure_reason_reaches_the_event(monkeypatch):
     and the search_candidate event carries the reason — dropping a
     candidate must leave a visible trace of why."""
     _install_stub_rule(monkeypatch, RuntimeError("transformed kernel faulted"))
-    ev = evaluate_pipeline("NVD-MT", ("stub",), "test", 8, "Fermi")
+    ev = evaluate_pipeline(MT, ("stub",), "test", 8, "Fermi")
     assert ev.error == "RuntimeError: transformed kernel faulted"
     assert ev.cycles == float("inf")
 
@@ -244,6 +249,70 @@ def test_render_is_wall_clock_free():
     text = render_search(run)
     assert "NVD-MT" in text and "winning pipeline" in text
     assert render_search(run) == text
+
+
+# ---------------------------------------------------------------------------
+# any kernel: the paper's with/without auto-tune is a depth-1 grover search
+# ---------------------------------------------------------------------------
+
+
+def _mt_app():
+    a = np.random.default_rng(0).random((64, 64), dtype=np.float32)
+    problem = Problem((64, 64), (16, 16), {"in": a, "W": 64, "H": 64},
+                      {"out": a.T.copy()})
+    return kernel_app(MT_SOURCE, problem)
+
+
+def _with_without(app, device, workers=1):
+    options = SearchOptions(apps=(app,), rules=("grover",), depth=1,
+                            device=device, workers=workers)
+    (result,) = run_search(options).results
+    return result
+
+
+@pytest.mark.parametrize("device, winner", [("SNB", ("grover",)), ("Fermi", ())])
+def test_kernel_app_transpose_winner_per_device(device, winner):
+    """Removing the transpose tile wins on a CPU and loses on a GPU."""
+    r = _with_without(_mt_app(), device)
+    assert r.app_id == "transpose"
+    assert [c.rewrites for c in r.candidates] == [(1,)]
+    assert r.winner.pipeline == winner
+    assert r.verified and not r.rejected
+    if winner:
+        assert r.winner.cycles < r.baseline.cycles
+    else:
+        assert r.candidates[0].cycles > r.baseline.cycles
+
+
+def test_kernel_app_reduction_keeps_the_default():
+    """Grover cannot invert the reduction's stores: it rewrites nothing,
+    so the only scored candidate is the default."""
+    x = np.random.default_rng(1).random(128, dtype=np.float32)
+    problem = Problem((128,), (64,), {"in": x},
+                      {"out": x.reshape(2, 64).sum(axis=1)})
+    r = _with_without(kernel_app(REDUCTION_SOURCE, problem), "SNB")
+    assert [c.rewrites for c in r.candidates] == [(0,)]
+    assert r.winner.pipeline == () and r.evaluated == 1
+    assert r.verified
+
+
+def test_kernel_app_ships_to_pool_workers():
+    """The app pickles (so pool workers score it) and the fanned-out
+    search picks the serial winner."""
+    app = _mt_app()
+    clone = pickle.loads(pickle.dumps(app))
+    assert clone.make_problem("bench").global_size == (64, 64)
+    serial = _with_without(app, "SNB")
+    fanned = _with_without(app, "SNB", workers=2)
+    assert fanned.winner == serial.winner
+    assert fanned.baseline == serial.baseline
+
+
+def test_kernel_app_rejects_unknown_kernel():
+    from repro.ir.function import UnknownKernelError
+
+    with pytest.raises(UnknownKernelError, match="no kernel 'nope'"):
+        kernel_app(MT_SOURCE, _mt_app().make_problem("test"), kernel_name="nope")
 
 
 # ---------------------------------------------------------------------------

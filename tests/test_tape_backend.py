@@ -24,6 +24,7 @@ backend).
 from __future__ import annotations
 
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -450,6 +451,46 @@ def test_access_past_end_in_a_later_group_is_a_memory_fault(
             )
     assert str(info.value) == message
     assert set(mem.buffers) == user_ids
+
+def _gated_grover_variant(root_seed, index):
+    """The fuzz case's kernel as ``Session(analyze=True)`` transforms it
+    with ``allow_partial=True``, plus a launcher on a fresh memory."""
+    from repro.analysis import AnalysisUndecidedWarning
+    from repro.fuzz.generate import generate_case
+    from repro.fuzz.oracle import input_data
+
+    case = generate_case(root_seed, index)
+    kernel = compile_kernel(case.source(), case.kernel_name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AnalysisUndecidedWarning)
+        report = Session(analyze=True).disable_local_memory(
+            kernel, local_size=case.local_size, allow_partial=True
+        )
+    assert report.transformed
+
+    def run():
+        mem = Memory()
+        args = {
+            "out": mem.alloc(int(np.prod(case.global_size)) * 4, "out"),
+            "in": mem.from_array(input_data(case.in_elems), "in"),
+            "P": case.p_value,
+        }
+        launch(kernel, case.global_size, case.local_size, args,
+               memory=mem, collect_trace=True)
+    return run
+
+
+@pytest.mark.parametrize("index", (35, 594))
+def test_leader_access_spanning_two_buffers_is_a_memory_fault(index):
+    """The leader's own lanes of one access reach two buffers.  The tape
+    raises the reference's fault while it records, where it once evicted
+    the leader and failed later on a raw ``KeyError``."""
+    run = _gated_grover_variant(3, index)
+    for backend in ("reference", "tape"):
+        with Session(exec_backend=backend).activate():
+            with pytest.raises(MemoryFault, match="^access spans multiple buffers$"):
+                run()
+
 
 _FAULT_SOURCE = r"""
 __kernel void oob(__global float* out, __global const float* in)
