@@ -20,19 +20,8 @@ from typing import Dict, Optional
 
 from repro.ir.function import Function, Module
 
-#: default size of a session's LRU compile cache (see the
-#: ``compile_cache_size`` / ``REPRO_COMPILE_CACHE_SIZE`` config variable)
+#: entries kept in a session's LRU compile cache
 _COMPILE_CACHE_SIZE = 32
-
-
-def __getattr__(name: str):
-    # legacy introspection point: the module-level ``_compile_cache``
-    # now lives on the current session
-    if name == "_compile_cache":
-        from repro.session import current_session
-
-        return current_session()._compile_cache
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def clear_compile_cache() -> None:

@@ -29,7 +29,7 @@ from repro.fuzz.generate import FuzzCase, generate_case
 from repro.fuzz.oracle import Mismatch, OracleOutcome, run_case
 from repro.fuzz.shrink import shrink_case
 from repro.parallel import pool as worker_pool
-from repro.parallel.pool import make_pool, resolve_workers
+from repro.parallel.pool import make_pool, report_fallback, resolve_workers
 from repro.session import events
 
 __all__ = ["CaseResult", "FuzzOptions", "FuzzRunResult", "main", "run_fuzz"]
@@ -159,9 +159,11 @@ def run_fuzz(options: FuzzOptions) -> FuzzRunResult:
         for payload, fut in zip(payloads, futures):
             try:
                 results.append(fut.result())
-            except Exception:
+            except Exception as exc:
                 # pool infrastructure died (a deterministic kernel
-                # error never escapes the oracle): redo serially
+                # error never escapes the oracle): redo serially, and
+                # say so
+                report_fallback("fuzz", "case redone serially", exc)
                 results.append(_run_one(payload))
 
     run = FuzzRunResult(

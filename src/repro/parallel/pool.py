@@ -36,8 +36,8 @@ from typing import Callable, Optional
 from repro.session import events
 
 __all__ = ["PoolFallbackWarning", "WORKERS_ENV", "WorkerPool", "acquire",
-           "make_pool", "resolve_workers", "session_closed",
-           "shutdown_shared"]
+           "make_pool", "report_fallback", "resolve_workers",
+           "session_closed", "shutdown_shared"]
 
 #: environment default for every ``workers=None`` entry point; setting
 #: ``REPRO_WORKERS=1`` is the global escape hatch that forces serial
@@ -77,9 +77,8 @@ def make_pool(n_workers: int) -> Optional[ProcessPoolExecutor]:
     Prefers the cheap ``fork`` start method where the platform offers
     it.  Pool-creation failures (restricted sandboxes, missing
     semaphores) are a *fallback* condition, not an error — callers run
-    serially instead; the failure is reported as a ``pool_fallback``
-    event, or as a :class:`PoolFallbackWarning` when no sink listens
-    (never both, never neither).
+    serially instead; the failure is reported by
+    :func:`report_fallback`.
 
     Fan-outs do not call this directly: they pass it (or a
     module-local alias of it) to :func:`acquire` as the factory, so the
@@ -90,18 +89,28 @@ def make_pool(n_workers: int) -> Optional[ProcessPoolExecutor]:
         ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
         return ProcessPoolExecutor(max_workers=n_workers, mp_context=ctx)
     except Exception as exc:
-        error = f"{type(exc).__name__}: {exc}"
-        if events.bus_active():
-            events.emit("pool_fallback", where="make_pool",
-                        reason="process pool unavailable", error=error)
-        else:
-            warnings.warn(
-                "parallel execution fell back to serial in make_pool: "
-                f"process pool unavailable ({error})",
-                PoolFallbackWarning,
-                stacklevel=2,
-            )
+        report_fallback("make_pool", "process pool unavailable", exc)
         return None
+
+
+def report_fallback(where: str, reason: str, exc: BaseException) -> None:
+    """Report work that ran serially instead of on the pool: a
+    ``pool_fallback`` event, or a :class:`PoolFallbackWarning` when no
+    sink listens (never both, never neither).
+
+    ``where`` names the fan-out (``make_pool``, ``search``, ``fuzz``);
+    the warning points at the caller of the function that fell back.
+    """
+    error = f"{type(exc).__name__}: {exc}"
+    if events.bus_active():
+        events.emit("pool_fallback", where=where, reason=reason, error=error)
+    else:
+        warnings.warn(
+            f"parallel execution fell back to serial in {where}: "
+            f"{reason} ({error})",
+            PoolFallbackWarning,
+            stacklevel=3,
+        )
 
 
 class WorkerPool:

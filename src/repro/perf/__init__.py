@@ -40,7 +40,6 @@ from repro.perf.devices import (
     device,
 )
 from repro.perf.cpumodel import CPUModel
-from repro.perf.explain import CostBreakdown, compare, explain_kernel
 from repro.perf.gpumodel import GPUModel
 from repro.perf.timing import KernelCost, estimate_cost, normalized_performance
 
@@ -59,11 +58,8 @@ __all__ = [
     "GPU_DEVICES",
     "device",
     "CPUModel",
-    "CostBreakdown",
     "GPUModel",
     "KernelCost",
-    "compare",
     "estimate_cost",
-    "explain_kernel",
     "normalized_performance",
 ]

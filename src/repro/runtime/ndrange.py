@@ -176,19 +176,6 @@ def launch(
     session = current_session()
     backend = str(session.get("exec_backend"))
 
-    # out-of-core trace handling: every collected GroupTrace is adopted
-    # by a spill store that keeps resident event bytes under
-    # $REPRO_TRACE_SPILL_MB, compressing the oldest batches to disk and
-    # streaming them back transparently on access
-    store = None
-    if collect_trace:
-        from repro.runtime.trace import TraceSpillStore
-
-        store = TraceSpillStore(
-            int(session.get("trace_spill_mb")) * 1024 * 1024,
-            kernel=kernel.name,
-        )
-
     # __local and private (alloca) arenas are owned by the launch and
     # reused (re-zeroed) across groups instead of alloc/free per group;
     # the finally block returns them to Memory even when a group faults
@@ -213,7 +200,7 @@ def launch(
             group_traces, work_items = execute_tape(
                 kernel, picks, groups_per_dim, gsize, lsize, arg_values,
                 local_buffers, local_arg_buffers, memory, private_arena,
-                collect_trace, int(session.get("tape_batch")), store=store,
+                collect_trace, int(session.get("tape_batch")),
             )
         else:
             for i, flat in enumerate(picks):
@@ -240,16 +227,8 @@ def launch(
                 )
                 ex.run()
                 if gt is not None:
-                    if store is not None:
-                        store.adopt(gt)
                     group_traces.append(gt)
     except Exception as exc:
-        # the trace of a failed launch is never returned: close the
-        # spill store now so its anonymous spill fd does not survive
-        # until garbage collection (the arenas below are freed the same
-        # eager way)
-        if store is not None:
-            store.close()
         events.emit(
             "launch_end",
             kernel=kernel.name,
@@ -258,12 +237,6 @@ def launch(
             wall_ms=(time.perf_counter() - t_start) * 1e3,
             error=f"{type(exc).__name__}: {exc}",
         )
-        raise
-    except BaseException:
-        # KeyboardInterrupt/SystemExit: no launch_end event (the launch
-        # was interrupted, not failed), but the spill fd still must go
-        if store is not None:
-            store.close()
         raise
     finally:
         for buf in (local_buffers or {}).values():

@@ -97,7 +97,7 @@ from repro.runtime.interpreter import (
     memory_fault,
     merge_pending,
 )
-from repro.runtime.trace import GroupTrace, MemEvent, TraceSpillStore
+from repro.runtime.trace import GroupTrace, MemEvent
 from repro.session import events
 
 #: scratch (batch-local) buffer ids start here — far above any id the
@@ -1076,6 +1076,12 @@ class TapeExecutor:
             self.memory.buffers.pop(buf.id, None)
         self._scratch = []
         self._private_slabs = []
+        # the executor's closures make it a reference cycle, freed only
+        # by the cyclic collector: hold no batch values or traces past
+        # the batch, so a dropped trace is freed by reference counting
+        self._done = {}
+        self.records = []
+        self.env.clear()
 
     def replay_batch(
         self, slot_gids: List[Tuple[int, ...]]
@@ -1107,7 +1113,6 @@ def execute_tape(
     private_arena: List[Buffer],
     collect_trace: bool,
     tape_batch: int,
-    store: Optional[TraceSpillStore] = None,
 ) -> Tuple[List[GroupTrace], int]:
     """Execute ``picks`` with the tape backend; the drop-in replacement
     for the serial group loop of :func:`repro.runtime.ndrange.launch`.
@@ -1139,8 +1144,6 @@ def execute_tape(
         chunk = gids[lo:lo + tape_batch]
         n_batches += 1
         out = tape.replay_batch(chunk)
-        if store is not None and collect_trace:
-            store.adopt_group_lists(out)
         for slot, gt in out.items():
             traces[lo + slot] = gt
     events.emit(

@@ -10,28 +10,13 @@ A trace is organised the way the devices consume it:
   runtimes execute a work-group (a loop over work-items *between
   barriers*, per Intel's/Twin Peaks' execution scheme cited in the
   paper).
-
-Out-of-core traces: a :class:`TraceSpillStore` keeps the resident bytes
-of completed event batches under a high-water mark
-(``REPRO_TRACE_SPILL_MB``).  Completed segments past the mark are
-pickled, compressed and appended to an anonymous temp file; a group's
-``events`` then becomes a :class:`LazyEvents` sequence that streams the
-segment back on first access (at most the accessed segment plus the
-resident tail is ever in RAM).  Consumers are oblivious: ``LazyEvents``
-implements the full read-only sequence protocol, and pickling one
-materialises it into a plain list.
 """
 
 from __future__ import annotations
 
 import hashlib
-import pickle
-import tempfile
-import time
-import weakref
-import zlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -75,8 +60,7 @@ class GroupTrace:
         return sum(e.count for e in self.events if space is None or e.space == space)
 
     def iter_events(self) -> Iterator[MemEvent]:
-        """Stream this group's events (transparently rehydrating a
-        spilled segment — see :class:`TraceSpillStore`)."""
+        """Stream this group's events."""
         yield from self.events
 
     def fingerprint(self) -> bytes:
@@ -203,210 +187,3 @@ class KernelTrace:
     def iter_events(self) -> Iterator[MemEvent]:
         for g in self.groups:
             yield from g.events
-
-
-# ---------------------------------------------------------------------------
-# out-of-core trace spill
-# ---------------------------------------------------------------------------
-
-
-def _events_nbytes(events: List[MemEvent]) -> int:
-    return sum(
-        e.offsets.nbytes + e.lanes.nbytes + 160 for e in events
-    )
-
-
-class _Segment:
-    """One spillable unit: the eagerly split events of one batch, keyed
-    by batch slot."""
-
-    __slots__ = ("store", "nbytes", "disk", "resident", "_events", "__weakref__")
-
-    def __init__(self, store: "TraceSpillStore", events: Dict[int, List[MemEvent]]) -> None:
-        self.store = store
-        self._events: Optional[Dict[int, List[MemEvent]]] = events
-        self.nbytes = sum(_events_nbytes(v) for v in events.values())
-        #: (offset, compressed length) once written to the spill file
-        self.disk: Optional[Tuple[int, int]] = None
-        self.resident = True
-
-    def events_for(self, slot: int) -> List[MemEvent]:
-        if not self.resident:
-            self.store._load(self)
-        return self._events[slot]
-
-
-class LazyEvents(Sequence):
-    """Read-only view of one group's events inside a spillable segment.
-
-    Quacks like the plain ``List[MemEvent]`` it replaces (``len``,
-    iteration, indexing); pickling materialises it into a real list so
-    a pickled trace stays self-contained.
-    """
-
-    __slots__ = ("_segment", "_slot")
-
-    def __init__(self, segment: _Segment, slot: int) -> None:
-        self._segment = segment
-        self._slot = slot
-
-    def _list(self) -> List[MemEvent]:
-        return self._segment.events_for(self._slot)
-
-    def __len__(self) -> int:
-        return len(self._list())
-
-    def __iter__(self) -> Iterator[MemEvent]:
-        return iter(self._list())
-
-    def __getitem__(self, i):
-        return self._list()[i]
-
-    def __reduce__(self):
-        return (list, (list(self._list()),))
-
-
-class TraceSpillStore:
-    """Bounds the resident bytes of completed trace batches.
-
-    Segments are adopted in completion order; when the running total
-    crosses ``limit_bytes``, the oldest resident segments are pickled +
-    zlib-compressed into an anonymous :func:`tempfile.TemporaryFile`
-    (auto-deleted when the store is garbage collected) and their RAM
-    payload is dropped.  Reading a spilled group's events rehydrates
-    its segment — and may re-evict others, so steady-state residency
-    stays under the mark (each spilled blob is written exactly once;
-    re-eviction after a read costs no new I/O).  Every spill step emits
-    a ``trace_spill`` event with byte and wall-time fields.
-
-    The store holds its segments weakly: a segment lives as long as a
-    group's :class:`LazyEvents` reads it, and holds the store.  A strong
-    back-reference would make every trace a reference cycle, freed only
-    by the cyclic garbage collector, long after its last reader is gone.
-    """
-
-    def __init__(self, limit_bytes: int, kernel: str = "kernel") -> None:
-        self.limit_bytes = int(limit_bytes)
-        self.kernel = kernel
-        self.resident_bytes = 0
-        self.peak_resident_bytes = 0
-        self.spilled_bytes = 0
-        self.spill_count = 0
-        #: resident segment -> its bytes, oldest first
-        self._resident: Dict[weakref.ref, int] = {}
-        self._file = None
-        self._closed = False
-
-    def close(self) -> None:
-        """Release the spill file (idempotent).
-
-        A launch that raises closes its store explicitly instead of
-        waiting for garbage collection — the anonymous spill file is
-        unlinked on creation, so the *fd* is the only thing keeping its
-        disk space alive, and an aborted launch must not hold it until
-        some later collection cycle.  After ``close`` the store refuses
-        to rehydrate spilled segments (nothing should read the trace of
-        a failed launch).
-        """
-        self._closed = True
-        if self._file is not None:
-            self._file.close()
-            self._file = None
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    # -- adoption ----------------------------------------------------------
-    def adopt(self, gt: Optional[GroupTrace]) -> None:
-        """Account one eagerly-built trace (reference / scalar paths)."""
-        if gt is not None and isinstance(gt.events, list):
-            self.adopt_group_lists({0: gt})
-
-    def adopt_group_lists(self, traces: Dict[int, Optional[GroupTrace]]) -> None:
-        """Account one batch of eagerly-split traces as a single segment
-        (their events share the batch's offset arrays, so they spill —
-        and free — together)."""
-        events = {
-            slot: gt.events for slot, gt in traces.items()
-            if gt is not None and isinstance(gt.events, list)
-        }
-        if not events:
-            return
-        seg = _Segment(self, events)
-        for slot, gt in traces.items():
-            if gt is not None and slot in events:
-                gt.events = LazyEvents(seg, slot)
-        self._track(seg)
-
-    # -- residency ---------------------------------------------------------
-    def _track(self, seg: _Segment) -> None:
-        self._resident[weakref.ref(seg)] = seg.nbytes
-        self.resident_bytes += seg.nbytes
-        self._enforce()
-        self.peak_resident_bytes = max(
-            self.peak_resident_bytes, self.resident_bytes
-        )
-
-    def _enforce(self, protect: Optional[_Segment] = None) -> None:
-        if self.resident_bytes <= self.limit_bytes:
-            return
-        for ref, nbytes in list(self._resident.items()):
-            if ref() is None:  # its trace was dropped: the bytes are free
-                del self._resident[ref]
-                self.resident_bytes -= nbytes
-        for seg in [r() for r in self._resident if r() is not protect]:
-            if self.resident_bytes <= self.limit_bytes:
-                break
-            self._spill(seg)
-
-    def _spill(self, seg: _Segment) -> None:
-        t0 = time.perf_counter()
-        written = 0
-        if seg.disk is None:
-            blob = zlib.compress(
-                pickle.dumps(seg._events, protocol=pickle.HIGHEST_PROTOCOL),
-                1,
-            )
-            if self._file is None:
-                if self._closed:
-                    raise RuntimeError(
-                        f"TraceSpillStore for {self.kernel!r} is closed"
-                    )
-                self._file = tempfile.TemporaryFile(prefix="repro-trace-spill-")
-            self._file.seek(0, 2)
-            seg.disk = (self._file.tell(), len(blob))
-            self._file.write(blob)
-            written = len(blob)
-        seg._events = None
-        seg.resident = False
-        del self._resident[weakref.ref(seg)]
-        self.resident_bytes -= seg.nbytes
-        self.spilled_bytes += written
-        self.spill_count += 1
-        from repro.session import events as _events
-
-        _events.emit(
-            "trace_spill",
-            kernel=self.kernel,
-            bytes=written,
-            resident_bytes=self.resident_bytes,
-            wall_ms=(time.perf_counter() - t0) * 1e3,
-        )
-
-    def _load(self, seg: _Segment) -> None:
-        if self._file is None:
-            raise RuntimeError(
-                f"TraceSpillStore for {self.kernel!r} is closed; "
-                "spilled trace segments cannot be rehydrated"
-            )
-        off, length = seg.disk
-        self._file.seek(off)
-        seg._events = pickle.loads(zlib.decompress(self._file.read(length)))
-        seg.resident = True
-        self._resident[weakref.ref(seg)] = seg.nbytes
-        self.resident_bytes += seg.nbytes
-        self._enforce(protect=seg)
-        self.peak_resident_bytes = max(
-            self.peak_resident_bytes, self.resident_bytes
-        )

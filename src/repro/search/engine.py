@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
 from repro.parallel import pool as worker_pool
-from repro.parallel.pool import make_pool, resolve_workers
+from repro.parallel.pool import make_pool, report_fallback, resolve_workers
 from repro.session import events
 
 if TYPE_CHECKING:
@@ -245,9 +245,11 @@ def _fan_out(payloads: List[Tuple], pool) -> List[CandidateEval]:
     for payload, fut in zip(payloads, futures):
         try:
             results.append(fut.result())
-        except Exception:
-            # pool infrastructure died (evaluate_pipeline itself never
-            # raises): redo this candidate serially
+        except Exception as exc:
+            # pool infrastructure died or the payload did not pickle
+            # (evaluate_pipeline itself never raises): redo this
+            # candidate serially, and say so
+            report_fallback("search", "candidate redone serially", exc)
             results.append(_eval_one(payload))
     return results
 

@@ -141,14 +141,6 @@ _VARS = (
         "everywhere.  Launches always run serially.",
     ),
     ConfigVar(
-        name="compile_cache_size",
-        env="REPRO_COMPILE_CACHE_SIZE",
-        type="int",
-        default=32,
-        minimum=1,
-        doc="Entries kept in the session's LRU compile cache.",
-    ),
-    ConfigVar(
         name="update_golden",
         env="REPRO_UPDATE_GOLDEN",
         type="bool",
@@ -191,16 +183,6 @@ _VARS = (
         minimum=1,
         doc="Work-groups stacked per batched tape replay (the leading "
         "axis size of the batched value arrays).",
-    ),
-    ConfigVar(
-        name="trace_spill_mb",
-        env="REPRO_TRACE_SPILL_MB",
-        type="int",
-        default=4096,
-        minimum=1,
-        doc="High-water mark (MiB) for resident traced memory events; "
-        "past it, completed batches spill to compressed on-disk "
-        "segments and stream back transparently on access.",
     ),
     ConfigVar(
         name="search_beam",
@@ -250,7 +232,7 @@ ENV_REGISTRY: Dict[str, ConfigVar] = {v.env: v for v in _VARS}
 #: ConfigError naming the variable; these fail even earlier, before a
 #: long launch gets to the point of reading them, or a memoised result
 #: skips the launch and the bad value goes unnoticed)
-_EAGER_VALUE_VARS = ("REPRO_EXEC_BACKEND", "REPRO_TAPE_BATCH", "REPRO_TRACE_SPILL_MB")
+_EAGER_VALUE_VARS = ("REPRO_EXEC_BACKEND", "REPRO_TAPE_BATCH")
 
 
 def validate_environ(environ: Mapping[str, str]) -> None:

@@ -186,6 +186,7 @@ class Session:
         from pycparser import CParser
         from pycparser.c_parser import ParseError
 
+        from repro.frontend.compile import _COMPILE_CACHE_SIZE
         from repro.frontend.errors import FrontendError
         from repro.frontend.lower import lower_translation_unit
         from repro.frontend.preprocess import preprocess
@@ -231,8 +232,7 @@ class Session:
             )
             if cache:
                 self._compile_cache[key] = copy.deepcopy(module)
-                limit = int(self.get("compile_cache_size"))
-                while len(self._compile_cache) > limit:
+                while len(self._compile_cache) > _COMPILE_CACHE_SIZE:
                     self._compile_cache.popitem(last=False)
             return module
 
@@ -313,7 +313,7 @@ class Session:
     # -- runtime ---------------------------------------------------------------
     def launch(self, *args, **kwargs):
         """Session-configured ``repro.runtime.launch`` (backend choice,
-        trace spilling and events resolve against this session; the
+        tape batch size and events resolve against this session; the
         launch itself is always serial)."""
         from repro.runtime.ndrange import launch
 

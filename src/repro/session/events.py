@@ -133,14 +133,6 @@ EVENT_SCHEMA: Dict[str, Dict[str, Tuple[type, ...]]] = {
         "step": (int,),
         "reason": (str,),
     },
-    "trace_spill": {
-        "kernel": (str,),
-        # bytes written to the spill file by this spill step, and the
-        # resident event-buffer bytes left after it
-        "bytes": (int,),
-        "resident_bytes": (int,),
-        "wall_ms": (int, float),
-    },
     # -- performance models -------------------------------------------------
     "model_memo_hit": {"device": (str,), "fingerprint_sha1": (str,)},
     "model_kernel_timed": {

@@ -5,15 +5,20 @@ import pytest
 
 from repro.core import GroverPass
 from repro.frontend import clear_compile_cache, compile_kernel, compile_source
-from repro.frontend.compile import _compile_cache
+from repro.frontend.compile import _COMPILE_CACHE_SIZE
 from repro.perf import CPUModel, GPUModel
 from repro.perf.devices import FERMI, SNB
+from repro.session import current_session
 
 from tests.conftest import MM_SOURCE, MT_SOURCE
 from tests.test_perf_models import mt_trace
 
 
 # -- compile cache --------------------------------------------------------------
+
+
+def _compile_cache():
+    return current_session()._compile_cache
 
 
 def test_cache_hit_returns_equivalent_module():
@@ -44,26 +49,24 @@ def test_cache_key_includes_defines_and_optimize():
     compile_source(MM_SOURCE)
     compile_source(MM_SOURCE, defines={"EXTRA": 1})
     compile_source(MM_SOURCE, optimize=False)
-    assert len(_compile_cache) == 3
+    assert len(_compile_cache()) == 3
 
 
 def test_cache_bypass_and_clear():
     clear_compile_cache()
     compile_source(MT_SOURCE, cache=False)
-    assert len(_compile_cache) == 0
+    assert len(_compile_cache()) == 0
     compile_source(MT_SOURCE)
-    assert len(_compile_cache) == 1
+    assert len(_compile_cache()) == 1
     clear_compile_cache()
-    assert len(_compile_cache) == 0
+    assert len(_compile_cache()) == 0
 
 
 def test_cache_is_bounded():
-    from repro.frontend.compile import _COMPILE_CACHE_SIZE
-
     clear_compile_cache()
     for i in range(_COMPILE_CACHE_SIZE + 5):
         compile_source(MT_SOURCE, defines={"TAG": i})
-    assert len(_compile_cache) == _COMPILE_CACHE_SIZE
+    assert len(_compile_cache()) == _COMPILE_CACHE_SIZE
     clear_compile_cache()
 
 

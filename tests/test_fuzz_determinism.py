@@ -109,3 +109,31 @@ def test_case_seed_derivation_is_stable():
     assert case.case_seed == generate_case(7, 0).case_seed
     assert generate_case(7, 1).case_seed != case.case_seed
     assert generate_case(8, 0).case_seed != case.case_seed
+
+
+class _DeadPool:
+    """A pool whose every task fails, as when its workers die."""
+
+    def submit(self, fn, *args):
+        from concurrent.futures import Future
+        from concurrent.futures.process import BrokenProcessPool
+
+        fut = Future()
+        fut.set_exception(BrokenProcessPool("worker died"))
+        return fut
+
+
+def test_failed_pool_cases_are_redone_serially_and_reported(monkeypatch):
+    """A case the pool fails to judge is judged in the parent — same
+    verdicts — and each redo emits a ``pool_fallback`` event."""
+    from repro.fuzz import runner
+    from repro.session import events
+
+    monkeypatch.setattr(runner.worker_pool, "acquire", lambda *a, **k: _DeadPool())
+    with events.collect() as sink:
+        run = run_fuzz(FuzzOptions(seed=SEED, count=COUNT, workers=2))
+    assert _fingerprint(run.results) == _EXPECTED_FP
+    falls = sink.of_kind("pool_fallback")
+    assert len(falls) == COUNT
+    assert {e.payload["where"] for e in falls} == {"fuzz"}
+    assert "BrokenProcessPool" in falls[0].payload["error"]

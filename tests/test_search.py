@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 
 import numpy as np
@@ -306,6 +307,31 @@ def test_kernel_app_ships_to_pool_workers():
     fanned = _with_without(app, "SNB", workers=2)
     assert fanned.winner == serial.winner
     assert fanned.baseline == serial.baseline
+
+
+def _unpicklable_mt():
+    problem = MT.make_problem("test")
+    return dataclasses.replace(MT, make_problem=lambda scale, p=problem: p)
+
+
+def test_unpicklable_app_is_redone_serially_and_reported():
+    """A payload that cannot reach a pool worker is scored in the parent
+    — same winner — and each redo is reported: a ``pool_fallback``
+    event when a sink listens, else a ``PoolFallbackWarning``."""
+    from repro.parallel.pool import PoolFallbackWarning
+
+    app = _unpicklable_mt()
+    serial = _with_without(app, "Fermi")
+    with events.collect() as sink:
+        fanned = _with_without(app, "Fermi", workers=2)
+    assert fanned.winner == serial.winner and fanned.verified
+    falls = sink.of_kind("pool_fallback")
+    assert falls
+    assert {e.payload["where"] for e in falls} == {"search"}
+    assert all(e.payload["error"] for e in falls)
+    with pytest.warns(PoolFallbackWarning, match="in search"):
+        fanned = _with_without(app, "Fermi", workers=2)
+    assert fanned.winner == serial.winner
 
 
 def test_kernel_app_rejects_unknown_kernel():

@@ -33,13 +33,11 @@ def test_registry_covers_every_historical_env_var():
         "REPRO_CACHE_BACKEND",
         "REPRO_PERF_MEMO",
         "REPRO_WORKERS",
-        "REPRO_COMPILE_CACHE_SIZE",
         "REPRO_UPDATE_GOLDEN",
         "REPRO_ANALYZE",
         "REPRO_TRACE_OUT",
         "REPRO_EXEC_BACKEND",
         "REPRO_TAPE_BATCH",
-        "REPRO_TRACE_SPILL_MB",
         "REPRO_SEARCH_BEAM",
         "REPRO_SEARCH_DEPTH",
         "REPRO_SEARCH_SAMPLE_GROUPS",
@@ -80,7 +78,6 @@ def test_default_layer():
     assert s.get("cache_backend") == "fast"
     assert s.get("perf_memo") is True
     assert s.get("workers") == 1
-    assert s.get("compile_cache_size") == 32
 
 
 def test_config_dict_beats_default():
@@ -249,7 +246,7 @@ def test_workers_env_boundary_one_is_accepted():
     assert Session(env={"REPRO_WORKERS": "1"}).get("workers") == 1
 
 
-@pytest.mark.parametrize("env_name", ["REPRO_TAPE_BATCH", "REPRO_TRACE_SPILL_MB"])
+@pytest.mark.parametrize("env_name", ["REPRO_TAPE_BATCH"])
 @pytest.mark.parametrize("raw", ["0", "-2", "1.5", "many", ""])
 def test_batch_and_spill_env_rejected_at_construction(env_name, raw):
     """The eagerly-checked ints fail at Session() itself, not at lookup —
@@ -260,7 +257,6 @@ def test_batch_and_spill_env_rejected_at_construction(env_name, raw):
 
 @pytest.mark.parametrize("env_name,name,value", [
     ("REPRO_TAPE_BATCH", "tape_batch", 64),
-    ("REPRO_TRACE_SPILL_MB", "trace_spill_mb", 1),
 ])
 def test_batch_and_spill_env_accepted_values(env_name, name, value):
     assert Session(env={env_name: str(value)}).get(name) == value
@@ -277,6 +273,8 @@ def test_analyze_var_defaults_off_and_parses_bool_words():
 @pytest.mark.parametrize("env_name,value", [
     ("REPRO_EXEC_BACKEND", "codegen"),  # not one of the choices
     ("REPRO_CODEGEN_CACHE_DIR", "cg-artifacts"),  # not a registered variable
+    ("REPRO_TRACE_SPILL_MB", "1"),  # removed: traces stay in memory
+    ("REPRO_COMPILE_CACHE_SIZE", "8"),  # removed: the cache size is a constant
 ])
 def test_cli_config_error_exits_2_with_one_line(monkeypatch, capsys, env_name, value):
     from repro.cli import main

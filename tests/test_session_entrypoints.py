@@ -14,7 +14,7 @@ from repro.apps.registry import get_app
 from repro.frontend import compile_kernel, compile_source
 from repro.ir.printer import print_function
 from repro.session import Session, current_session
-from tests.conftest import MM_SOURCE, MT_SOURCE
+from tests.conftest import MT_SOURCE
 
 # ---------------------------------------------------------------------------
 # compile path
@@ -34,11 +34,6 @@ def test_shim_resolves_to_active_session():
         assert current_session() is s
         compile_source(MT_SOURCE)
     assert len(s._compile_cache) == 1
-    with s.activate():
-        # legacy introspection name still works and follows the session
-        from repro.frontend import compile as compile_mod
-
-        assert compile_mod._compile_cache is s._compile_cache
 
 
 def test_sessions_have_isolated_compile_caches():
@@ -46,13 +41,6 @@ def test_sessions_have_isolated_compile_caches():
     a.compile_kernel(MT_SOURCE)
     assert len(a._compile_cache) == 1
     assert len(b._compile_cache) == 0
-
-
-def test_compile_cache_size_is_configurable():
-    s = Session(env={}, compile_cache_size=1)
-    s.compile_kernel(MT_SOURCE)
-    s.compile_kernel(MM_SOURCE)
-    assert len(s._compile_cache) == 1  # LRU pruned to the configured size
 
 
 def test_cache_hits_hand_out_private_copies():

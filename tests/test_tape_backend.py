@@ -18,13 +18,16 @@ reference, on real kernels.
 Also covered here: the iterative ``_reverse_postorder`` on a deep
 single-chain CFG, and ``launch``'s exception path (arena buffers freed,
 ``launch_end`` emitted with ``error=``, a named ``MemoryFault`` on every
-backend).
+backend), and that a dropped launch trace is freed without the cyclic
+garbage collector.
 """
 
 from __future__ import annotations
 
+import gc
 import sys
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -169,9 +172,7 @@ def test_tape_matches_reference_on_random_affine_kernels(coeffs):
 
 @pytest.mark.parametrize("app_id", TABLE_ORDER)
 def test_table_app_traces_match_reference(app_id):
-    """Both variants at smoke scale, 4 sampled groups.  The session's
-    other knobs still apply, so ``REPRO_TRACE_SPILL_MB=1`` diffs a
-    spilled tape trace."""
+    """Both variants at smoke scale, 4 sampled groups."""
     app = get_app(app_id)
     for variant in ("with", "without"):
         kernel, _ = compile_app(app, variant)
@@ -541,3 +542,33 @@ def test_successful_launch_end_has_empty_error():
     ends = sink.of_kind("launch_end")
     assert len(ends) == 1
     assert ends[0].payload["error"] == ""
+
+
+# ---------------------------------------------------------------------------
+# a dropped trace is freed by reference counting alone
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("backend", ("reference", "tape"))
+def test_dropped_launch_trace_is_freed_without_the_cycle_collector(backend):
+    """A launch's trace is plain lists of events: no reference cycle
+    keeps it alive, so dropping the result frees its offset arrays at
+    once, with the cyclic garbage collector switched off."""
+    kernel = compile_kernel(_EVICT_SOURCE)
+    mem = Memory()
+    inb = mem.from_array(np.ones(64, dtype=np.float32), "in")
+    outb = mem.alloc(64 * 4, "out")
+    gc.disable()
+    try:
+        with Session(exec_backend=backend).activate():
+            res = launch(
+                kernel, (64,), (16,), {"in": inb, "out": outb},
+                memory=mem, collect_trace=True,
+            )
+        assert isinstance(res.trace.groups[-1].events, list)
+        offsets = weakref.ref(res.trace.groups[-1].events[0].offsets)
+        assert offsets() is not None
+        del res
+        assert offsets() is None
+    finally:
+        gc.enable()
