@@ -1,9 +1,10 @@
 """Experiment driver: regenerates the paper's tables and figures.
 
 Traces are device-independent, so each (application, variant) is
-executed once at the requested scale and then timed on every device
-model; results are memoised process-wide because pytest-benchmark runs
-each benchmark body several times.
+executed once at the requested scale and then priced once per device
+family (the three CPUs, or the three GPUs) with
+:func:`repro.perf.price`; results are memoised process-wide because
+pytest-benchmark runs each benchmark body several times.
 
 ``figure10``/``table4`` accept ``workers=N`` to fan the matrix out over
 the warm worker pool, one app per case (:func:`repro.parallel.run_matrix`); parallel
@@ -19,8 +20,8 @@ from typing import Dict, List, Optional, Tuple
 from repro.apps.harness import run_app
 from repro.apps.registry import TABLE_ORDER, get_app, table_apps
 from repro.parallel.matrix import MatrixResult, run_matrix  # noqa: F401  (re-export)
-from repro.perf.devices import CPU_DEVICES, GPU_DEVICES
-from repro.perf.timing import classify, estimate_cost
+from repro.perf.devices import CPU_DEVICES, GPU_DEVICES, device
+from repro.perf.timing import classify, price
 from repro.runtime.trace import KernelTrace
 
 #: work-groups simulated per launch at bench scale (extrapolated)
@@ -28,6 +29,8 @@ BENCH_SAMPLE_GROUPS = 4
 
 _trace_cache: Dict[Tuple[str, str, str], KernelTrace] = {}
 _np_cache: Dict[Tuple[str, str, str], float] = {}
+#: (app, variant, scale) -> device -> cycles, one device family at a time
+_cycles_cache: Dict[Tuple[str, str, str], Dict[str, float]] = {}
 
 
 def app_trace(app_id: str, variant: str, scale: str = "bench") -> KernelTrace:
@@ -50,12 +53,23 @@ def normalized_perf(app_id: str, device_name: str, scale: str = "bench") -> floa
     (> 1 means disabling local memory improved performance)."""
     key = (app_id, device_name, scale)
     if key not in _np_cache:
-        t_with = app_trace(app_id, "with", scale)
-        t_without = app_trace(app_id, "without", scale)
-        c_with = estimate_cost(t_with, device_name)
-        c_without = estimate_cost(t_without, device_name)
-        _np_cache[key] = c_with.cycles / c_without.cycles
+        c_with = app_cycles(app_id, "with", device_name, scale)
+        c_without = app_cycles(app_id, "without", device_name, scale)
+        _np_cache[key] = c_with / c_without
     return _np_cache[key]
+
+
+def app_cycles(app_id: str, variant: str, device_name: str, scale: str = "bench") -> float:
+    """Modelled cycles of one (app, variant) on one device.
+
+    The first request for a device prices the trace on its whole family
+    at once, so a CPU request never pays for GPU pricing and the other
+    members of the family come for free."""
+    per_device = _cycles_cache.setdefault((app_id, variant, scale), {})
+    if device_name not in per_device:
+        family = GPU_DEVICES if device(device_name).is_gpu else CPU_DEVICES
+        per_device.update(price(app_trace(app_id, variant, scale), list(family)))
+    return per_device[device_name]
 
 
 @dataclass
@@ -161,3 +175,4 @@ def figure2(scale: str = "bench") -> Dict[str, Dict[str, float]]:
 def clear_caches() -> None:
     _trace_cache.clear()
     _np_cache.clear()
+    _cycles_cache.clear()

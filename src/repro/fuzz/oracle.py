@@ -234,6 +234,7 @@ def run_source(
     else:
         out.exec_outcome = "ok"
         ref = runs["reference"]
+        ca = estimate_cost(ref["trace"], _DEVICE).cycles
         for backend in BACKENDS[1:]:
             why = trace_mismatch(ref["trace"], runs[backend]["trace"])
             if why is not None:
@@ -253,7 +254,6 @@ def run_source(
                     )
                 )
                 continue
-            ca = estimate_cost(ref["trace"], _DEVICE).cycles
             cb = estimate_cost(runs[backend]["trace"], _DEVICE).cycles
             if ca != cb:
                 out.mismatches.append(
@@ -262,7 +262,7 @@ def run_source(
                         f"{backend}: model cycles {cb} != reference {ca}",
                     )
                 )
-        out.cycles = float(estimate_cost(ref["trace"], _DEVICE).cycles)
+        out.cycles = float(ca)
 
     # -- 2. analyzer vs runtime --------------------------------------------
     ref_trace = runs["reference"].get("trace") if out.exec_outcome == "ok" else None

@@ -16,7 +16,10 @@ models that reproduce the *mechanisms* behind the paper's observations:
   distinct segments), banked scratch-pad memory, and latency hiding —
   the reason removing local memory destroys Matrix Transpose on GPUs;
 * devices (:mod:`repro.perf.devices`): parameter sets for the six
-  platforms of the paper.
+  platforms of the paper;
+* one pricing path (:mod:`repro.perf.pricing`, :func:`price`): a trace
+  is priced on several devices at once, each step the devices share
+  done once per work-group.
 
 Absolute cycle counts are model estimates, not the authors' wall-clock
 times; the reproduction targets the *shape* of the results (who wins,
@@ -41,7 +44,7 @@ from repro.perf.devices import (
 )
 from repro.perf.cpumodel import CPUModel
 from repro.perf.gpumodel import GPUModel
-from repro.perf.timing import KernelCost, estimate_cost, normalized_performance
+from repro.perf.timing import KernelCost, estimate_cost, normalized_performance, price
 
 __all__ = [
     "CacheStats",
@@ -62,4 +65,5 @@ __all__ = [
     "KernelCost",
     "estimate_cost",
     "normalized_performance",
+    "price",
 ]

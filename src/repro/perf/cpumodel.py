@@ -26,17 +26,16 @@ per-thread slice of ``l3_size / cores``.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.ir.types import AddressSpace
-from repro.session import events
 from repro.perf.cache import collapse_consecutive
 from repro.perf.devices import CPUSpec
 from repro.perf.fastcache import make_hierarchy, memo_enabled
+from repro.perf.pricing import group_costs, kernel_cycles, run_levels
 from repro.runtime.trace import GroupTrace, KernelTrace
 
 _CACHED_SPACES = (AddressSpace.GLOBAL, AddressSpace.CONSTANT, AddressSpace.LOCAL)
@@ -89,31 +88,47 @@ class CPUModel:
         return make_hierarchy(specs, backend=self.backend)
 
     def time_group(self, gt: GroupTrace) -> CPUGroupCost:
-        if self.memoize:
-            key = gt.fingerprint()
-            cached = self._group_costs.get(key)
-            if cached is not None:
-                if events.bus_active():
-                    events.emit(
-                        "model_memo_hit",
-                        device=self.spec.name,
-                        fingerprint_sha1=hashlib.sha1(key).hexdigest()[:12],
-                    )
-                return cached
-        s = self.spec
-        stream = gt.serialized(_CACHED_SPACES)
-        all_lines = stream.line_ids(s.line_size)
-        hier = self._hierarchy()
-        if self.warm_local:
-            # the __local arena belongs to the executing thread and is
-            # reused across thousands of work-groups — warm, not cold
-            local_lines = np.unique(
-                all_lines[stream.spaces == int(AddressSpace.LOCAL)]
-            )
-            hier.fill(local_lines)
-        lines = collapse_consecutive(all_lines)
-        counts = hier.run(lines)
+        return group_costs(gt, [self])[0]
 
+    def time_kernel(self, trace: KernelTrace) -> float:
+        """Total cycle estimate for the launch (single-thread-equivalent;
+        the core count cancels in normalised comparisons)."""
+        return kernel_cycles(trace, [self])[0]
+
+    @staticmethod
+    def price_group(gt: GroupTrace, models: List["CPUModel"]) -> List[CPUGroupCost]:
+        """The cost of ``gt`` on each CPU model, with every shared step
+        done once: one serialisation of the group, one line stream and
+        warm-local fill set per line size, and one simulation per
+        distinct cache-level prefix and warm-local setting (SNB,
+        Nehalem and MIC share their L1, SNB and Nehalem their L2)."""
+        stream = gt.serialized(_CACHED_SPACES)
+        #: line size -> (every access's line, consecutive repeats collapsed)
+        lines: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        #: line size -> the local arena's lines
+        fills: Dict[int, np.ndarray] = {}
+        prefixes: Dict[bool, dict] = {False: {}, True: {}}
+        out = []
+        for m in models:
+            size = m.spec.line_size
+            if size not in lines:
+                all_lines = stream.line_ids(size)
+                lines[size] = (all_lines, collapse_consecutive(all_lines))
+            all_lines, accessed = lines[size]
+            hier = m._hierarchy()
+            if m.warm_local:
+                # the __local arena belongs to the executing thread and
+                # is reused across thousands of work-groups — warm, not cold
+                if size not in fills:
+                    local = stream.spaces == int(AddressSpace.LOCAL)
+                    fills[size] = np.unique(all_lines[local])
+                hier.fill(fills[size])
+            counts = run_levels(hier, accessed, prefixes[m.warm_local])
+            out.append(m._cost(gt, counts, len(accessed)))
+        return out
+
+    def _cost(self, gt: GroupTrace, counts, accesses: int) -> CPUGroupCost:
+        s = self.spec
         lat = [s.lat_l1, s.lat_l2, s.lat_l3]
         mem_cycles = sum(h * l for h, l in zip(counts.level_hits, lat))
         full = counts.memory - counts.prefetched
@@ -122,28 +137,12 @@ class CPUModel:
 
         inst_cycles = gt.inst_count / s.ipc
         barrier_cycles = gt.barriers * gt.work_items * s.barrier_cost
-        cost = CPUGroupCost(
+        return CPUGroupCost(
             inst_cycles=inst_cycles,
             mem_cycles=mem_cycles,
             barrier_cycles=barrier_cycles,
-            accesses=len(lines),
+            accesses=accesses,
             level_hits=counts.level_hits,
             memory_misses=counts.memory,
             prefetched=counts.prefetched,
         )
-        if self.memoize:
-            self._group_costs[key] = cost
-        return cost
-
-    def time_kernel(self, trace: KernelTrace) -> float:
-        """Total cycle estimate for the launch (single-thread-equivalent;
-        the core count cancels in normalised comparisons)."""
-        total = sum(self.time_group(g).cycles for g in trace.groups)
-        cycles = trace.scale * total
-        events.emit(
-            "model_kernel_timed",
-            device=self.spec.name,
-            cycles=float(cycles),
-            groups=len(trace.groups),
-        )
-        return cycles

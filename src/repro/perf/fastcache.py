@@ -403,14 +403,30 @@ class FastCacheHierarchy:
         for lv in self.levels:
             lv.fill_many(lines)
 
-    def run(self, lines: np.ndarray) -> HierarchyCounts:
+    def run(self, lines: np.ndarray, shared: Optional[dict] = None) -> HierarchyCounts:
+        """Simulate ``lines`` level by level.
+
+        ``shared`` lets hierarchies that run the same ``lines`` after
+        the same fills reuse each other's levels: it maps a level prefix
+        — ``(sets, ways, line size)`` of every level down to this one —
+        to that level's hit count and the misses it passes down.  This
+        is exact because a level sees nothing but the misses of the
+        levels above it.
+        """
         lines = np.ascontiguousarray(lines, dtype=np.int64)
         level_hits: List[int] = []
         remaining = lines
+        prefix: Tuple[Tuple[int, int, int], ...] = ()
         for lv in self.levels:
-            hit = lv.access_many(remaining)
-            level_hits.append(int(hit.sum()))
-            remaining = remaining[~hit]
+            prefix += ((lv.n_sets, lv.assoc, lv.line_size),)
+            done = shared.get(prefix) if shared is not None else None
+            if done is None:
+                hit = lv.access_many(remaining)
+                done = (int(hit.sum()), remaining[~hit])
+                if shared is not None:
+                    shared[prefix] = done
+            level_hits.append(done[0])
+            remaining = done[1]
         memory = len(remaining)
         prefetched = 0
         if self.prefetch and memory > 1:

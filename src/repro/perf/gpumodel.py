@@ -23,16 +23,15 @@ most memory time with compute.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.ir.types import AddressSpace
-from repro.session import events
 from repro.perf.devices import GPUSpec
 from repro.perf.fastcache import make_hierarchy, memo_enabled
+from repro.perf.pricing import group_costs, kernel_cycles, run_levels
 from repro.runtime.trace import GroupTrace, KernelTrace, MemEvent
 
 
@@ -70,8 +69,8 @@ class GPUModel:
         specs.append((s.l2_kb / s.compute_units, s.l2_assoc, s.line_size, "L2"))
         return make_hierarchy(specs, prefetch=False, backend=self.backend)
 
-    def _spm_cycles(self, local: List[MemEvent]) -> float:
-        """Scratch-pad cost of all local events of a group.
+    def _degree_sum(self, local: List[MemEvent]) -> int:
+        """Summed bank-conflict degree of all local events of a group.
 
         Per (event, warp) the bank-conflict degree is the maximum number
         of *distinct words* wanted from one bank (a broadcast of the
@@ -93,7 +92,7 @@ class GPUModel:
         bank_starts = np.flatnonzero(new_bank)
         distinct = np.add.reduceat(new_word.astype(np.int64), bank_starts)
         degrees = np.maximum.reduceat(distinct, np.flatnonzero(new_warp[bank_starts]))
-        return int(degrees.sum()) * s.cost_spm
+        return int(degrees.sum())
 
     def _transactions(self, other: List[MemEvent]) -> np.ndarray:
         """Coalesce global/constant events into per-warp segment
@@ -111,61 +110,63 @@ class GPUModel:
         return (buffers[ev[first]] << 40) | segs[first].astype(np.int64)
 
     def time_group(self, gt: GroupTrace) -> GPUGroupCost:
-        if self.memoize:
-            key = gt.fingerprint()
-            cached = self._group_costs.get(key)
-            if cached is not None:
-                if events.bus_active():
-                    events.emit(
-                        "model_memo_hit",
-                        device=self.spec.name,
-                        fingerprint_sha1=hashlib.sha1(key).hexdigest()[:12],
-                    )
-                return cached
-        s = self.spec
+        return group_costs(gt, [self])[0]
+
+    def time_kernel(self, trace: KernelTrace) -> float:
+        return kernel_cycles(trace, [self])[0]
+
+    @staticmethod
+    def price_group(gt: GroupTrace, models: List["GPUModel"]) -> List[GPUGroupCost]:
+        """The cost of ``gt`` on each GPU model, with every shared step
+        done once: the local/global split of the events, one conflict
+        degree sum per (warp size, bank count), and one transaction
+        stream per (warp size, segment) whose cache-level prefixes are
+        simulated once (Fermi and Kepler share all three)."""
         local: List[MemEvent] = []
         other: List[MemEvent] = []
         for ev in gt.events:
             if ev.count:
                 (local if ev.space == AddressSpace.LOCAL else other).append(ev)
-        spm_cycles = self._spm_cycles(local) if local else 0.0
+        degree_sums: Dict[Tuple[int, int], int] = {}
+        streams: Dict[Tuple[int, int], Tuple[np.ndarray, dict]] = {}
+        out = []
+        for m in models:
+            s = m.spec
+            spm_cycles = 0.0
+            if local:
+                key = (s.warp_size, s.spm_banks)
+                if key not in degree_sums:
+                    degree_sums[key] = m._degree_sum(local)
+                spm_cycles = degree_sums[key] * s.cost_spm
 
-        mem_cycles = 0.0
-        transactions = 0
-        if other:
-            stream = self._transactions(other)
-            transactions = len(stream)
-            counts = self._caches().run(stream)
-            level_costs = (
-                [s.cost_l1, s.cost_l2] if s.global_l1 else [s.cost_l2]
+            mem_cycles = 0.0
+            transactions = 0
+            if other:
+                key = (s.warp_size, s.segment)
+                if key not in streams:
+                    streams[key] = (m._transactions(other), {})
+                stream, prefixes = streams[key]
+                transactions = len(stream)
+                counts = run_levels(m._caches(), stream, prefixes)
+                level_costs = (
+                    [s.cost_l1, s.cost_l2] if s.global_l1 else [s.cost_l2]
+                )
+                mem_cycles = sum(
+                    h * c for h, c in zip(counts.level_hits, level_costs)
+                )
+                mem_cycles += counts.memory * s.cost_mem
+
+            compute_cycles = gt.inst_count / s.issue_width
+            hidden = 1.0 - s.latency_hiding
+            out.append(
+                GPUGroupCost(
+                    compute_cycles=compute_cycles,
+                    mem_cycles=mem_cycles * hidden,
+                    spm_cycles=spm_cycles,
+                    transactions=transactions,
+                )
             )
-            mem_cycles = sum(
-                h * c for h, c in zip(counts.level_hits, level_costs)
-            )
-            mem_cycles += counts.memory * s.cost_mem
-
-        compute_cycles = gt.inst_count / s.issue_width
-        hidden = 1.0 - s.latency_hiding
-        cost = GPUGroupCost(
-            compute_cycles=compute_cycles,
-            mem_cycles=mem_cycles * hidden,
-            spm_cycles=spm_cycles,
-            transactions=transactions,
-        )
-        if self.memoize:
-            self._group_costs[key] = cost
-        return cost
-
-    def time_kernel(self, trace: KernelTrace) -> float:
-        total = sum(self.time_group(g).cycles for g in trace.groups)
-        cycles = trace.scale * total
-        events.emit(
-            "model_kernel_timed",
-            device=self.spec.name,
-            cycles=float(cycles),
-            groups=len(trace.groups),
-        )
-        return cycles
+        return out
 
 
 def _event_index(evs: List[MemEvent]) -> np.ndarray:

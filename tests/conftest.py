@@ -7,8 +7,8 @@ import pytest
 
 from repro.frontend import compile_kernel
 from repro.perf.cpumodel import CPUModel
-from repro.perf.devices import CPUSpec
 from repro.perf.gpumodel import GPUModel
+from repro.perf.pricing import group_costs, kernel_cycles
 from repro.runtime import Memory, launch
 
 #: the paper's Fig. 1(a) kernel — used all over the suite
@@ -103,22 +103,40 @@ def execute_kernel(kernel, args_spec, global_size, local_size, outs):
     return kernel, results
 
 
-def assert_pricing_exact(trace, spec):
-    """Fast and reference pricing of ``trace`` on device ``spec`` agree
-    group by group with the memo off: per-level hits, memory misses and
-    prefetches on a CPU, transactions and memory cycles on a GPU."""
-    if isinstance(spec, CPUSpec):
-        model, fields = CPUModel, ("level_hits", "memory_misses", "prefetched")
-    else:
-        model, fields = GPUModel, ("transactions", "mem_cycles")
-    ref = model(spec, memoize=False, backend="reference")
-    fast = model(spec, memoize=False, backend="fast")
+#: the per-group cost fields two pricings of one group must agree on,
+#: keyed by ``spec.is_gpu``
+PRICED_FIELDS = {
+    False: ("level_hits", "memory_misses", "prefetched"),
+    True: ("transactions", "mem_cycles", "spm_cycles"),
+}
+
+
+def assert_pricing_exact(trace, specs):
+    """Pricing ``trace`` on all of ``specs`` at once on the fast backend
+    (the shared call of ``repro.perf.price``) agrees with the reference
+    backend on each device alone, memo off: group by group on
+    :data:`PRICED_FIELDS` (per-level hits, memory misses and prefetches
+    on a CPU; transactions, memory and scratch-pad cycles on a GPU) and
+    the cycles, and in the kernel total."""
+
+    def models(backend):
+        return [
+            (GPUModel if s.is_gpu else CPUModel)(s, memoize=False, backend=backend)
+            for s in specs
+        ]
+
+    fast, ref = models("fast"), models("reference")
+    ref_totals = [0] * len(specs)
     for g in trace.groups:
-        want = [getattr(ref.time_group(g), f) for f in fields]
-        got = [getattr(fast.time_group(g), f) for f in fields]
-        assert got == want, (
-            f"{spec.name} group {g.group_id}: fast {got} != reference {want}"
-        )
+        for i, (spec, got, m) in enumerate(zip(specs, group_costs(g, fast), ref)):
+            exp = m.time_group(g)
+            ref_totals[i] += exp.cycles
+            for f in PRICED_FIELDS[spec.is_gpu] + ("cycles",):
+                assert getattr(got, f) == getattr(exp, f), (
+                    f"{spec.name} group {g.group_id}: fast {f} "
+                    f"{getattr(got, f)} != reference {getattr(exp, f)}"
+                )
+    assert kernel_cycles(trace, fast) == [trace.scale * t for t in ref_totals]
 
 
 @pytest.fixture(autouse=True)

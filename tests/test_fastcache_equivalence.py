@@ -315,8 +315,7 @@ def test_table_app_traces_price_exactly(app_id):
         trace = run_app(
             app, variant, "test", collect_trace=True, sample_groups=4
         ).trace
-        assert_pricing_exact(trace, SNB)
-        assert_pricing_exact(trace, FERMI)
+        assert_pricing_exact(trace, [SNB, FERMI])
 
 
 # -- backend plumbing -----------------------------------------------------------
