@@ -19,6 +19,7 @@ from repro.analysis.driver import (
     analyze_app,
     analyze_kernel,
     analyze_source,
+    analyzer_veto,
     differential_check,
 )
 from repro.analysis.dynamic import apply_replay, replay_trace
@@ -49,6 +50,7 @@ __all__ = [
     "LEGALITY_KINDS",
     "DEFERRAL_CATEGORIES",
     "analyze_kernel",
+    "analyzer_veto",
     "analyze_app",
     "analyze_source",
     "differential_check",

@@ -64,6 +64,7 @@ def _named(convert: Callable[[str], object], what: str) -> Callable[[str], Tuple
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.apps.registry import SCALES
     from repro.cli import add_session_flags, parse_size
 
     p = argparse.ArgumentParser(
@@ -79,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", default="with",
                    choices=("with", "without", "both"),
                    help="app variant(s): original, Grover-transformed, or both")
-    p.add_argument("--scale", default="test",
+    p.add_argument("--scale", default="test", choices=SCALES,
                    help="app problem scale for the trace replay (default: test)")
     p.add_argument("--static-only", action="store_true",
                    help="skip kernel execution / dynamic trace replay")
@@ -123,6 +124,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
               file=sys.stderr)
         return 2
 
+    apps = []
+    if args.apps or args.all_apps:
+        from repro.apps.registry import all_apps
+
+        registry = {app.id: app for app in all_apps()}
+        ids = (
+            list(registry) if args.all_apps
+            else [i.strip() for i in args.apps.split(",")]
+        )
+        unknown = [i for i in ids if i not in registry]
+        if unknown:
+            p.error(f"unknown app id(s): {', '.join(map(repr, unknown))}; "
+                    f"registry ids: {', '.join(registry)}")
+        apps = [registry[i] for i in ids]
+
     defines: Dict[str, object] = {}
     for d in args.defines:
         name, _, value = d.partition("=")
@@ -135,25 +151,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     reports = []  # (label, AnalysisReport)
     with session_from_flags(args.config, args.trace_out) as session:
         with session.activate():
-            if args.apps or args.all_apps:
-                from repro.apps.registry import all_apps, get_app
-
-                apps = (
-                    all_apps()
-                    if args.all_apps
-                    else [get_app(i) for i in args.apps.split(",")]
-                )
-                variants = (
-                    ["with", "without"] if args.variant == "both" else [args.variant]
-                )
-                for app in apps:
-                    for variant in variants:
-                        label = f"{app.id}/{variant}"
-                        rep = analyze_app(
-                            app, variant, scale=args.scale,
-                            execute=not args.static_only,
-                        )
-                        reports.append((label, rep))
+            variants = (
+                ["with", "without"] if args.variant == "both" else [args.variant]
+            )
+            for app in apps:
+                for variant in variants:
+                    label = f"{app.id}/{variant}"
+                    rep = analyze_app(
+                        app, variant, scale=args.scale,
+                        execute=not args.static_only,
+                    )
+                    reports.append((label, rep))
             for path in args.files:
                 label = Path(path).name
                 try:

@@ -30,11 +30,12 @@ from repro.session import events
 
 from repro.analysis.divergence import analyze_divergence
 from repro.analysis.dynamic import apply_replay
-from repro.analysis.model import AnalysisReport, Finding
+from repro.analysis.model import AnalysisReport, Finding, RaceDetected
 from repro.analysis.races import KernelFacts, analyze_races_static, check_staging
 
 __all__ = [
     "analyze_kernel",
+    "analyzer_veto",
     "analyze_app",
     "analyze_source",
     "differential_check",
@@ -94,6 +95,25 @@ def analyze_kernel(
         pairs_undecided=report.pairs_undecided,
         wall_ms=(time.perf_counter() - t0) * 1e3,
     )
+    return report
+
+
+def analyzer_veto(
+    fn: Function, local_size: Optional[Sequence[int]], stage: str
+) -> AnalysisReport:
+    """The analyzer gate around a transformation: raise
+    :class:`RaceDetected` on a decided race or barrier divergence in
+    ``fn`` (undecided pairs do not block; the report is returned so the
+    caller can surface them).  ``local_size`` defaults to the kernel's
+    ``reqd_work_group_size``; ``stage`` (``pre-transform``,
+    ``post-transform``) is named in the message."""
+    report = analyze_kernel(fn, local_size or fn.reqd_work_group_size)
+    blocking = report.races + report.divergences
+    if blocking:
+        raise RaceDetected(
+            f"analyzer veto ({stage}) for kernel {fn.name!r}: "
+            + "; ".join(f.render() for f in blocking)
+        )
     return report
 
 

@@ -3,22 +3,21 @@
 Traces are device-independent, so each (application, variant) is
 executed once at the requested scale and then priced once per device
 family (the three CPUs, or the three GPUs) with
-:func:`repro.perf.price`; results are memoised process-wide because
-pytest-benchmark runs each benchmark body several times.
+:func:`repro.perf.price`; traces and cycles are memoised process-wide
+because pytest-benchmark runs each benchmark body several times.
 
-``figure10``/``table4`` accept ``workers=N`` to fan the matrix out over
-the warm worker pool, one app per case (:func:`repro.parallel.run_matrix`); parallel
-values are bit-identical to serial ones and are folded into the same
-process-wide memo, so mixed serial/parallel callers stay consistent.
+Everything here runs serially in the calling process; the fanned-out
+(app × device) grid is :func:`repro.parallel.run_matrix` (``repro
+matrix --workers N``), whose values are bit-identical to these.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.apps.harness import run_app
-from repro.apps.registry import TABLE_ORDER, get_app, table_apps
+from repro.apps.registry import TABLE_ORDER, get_app
 from repro.parallel.matrix import MatrixResult, run_matrix  # noqa: F401  (re-export)
 from repro.perf.devices import CPU_DEVICES, GPU_DEVICES, device
 from repro.perf.timing import classify, price
@@ -28,7 +27,6 @@ from repro.runtime.trace import KernelTrace
 BENCH_SAMPLE_GROUPS = 4
 
 _trace_cache: Dict[Tuple[str, str, str], KernelTrace] = {}
-_np_cache: Dict[Tuple[str, str, str], float] = {}
 #: (app, variant, scale) -> device -> cycles, one device family at a time
 _cycles_cache: Dict[Tuple[str, str, str], Dict[str, float]] = {}
 
@@ -51,12 +49,9 @@ def app_trace(app_id: str, variant: str, scale: str = "bench") -> KernelTrace:
 def normalized_perf(app_id: str, device_name: str, scale: str = "bench") -> float:
     """The paper's metric on one app/device: cycles_with / cycles_without
     (> 1 means disabling local memory improved performance)."""
-    key = (app_id, device_name, scale)
-    if key not in _np_cache:
-        c_with = app_cycles(app_id, "with", device_name, scale)
-        c_without = app_cycles(app_id, "without", device_name, scale)
-        _np_cache[key] = c_with / c_without
-    return _np_cache[key]
+    return app_cycles(app_id, "with", device_name, scale) / app_cycles(
+        app_id, "without", device_name, scale
+    )
 
 
 def app_cycles(app_id: str, variant: str, device_name: str, scale: str = "bench") -> float:
@@ -83,36 +78,7 @@ class Fig10Series:
         return {a: classify(v, threshold) for a, v in self.values.items()}
 
 
-def _prefill_np_cache(
-    devices: Tuple[str, ...], workers: Optional[int], scale: str
-) -> None:
-    """Fan the (app × device) grid out over worker processes.
-
-    The parallel engine's values are bit-identical to the serial path,
-    so they land in ``_np_cache`` and every downstream consumer —
-    serial or parallel — reads the same floats.
-    """
-    from repro.parallel.matrix import run_matrix
-
-    missing = [
-        dev for dev in devices
-        if any((a, dev, scale) not in _np_cache for a in TABLE_ORDER)
-    ]
-    if not missing:
-        return
-    matrix = run_matrix(
-        apps=TABLE_ORDER, devices=missing, workers=workers, scale=scale
-    )
-    for dev, per_app in matrix.values.items():
-        for app_id, value in per_app.items():
-            _np_cache[(app_id, dev, scale)] = value
-
-
-def figure10(
-    device_name: str, scale: str = "bench", workers: Optional[int] = None
-) -> Fig10Series:
-    if workers is not None and workers > 1:
-        _prefill_np_cache((device_name,), workers, scale)
+def figure10(device_name: str, scale: str = "bench") -> Fig10Series:
     series = Fig10Series(device_name)
     for app_id in TABLE_ORDER:
         series.values[app_id] = normalized_perf(app_id, device_name, scale)
@@ -138,13 +104,7 @@ class Table4:
         return sum(self.totals.values())
 
 
-def table4(
-    scale: str = "bench",
-    threshold: float = 0.05,
-    workers: Optional[int] = None,
-) -> Table4:
-    if workers is not None and workers > 1:
-        _prefill_np_cache(tuple(CPU_DEVICES), workers, scale)
+def table4(scale: str = "bench", threshold: float = 0.05) -> Table4:
     per_device = {}
     for dev in CPU_DEVICES:
         series = figure10(dev, scale)
@@ -174,5 +134,4 @@ def figure2(scale: str = "bench") -> Dict[str, Dict[str, float]]:
 
 def clear_caches() -> None:
     _trace_cache.clear()
-    _np_cache.clear()
     _cycles_cache.clear()

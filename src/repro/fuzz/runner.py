@@ -1,9 +1,9 @@
 """The fuzz campaign driver: generate → judge → minimize → promote.
 
 ``run_fuzz`` fans the per-case work (generation + the full four-arbiter
-oracle + optional minimization) out over the same process-pool engine
-the experiment matrix uses (:mod:`repro.parallel.pool`), gathers
-results in deterministic input order, writes a minimized ``.cl``
+oracle + optional minimization) out through the same
+:func:`repro.parallel.pool.fan_out` the experiment matrix uses, which
+returns results in deterministic input order, writes a minimized ``.cl``
 reproducer for every mismatch, and optionally promotes novel verdict
 shapes into the committed corpus.  Every case emits a schema-validated
 ``fuzz_case`` event; mismatches add ``fuzz_mismatch``; the run closes
@@ -26,10 +26,9 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.fuzz.generate import FuzzCase, generate_case
-from repro.fuzz.oracle import Mismatch, OracleOutcome, run_case
+from repro.fuzz.oracle import OracleOutcome, run_case
 from repro.fuzz.shrink import shrink_case
-from repro.parallel import pool as worker_pool
-from repro.parallel.pool import make_pool, report_fallback, resolve_workers
+from repro.parallel.pool import fan_out, resolve_workers
 from repro.session import events
 
 __all__ = ["CaseResult", "FuzzOptions", "FuzzRunResult", "main", "run_fuzz"]
@@ -123,19 +122,9 @@ def _judge(case: FuzzCase, minimize: bool, corrupt: str) -> CaseResult:
     )
 
 
-def _run_one(payload: Tuple[int, int, bool, str]) -> CaseResult:
-    """In-process case runner (serial path and pool-failure fallback)."""
-    seed, index, minimize, corrupt = payload
+def _run_one(seed: int, index: int, minimize: bool, corrupt: str) -> CaseResult:
+    """One case, in a pool worker or in the parent."""
     return _judge(generate_case(seed, index), minimize, corrupt)
-
-
-def _run_one_in_worker(payload: Tuple[int, int, bool, str]) -> CaseResult:
-    """Pool-child case runner: first drop the event sinks inherited over
-    ``fork`` — writing to the parent's JSONL file handle from a child
-    would interleave two streams.  The child still counts evictions
-    through its own transient collector (the oracle attaches one)."""
-    events.bus()._sinks.clear()
-    return _run_one(payload)
 
 
 def run_fuzz(options: FuzzOptions) -> FuzzRunResult:
@@ -146,25 +135,7 @@ def run_fuzz(options: FuzzOptions) -> FuzzRunResult:
         (options.seed, i, options.minimize, options.corrupt)
         for i in range(options.count)
     ]
-    results: List[CaseResult] = []
-    pool = (
-        worker_pool.acquire(n_workers, factory=make_pool)
-        if n_workers > 1
-        else None
-    )
-    if pool is None:
-        results = [_run_one(p) for p in payloads]
-    else:
-        futures = [pool.submit(_run_one_in_worker, p) for p in payloads]
-        for payload, fut in zip(payloads, futures):
-            try:
-                results.append(fut.result())
-            except Exception as exc:
-                # pool infrastructure died (a deterministic kernel
-                # error never escapes the oracle): redo serially, and
-                # say so
-                report_fallback("fuzz", "case redone serially", exc)
-                results.append(_run_one(payload))
+    results = fan_out(_run_one, payloads, n_workers, where="fuzz")
 
     run = FuzzRunResult(
         options=options, results=results, workers=n_workers

@@ -2,12 +2,13 @@
 
 The paper's evaluation is a grid of independent cases — 11 apps × 2
 variants × 6 devices — so that is where the parallelism lives: whole
-cases fan out over one process-wide warm worker pool
-(:mod:`repro.parallel.pool`).  :func:`run_matrix` fans the (app ×
-device) grid of Table IV / Fig. 10 / the extension-GPU scoring out one
-application per case (:mod:`repro.parallel.matrix`); search candidate
-scoring and fuzz campaigns share the same pool.  A single kernel launch
-always runs serially in the process that issued it.
+cases go through one :func:`fan_out` over one process-wide warm worker
+pool (:mod:`repro.parallel.pool`), with one failure contract.
+:func:`run_matrix` fans the (app × device) grid of Table IV / Fig. 10 /
+the extension-GPU scoring out one application per case
+(:mod:`repro.parallel.matrix`); search candidate scoring and fuzz
+campaigns call the same ``fan_out``.  A single kernel launch always
+runs serially in the process that issued it.
 
 Fanned-out results are required to be *bit-identical* to serial
 execution; :mod:`repro.parallel.diff` is the differential layer that
@@ -29,6 +30,7 @@ from repro.parallel.pool import (
     WORKERS_ENV,
     WorkerPool,
     acquire,
+    fan_out,
     make_pool,
     resolve_workers,
     shutdown_shared,
@@ -44,6 +46,7 @@ __all__ = [
     "assert_matrix_equal",
     "assert_outputs_equal",
     "assert_traces_equal",
+    "fan_out",
     "make_pool",
     "resolve_workers",
     "run_matrix",

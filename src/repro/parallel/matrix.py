@@ -3,24 +3,21 @@
 The experiment matrix — Table IV, Fig. 10, the extension-GPU scoring —
 is embarrassingly parallel: traces are device-independent, so the unit
 of work is one *application* (both variants traced once, then scored on
-every requested device).  ``run_matrix`` fans those cases out over the
-process-wide warm pool (:mod:`repro.parallel.pool`); each case is
+every requested device).  ``run_matrix`` hands those cases to
+:func:`repro.parallel.pool.fan_out` (``where="matrix"``); each case is
 computed shared-nothing from its arguments, but the worker *processes*
 persist across calls, so a worker's compile cache stays warm between
-cases and between consecutive matrices.  The parent
-assembles the grid in the deterministic ``apps``/``devices`` input
-order, so serial and parallel results are bit-identical floats.
+cases and between consecutive matrices.  The parent assembles the grid
+in the deterministic ``apps``/``devices`` input order, so serial and
+parallel results are bit-identical floats.
 
-A case whose worker dies of *pool infrastructure* trouble (broken
-pool, lost worker, pickling) is retried serially in the parent
-(``retries`` per case, default 1) — one bad fork never loses the
-matrix.  Deterministic kernel-execution failures
-(:class:`RuntimeLaunchError`, :class:`MemoryFault`,
-:class:`BarrierDivergenceError`) are *not* retried — a serial rerun
-would fail identically — and re-raise as :class:`RuntimeLaunchError`;
-``KeyboardInterrupt``/``SystemExit`` always propagate.  ``workers=1``,
-``$REPRO_WORKERS=1`` or an unavailable pool all degrade to the plain
-serial loop.
+Failures follow the fan-out's one contract: a case's
+:class:`RuntimeLaunchError`, :class:`MemoryFault` or
+:class:`BarrierDivergenceError` propagates unchanged, exactly as on the
+serial path; a case whose pool task fails for any other reason (broken
+pool, lost worker, pickling) is reported as a ``pool_fallback`` and
+redone in the parent.  ``workers=1``, ``$REPRO_WORKERS=1`` or an
+unavailable pool all run the plain serial loop.
 
 ``python -m repro.cli matrix --workers 4`` is the command-line entry.
 """
@@ -29,18 +26,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import sys
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.parallel import pool as worker_pool
-from repro.parallel.pool import make_pool, resolve_workers
-from repro.runtime.errors import (
-    BarrierDivergenceError,
-    MemoryFault,
-    RuntimeLaunchError,
-)
+from repro.parallel.pool import fan_out, resolve_workers
 from repro.session import events
 
 #: classification threshold of the paper's Table IV (±5 %)
@@ -49,16 +39,16 @@ DEFAULT_THRESHOLD = 0.05
 
 def _matrix_case(
     app_id: str, devices: Tuple[str, ...], scale: str
-) -> Tuple[str, Dict[str, float]]:
+) -> Dict[str, float]:
     """One case: trace both variants of ``app_id``, score every device.
 
     Runs identically in a worker process and in the parent (the serial
-    path and the per-case retry), which is what makes the differential
+    path and a redone case), which is what makes the differential
     comparison exact.
     """
     from repro.experiments import normalized_perf
 
-    return app_id, {dev: normalized_perf(app_id, dev, scale) for dev in devices}
+    return {dev: normalized_perf(app_id, dev, scale) for dev in devices}
 
 
 @dataclass
@@ -71,8 +61,6 @@ class MatrixResult:
     devices: List[str]
     #: device -> app -> cycles_with / cycles_without
     values: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    #: app -> reason, for cases recomputed serially after a worker failure
-    retried: Dict[str, str] = field(default_factory=dict)
 
     @property
     def cases(self) -> int:
@@ -102,7 +90,6 @@ def run_matrix(
     devices: Optional[Sequence[str]] = None,
     workers: Optional[int] = None,
     scale: str = "bench",
-    retries: int = 1,
 ) -> MatrixResult:
     """Score ``apps`` × ``devices`` with ``workers`` parallel cases.
 
@@ -134,45 +121,12 @@ def run_matrix(
         workers=n_workers,
     )
 
-    per_app: Dict[str, Dict[str, float]] = {}
-    pool = worker_pool.acquire(
-        min(n_workers, len(app_ids)), factory=make_pool
-    ) if (n_workers > 1 and len(app_ids) > 1) else None
-    if pool is not None:
-        futures = {
-            app_id: pool.submit(_matrix_case, app_id, dev_names, scale)
-            for app_id in app_ids
-        }
-        for app_id in app_ids:  # input order, not completion order
-            try:
-                _, vals = futures[app_id].result()
-            except (RuntimeLaunchError, MemoryFault, BarrierDivergenceError) as exc:
-                # deterministic kernel-execution failure: a serial
-                # retry would fail identically — surface it instead
-                # of burning a retry on it
-                raise RuntimeLaunchError(
-                    f"matrix case {app_id!r} failed deterministically "
-                    f"({type(exc).__name__}: {exc}); not retrying"
-                ) from exc
-            except Exception as exc:
-                # pool infrastructure failure (broken pool, lost
-                # worker, pickling): recompute serially in the parent;
-                # KeyboardInterrupt/SystemExit propagate untouched
-                if retries <= 0:
-                    raise
-                result.retried[app_id] = f"{type(exc).__name__}: {exc}"
-                events.emit(
-                    "matrix_case_retried",
-                    app=app_id,
-                    reason=result.retried[app_id],
-                )
-                _, vals = _matrix_case(app_id, dev_names, scale)
-            per_app[app_id] = vals
-    else:
-        for app_id in app_ids:
-            _, vals = _matrix_case(app_id, dev_names, scale)
-            per_app[app_id] = vals
-
+    cases = fan_out(
+        _matrix_case,
+        [(app_id, dev_names, scale) for app_id in app_ids],
+        n_workers,
+        where="matrix",
+    )
     events.emit(
         "matrix_end",
         cases=result.cases,
@@ -180,7 +134,7 @@ def run_matrix(
     )
 
     result.values = {
-        dev: {app_id: per_app[app_id][dev] for app_id in app_ids}
+        dev: {app_id: vals[dev] for app_id, vals in zip(app_ids, cases)}
         for dev in dev_names
     }
     return result
@@ -242,6 +196,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.apps else None
     )
     devices = _parse_devices(args.devices)
+    if apps == []:
+        p.error(f"--apps {args.apps!r} names no app")
+    if not devices:
+        p.error(f"--devices {args.devices!r} names no device")
     try:
         validate_app_ids(apps or ())
     except ValueError as exc:
@@ -275,9 +233,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         title=f"Table IV distribution ({result.cases} cases, "
         f"threshold {args.threshold:.0%}, workers={result.workers})",
     ))
-    for app_id, reason in result.retried.items():
-        print(f"# retried {app_id} serially after worker failure: {reason}",
-              file=sys.stderr)
 
     if args.json_path:
         with open(args.json_path, "w") as f:
@@ -287,7 +242,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                     "workers": result.workers,
                     "values": result.values,
                     "counts": counts,
-                    "retried": result.retried,
                 },
                 f, indent=2, sort_keys=True,
             )

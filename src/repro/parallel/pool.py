@@ -1,22 +1,29 @@
-"""The process-wide persistent worker pool.
+"""The process-wide persistent worker pool and the one case fan-out.
 
 Every fan-out in the system — the experiment matrix, search candidate
-scoring, fuzz campaigns — fans whole, independent cases out over
-**one** warm pool: the first fan-out forks it, later fan-outs reuse the
-same worker processes (and everything warm inside them, such as the
-compile cache), and it is torn down when the session that first
-acquired it closes — or at interpreter exit, whichever comes first.
+scoring, fuzz campaigns — calls :func:`fan_out`, which spreads whole,
+independent cases over **one** warm pool: the first fan-out forks it,
+later fan-outs reuse the same worker processes (and everything warm
+inside them, such as the compile cache), and it is torn down when the
+session that first acquired it closes — or at interpreter exit,
+whichever comes first.
 
-``acquire(n, factory)`` hands out the shared :class:`WorkerPool`.  The
-pool is recycled — old executor shut down, a fresh one forked, a
-``pool_recycle`` event emitted — when it is broken (a worker died), too
-small for the request, or the factory changed (tests monkeypatch their
-module's ``make_pool``).
+``fan_out(fn, payloads, workers, where)`` returns ``[fn(*p) for p in
+payloads]`` in input order, computed on the pool when ``workers``
+resolves to more than 1 and there are at least two payloads.  Its
+failure contract is the serial path's: a case's
+:class:`RuntimeLaunchError`, :class:`MemoryFault` or
+:class:`BarrierDivergenceError` propagates unchanged (a serial redo
+would fail identically); any other ``Exception`` from a pool task —
+broken pool, lost worker, a payload that does not pickle — is reported
+with :func:`report_fallback` and the case is redone in the parent;
+``KeyboardInterrupt``/``SystemExit`` propagate.
 
-``factory`` is the *caller's* ``make_pool`` reference so the
-``pool_fallback`` observability (and the test doubles patched over it)
-keep working unchanged; a factory returning ``None`` makes ``acquire``
-return ``None`` and the caller falls back to its serial loop.
+``acquire(n)`` hands out the shared :class:`WorkerPool`, built by
+:func:`make_pool`.  The pool is recycled — old executor shut down, a
+fresh one forked, a ``pool_recycle`` event emitted — when it is broken
+(a worker died) or too small for the request.  When ``make_pool``
+returns ``None`` the fan-out runs serially.
 
 ``resolve_workers`` normalises every ``workers=`` argument: ``None``
 means the session's ``workers`` setting (``$REPRO_WORKERS``), the
@@ -31,12 +38,17 @@ import time
 import warnings
 import weakref
 from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Optional
+from typing import Callable, Iterable, List, Optional, Tuple
 
+from repro.runtime.errors import (
+    BarrierDivergenceError,
+    MemoryFault,
+    RuntimeLaunchError,
+)
 from repro.session import events
 
 __all__ = ["PoolFallbackWarning", "WORKERS_ENV", "WorkerPool", "acquire",
-           "make_pool", "report_fallback", "resolve_workers",
+           "fan_out", "make_pool", "report_fallback", "resolve_workers",
            "session_closed", "shutdown_shared"]
 
 #: environment default for every ``workers=None`` entry point; setting
@@ -80,9 +92,8 @@ def make_pool(n_workers: int) -> Optional[ProcessPoolExecutor]:
     serially instead; the failure is reported by
     :func:`report_fallback`.
 
-    Fan-outs do not call this directly: they pass it (or a
-    module-local alias of it) to :func:`acquire` as the factory, so the
-    warm pool is reused instead of forked per call.
+    Only :func:`acquire` calls this, so the warm pool is reused
+    instead of forked per fan-out.
     """
     try:
         methods = multiprocessing.get_all_start_methods()
@@ -98,8 +109,9 @@ def report_fallback(where: str, reason: str, exc: BaseException) -> None:
     ``pool_fallback`` event, or a :class:`PoolFallbackWarning` when no
     sink listens (never both, never neither).
 
-    ``where`` names the fan-out (``make_pool``, ``search``, ``fuzz``);
-    the warning points at the caller of the function that fell back.
+    ``where`` names the fan-out (``make_pool``, ``matrix``, ``search``,
+    ``fuzz``); the warning points at the caller of the function that
+    fell back.
     """
     error = f"{type(exc).__name__}: {exc}"
     if events.bus_active():
@@ -116,10 +128,9 @@ def report_fallback(where: str, reason: str, exc: BaseException) -> None:
 class WorkerPool:
     """Handle around the shared executor."""
 
-    def __init__(self, executor, n_workers: int, factory: Callable) -> None:
+    def __init__(self, executor, n_workers: int) -> None:
         self._executor = executor
         self.n_workers = n_workers
-        self.factory = factory
 
     def submit(self, fn, *args, **kwargs):
         return self._executor.submit(fn, *args, **kwargs)
@@ -157,9 +168,9 @@ def _claim_owner() -> None:
     _OWNER = weakref.ref(current_session())
 
 
-def acquire(n_workers: int, factory: Callable) -> Optional[WorkerPool]:
+def acquire(n_workers: int) -> Optional[WorkerPool]:
     """The shared pool, sized for at least ``n_workers``, or ``None``
-    (serial fallback, already observed by ``factory``)."""
+    (serial fallback, already observed by :func:`make_pool`)."""
     global _SHARED, _ATEXIT_REGISTERED
     pool = _SHARED
     if pool is not None:
@@ -168,8 +179,6 @@ def acquire(n_workers: int, factory: Callable) -> Optional[WorkerPool]:
             reason = "worker died"
         elif pool.n_workers < n_workers:
             reason = f"grow {pool.n_workers} -> {n_workers}"
-        elif pool.factory is not factory:
-            reason = "pool factory changed"
         if reason is None:
             return pool
         events.emit("pool_recycle", reason=reason, workers=n_workers)
@@ -177,10 +186,10 @@ def acquire(n_workers: int, factory: Callable) -> Optional[WorkerPool]:
         _SHARED = None
 
     t0 = time.perf_counter()
-    executor = factory(n_workers)
+    executor = make_pool(n_workers)
     if executor is None:
         return None
-    _SHARED = WorkerPool(executor, n_workers, factory=factory)
+    _SHARED = WorkerPool(executor, n_workers)
     _claim_owner()
     if not _ATEXIT_REGISTERED:
         atexit.register(shutdown_shared)
@@ -191,6 +200,49 @@ def acquire(n_workers: int, factory: Callable) -> Optional[WorkerPool]:
         wall_ms=(time.perf_counter() - t0) * 1e3,
     )
     return _SHARED
+
+
+#: deterministic kernel-execution failures of a case: the serial path
+#: raises them, and a serial redo would raise them again
+_CASE_ERRORS = (RuntimeLaunchError, MemoryFault, BarrierDivergenceError)
+
+
+def _run_in_worker(fn: Callable, payload: Tuple) -> object:
+    """Pool-child entry of every fan-out: first drop the event sinks
+    inherited over ``fork`` — a child writing to the parent's JSONL
+    file handle would interleave two streams."""
+    events.bus()._sinks.clear()
+    return fn(*payload)
+
+
+def fan_out(
+    fn: Callable, payloads: Iterable[Tuple], workers: Optional[int], where: str
+) -> List:
+    """``[fn(*p) for p in payloads]``, fanned out over the shared pool
+    when ``workers`` resolves to more than 1; see the module docstring
+    for the failure contract.  ``fn`` must be a module-level function
+    (it is pickled by reference); ``where`` names the caller in
+    ``pool_fallback`` reports."""
+    payloads = list(payloads)
+    n_workers = resolve_workers(workers)
+    pool = (
+        acquire(min(n_workers, len(payloads)))
+        if n_workers > 1 and len(payloads) > 1
+        else None
+    )
+    if pool is None:
+        return [fn(*p) for p in payloads]
+    futures = [pool.submit(_run_in_worker, fn, p) for p in payloads]
+    results = []
+    for payload, fut in zip(payloads, futures):  # input order
+        try:
+            results.append(fut.result())
+        except _CASE_ERRORS:
+            raise
+        except Exception as exc:
+            report_fallback(where, "case redone serially", exc)
+            results.append(fn(*payload))
+    return results
 
 
 def shutdown_shared() -> None:

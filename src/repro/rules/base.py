@@ -12,8 +12,9 @@ everything a search engine needs to reason about it:
   rule is gated by the static race/divergence analyzer exactly as the
   Grover pass is: either the rule consults it internally per rewrite
   site (``eliminate-barriers``), or the analyzer vets the whole kernel
-  around the application (:meth:`RewriteRule.veto`, mirroring
-  ``Session.disable_local_memory``'s ``$REPRO_ANALYZE`` gate).
+  around the application (:func:`repro.analysis.analyzer_veto`, the
+  gate of ``Session.disable_local_memory``'s ``$REPRO_ANALYZE`` and of
+  search winner verification).
 
 Rules are stateless and deterministic: applying the same rule to the
 same IR under the same :class:`RuleContext` always performs the same
@@ -78,22 +79,6 @@ class RewriteRule:
     def apply(self, fn: Function, ctx: RuleContext) -> int:
         """Transform ``fn`` in place; returns the rewrite count."""
         raise NotImplementedError
-
-    # -- the analyzer gate ----------------------------------------------------
-    def veto(self, fn: Function, ctx: RuleContext, stage: str) -> None:
-        """Raise :class:`~repro.analysis.RaceDetected` on a decided race
-        or barrier divergence — the same independent arbiter that vets
-        ``Session.disable_local_memory`` (undecided pairs do not block;
-        they void the guarantee, which callers surface separately)."""
-        from repro.analysis import RaceDetected, analyze_kernel
-
-        report = analyze_kernel(fn, ctx.geometry(fn))
-        blocking = report.races + report.divergences
-        if blocking:
-            raise RaceDetected(
-                f"rule {self.name!r} veto ({stage}) for kernel {fn.name!r}: "
-                + "; ".join(f.render() for f in blocking)
-            )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<RewriteRule {self.name}>"

@@ -30,10 +30,11 @@ and the keep filter drops it.  Skipping it cannot change a winner.
 
 Everything is deterministic: rule applications are deterministic, the
 interpreter and models are deterministic, candidates are generated and
-ranked in a fixed order, and the process-pool fan-out (borrowed from the
-fuzz runner) gathers results in submission order — so the winning
-pipeline is byte-identical across worker counts and repeated processes
-(pinned by ``tests/test_search_determinism.py``).
+ranked in a fixed order, and each depth level's candidates go through
+the shared :func:`repro.parallel.pool.fan_out`, which returns results
+in submission order — so the winning pipeline is byte-identical across
+worker counts and repeated processes (pinned by
+``tests/test_search_determinism.py``).
 
 Exposed on the command line as ``repro search``::
 
@@ -48,8 +49,7 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
-from repro.parallel import pool as worker_pool
-from repro.parallel.pool import make_pool, report_fallback, resolve_workers
+from repro.parallel.pool import fan_out, resolve_workers
 from repro.session import events
 
 if TYPE_CHECKING:
@@ -179,8 +179,7 @@ def evaluate_pipeline(
     :class:`~repro.frontend.errors.FrontendError` or
     :class:`~repro.ir.verifier.VerificationError` means a rule emitted
     IR the compiler itself rejects — a rule bug that a serial rerun
-    would reproduce identically, never something to discard quietly
-    (mirrors the experiment matrix's no-retry contract).
+    would reproduce identically, never something to discard quietly.
     ``KeyboardInterrupt``/``SystemExit`` always propagate.
     """
     from repro.frontend.errors import FrontendError
@@ -223,37 +222,6 @@ def evaluate_pipeline(
         )
 
 
-def _eval_one(payload: Tuple[App, Tuple[str, ...], str, int, str]) -> CandidateEval:
-    """In-process evaluator (serial path and pool-failure fallback)."""
-    return evaluate_pipeline(*payload)
-
-
-def _eval_in_worker(payload) -> CandidateEval:
-    """Pool-child evaluator: drop event sinks inherited over ``fork`` so
-    children never write into the parent's JSONL stream."""
-    events.bus()._sinks.clear()
-    return _eval_one(payload)
-
-
-def _fan_out(payloads: List[Tuple], pool) -> List[CandidateEval]:
-    """Evaluate payloads (pool when available, else serially), returning
-    results in input order — the determinism contract."""
-    if pool is None:
-        return [_eval_one(p) for p in payloads]
-    results: List[CandidateEval] = []
-    futures = [pool.submit(_eval_in_worker, p) for p in payloads]
-    for payload, fut in zip(payloads, futures):
-        try:
-            results.append(fut.result())
-        except Exception as exc:
-            # pool infrastructure died or the payload did not pickle
-            # (evaluate_pipeline itself never raises): redo this
-            # candidate serially, and say so
-            report_fallback("search", "candidate redone serially", exc)
-            results.append(_eval_one(payload))
-    return results
-
-
 # ---------------------------------------------------------------------------
 # winner verification (analyzer gate + differential runner)
 # ---------------------------------------------------------------------------
@@ -275,7 +243,7 @@ def verify_pipeline(
     :func:`evaluate_pipeline` — they are rule bugs, not gate verdicts)
     and ``KeyboardInterrupt``/``SystemExit`` propagate untouched.
     """
-    from repro.analysis import analyze_kernel
+    from repro.analysis import RaceDetected, analyzer_veto
     from repro.frontend.errors import FrontendError
     from repro.ir.verifier import VerificationError
     from repro.apps.harness import compile_app, execute_app
@@ -293,12 +261,7 @@ def verify_pipeline(
             kernel, _ = compile_app(app, "with")
             _apply_pipeline(kernel, pipeline, problem.local_size)
             if pipeline:  # the analyzer veto gate (empty pipeline: a no-op)
-                rep = analyze_kernel(kernel, problem.local_size)
-                blocking = rep.races + rep.divergences
-                if blocking:
-                    return False, "analyzer veto: " + "; ".join(
-                        f.render() for f in blocking
-                    )
+                analyzer_veto(kernel, problem.local_size, "post-transform")
             baseline_kernel, _ = compile_app(app, "with")
             base = execute_app(
                 app, baseline_kernel, variant="with", scale=scale,
@@ -325,6 +288,8 @@ def verify_pipeline(
         assert_outputs_equal(
             base.outputs, ref.outputs, f"{app.id} search winner vs default"
         )
+    except RaceDetected as exc:
+        return False, str(exc)
     except DifferentialMismatch as exc:
         return False, f"differential: {exc}"
     except (FrontendError, VerificationError):
@@ -357,7 +322,7 @@ def _resolved(options: SearchOptions) -> Tuple[Tuple[str, ...], int, int, int, s
     return rules, int(beam), int(depth), int(sample_groups), str(device_name)
 
 
-def search_app(app: App, options: SearchOptions, pool=None) -> AppSearchResult:
+def search_app(app: App, options: SearchOptions) -> AppSearchResult:
     """Beam-search one application; see the module docstring."""
     from repro.rules import get_rule
 
@@ -378,7 +343,7 @@ def search_app(app: App, options: SearchOptions, pool=None) -> AppSearchResult:
     def payload(pipeline: Tuple[str, ...]):
         return (app, pipeline, options.scale, sample_groups, device_name)
 
-    baseline = _eval_one(payload(()))
+    baseline = evaluate_pipeline(*payload(()))
     if baseline.error:
         raise RuntimeError(
             f"search baseline for {app_id!r} failed: {baseline.error}"
@@ -405,7 +370,12 @@ def search_app(app: App, options: SearchOptions, pool=None) -> AppSearchResult:
                 extensions.append(cand.pipeline + (name,))
         if not extensions:
             break
-        evals = _fan_out([payload(p) for p in extensions], pool)
+        evals = fan_out(
+            evaluate_pipeline,
+            [payload(p) for p in extensions],
+            options.workers,
+            where="search",
+        )
         extended_all.extend(evals)
         kept: List[CandidateEval] = []
         for ev in evals:
@@ -485,15 +455,9 @@ def run_search(options: SearchOptions) -> SearchRunResult:
     apps = [
         get_app(a) if isinstance(a, str) else a for a in options.apps
     ] or table_apps()
-    n_workers = resolve_workers(options.workers)
-    pool = (
-        worker_pool.acquire(n_workers, factory=make_pool)
-        if n_workers > 1
-        else None
-    )
-    run = SearchRunResult(options=options, workers=n_workers)
+    run = SearchRunResult(options=options, workers=resolve_workers(options.workers))
     for app in apps:
-        run.results.append(search_app(app, options, pool))
+        run.results.append(search_app(app, options))
     run.wall_s = time.perf_counter() - t0
     return run
 

@@ -284,16 +284,9 @@ class Session:
             return report
 
     def _veto_races(self, kernel, local_size, stage: str) -> None:
-        from repro.analysis import RaceDetected, analyze_kernel
+        from repro.analysis import analyzer_veto
 
-        geometry = local_size or kernel.reqd_work_group_size
-        rep = analyze_kernel(kernel, geometry)
-        blocking = rep.races + rep.divergences
-        if blocking:
-            raise RaceDetected(
-                f"analyzer veto ({stage}) for kernel {kernel.name!r}: "
-                + "; ".join(f.render() for f in blocking)
-            )
+        rep = analyzer_veto(kernel, local_size, stage)
         if rep.verdict == "undecided":
             # the gate must not pretend to have checked what it could
             # not decide (typically: no work-group geometry was given)

@@ -95,6 +95,8 @@ EVENT_SCHEMA: Dict[str, Dict[str, Tuple[type, ...]]] = {
         "local_size": (list,),
         "total_groups": (int,),
     },
+    # serial execution instead of the pool; where: make_pool (no pool),
+    # or matrix/search/fuzz (one case redone in the parent)
     "pool_fallback": {"where": (str,), "reason": (str,), "error": (str,)},
     # persistent worker pool: forked once, reused across fan-outs
     "pool_start": {"workers": (int,), "wall_ms": (int, float)},
@@ -250,7 +252,6 @@ EVENT_SCHEMA: Dict[str, Dict[str, Tuple[type, ...]]] = {
     },
     # -- experiment matrix --------------------------------------------------
     "matrix_start": {"apps": (list,), "devices": (list,), "workers": (int,)},
-    "matrix_case_retried": {"app": (str,), "reason": (str,)},
     "matrix_end": {"cases": (int,), "wall_ms": (int, float)},
 }
 

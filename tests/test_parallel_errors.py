@@ -3,13 +3,15 @@
 Bad ``workers`` values surface as named errors — ``ValueError`` from
 :func:`resolve_workers`, :class:`RuntimeLaunchError` from
 ``execute_app`` (serial-only) — never as a hang or a raw traceback from
-deep inside the pool plumbing.  The experiment matrix retries only pool
-infrastructure failures, never deterministic kernel errors, and never
-swallows an interrupt.
+deep inside the pool plumbing.  Every fan-out (matrix, search, fuzz)
+shares ``pool.fan_out``'s failure contract: a failed pool task is redone
+in the parent and reported, a deterministic kernel error propagates
+unchanged and is not redone, and an interrupt is never swallowed.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 
 import numpy as np
@@ -108,38 +110,87 @@ def test_serial_fault_is_the_raw_error():
 
 
 # ---------------------------------------------------------------------------
-# matrix exception narrowing: KeyboardInterrupt/SystemExit propagate,
-# deterministic kernel errors are not retried as pool failures
+# the shared fan-out failure contract
 # ---------------------------------------------------------------------------
 
 
-class _FakeFuture:
-    def __init__(self, exc):
-        self._exc = exc
-
-    def result(self):
-        raise self._exc
-
-
-class _FakePool:
-    """Pool double whose every future raises a chosen exception."""
+class _FailedPool:
+    """Executor double whose every task fails with ``exc``."""
 
     def __init__(self, exc):
         self._exc = exc
 
     def submit(self, fn, *args, **kwargs):
-        return _FakeFuture(self._exc)
+        from concurrent.futures import Future
+
+        fut = Future()
+        fut.set_exception(self._exc)
+        return fut
+
+
+def _use_failed_pool(monkeypatch, exc):
+    from repro.parallel import pool
+
+    pool.shutdown_shared()
+    monkeypatch.setattr(pool, "make_pool", lambda n: _FailedPool(exc))
+
+
+def _matrix(workers):
+    from repro.parallel.matrix import run_matrix
+
+    result = run_matrix(
+        apps=["AMD-MM", "AMD-MT"], devices=["SNB"], workers=workers, scale="test"
+    )
+    return result.values, len(result.apps)
+
+
+def _search(workers):
+    from repro.search import SearchOptions, run_search
+
+    (r,) = run_search(
+        SearchOptions(apps=("NVD-MT",), depth=1, device="SNB", workers=workers)
+    ).results
+    return (r.baseline, r.winner, r.candidates), len(r.candidates)
+
+
+def _fuzz(workers):
+    from repro.fuzz import FuzzOptions, run_fuzz
+
+    run = run_fuzz(FuzzOptions(seed=7, count=3, workers=workers))
+    # explanations name IR value ids, which count up within a process
+    verdicts = [dataclasses.replace(r.outcome, explanations=[]) for r in run.results]
+    return [(r.source, v) for r, v in zip(run.results, verdicts)], len(verdicts)
+
+
+@pytest.mark.parametrize(
+    "where, run",
+    [("matrix", _matrix), ("search", _search), ("fuzz", _fuzz)],
+    ids=["matrix", "search", "fuzz"],
+)
+def test_failed_pool_tasks_are_redone_serially_and_reported(
+    monkeypatch, where, run
+):
+    """Every case whose pool task fails is redone in the parent — the
+    result equals the serial run — with one ``pool_fallback`` per case
+    naming the caller."""
+    from concurrent.futures.process import BrokenProcessPool
+
+    from repro.session import events
+
+    serial, _ = run(1)
+    _use_failed_pool(monkeypatch, BrokenProcessPool("worker died"))
+    with events.collect() as sink:
+        fanned, cases = run(2)
+    assert fanned == serial
+    falls = sink.of_kind("pool_fallback")
+    assert cases >= 2 and len(falls) == cases
+    assert {e.payload["where"] for e in falls} == {where}
+    assert all("BrokenProcessPool" in e.payload["error"] for e in falls)
 
 
 def _run_small_matrix(monkeypatch, exc):
-    import repro.parallel.matrix as matrix
-    from repro.perf.devices import CPU_DEVICES
-
-    monkeypatch.setattr(matrix, "make_pool", lambda n: _FakePool(exc))
-    dev = next(iter(CPU_DEVICES))
-    return matrix.run_matrix(
-        apps=["AMD-MM", "AMD-MT"], devices=[dev], workers=2, scale="test"
-    )
+    _use_failed_pool(monkeypatch, exc)
+    return _matrix(2)
 
 
 @pytest.mark.parametrize(
@@ -150,22 +201,26 @@ def _run_small_matrix(monkeypatch, exc):
     ],
 )
 def test_matrix_does_not_retry_deterministic_kernel_errors(monkeypatch, exc):
-    with pytest.raises(RuntimeLaunchError, match="not retrying"):
+    """A kernel error from a worker is what the serial path raises:
+    the same exception, not wrapped, and the case is not redone."""
+    import repro.parallel.matrix as matrix
+    from repro.session import events
+
+    redone = []
+    monkeypatch.setattr(matrix, "_matrix_case", lambda *a: redone.append(a))
+    with events.collect() as sink, pytest.raises(type(exc)) as excinfo:
         _run_small_matrix(monkeypatch, exc)
+    assert excinfo.value is exc
+    assert not redone and not sink.of_kind("pool_fallback")
 
 
 def test_matrix_does_not_retry_barrier_divergence(monkeypatch):
     from repro.runtime.errors import BarrierDivergenceError
 
-    with pytest.raises(RuntimeLaunchError, match="not retrying"):
-        _run_small_matrix(monkeypatch, BarrierDivergenceError("diverged"))
-
-
-def test_matrix_retries_pool_infrastructure_failures(monkeypatch):
-    result = _run_small_matrix(monkeypatch, RuntimeError("lost worker"))
-    # both cases recomputed serially, values intact
-    assert set(result.retried) == {"AMD-MM", "AMD-MT"}
-    assert all(v > 0 for per_app in result.values.values() for v in per_app.values())
+    exc = BarrierDivergenceError("diverged")
+    with pytest.raises(BarrierDivergenceError) as excinfo:
+        _run_small_matrix(monkeypatch, exc)
+    assert excinfo.value is exc
 
 
 @pytest.mark.parametrize("exc_type", [KeyboardInterrupt, SystemExit])

@@ -116,7 +116,7 @@ def test_get_rule_unknown_name():
 
 
 def test_veto_raises_on_decided_race():
-    from repro.analysis import RaceDetected
+    from repro.analysis import RaceDetected, analyzer_veto
 
     src = """
     __kernel void racy(__global float *out, __global float *in, int P) {
@@ -124,8 +124,8 @@ def test_veto_raises_on_decided_race():
     }
     """
     kernel = _compile(src)
-    with pytest.raises(RaceDetected, match="veto"):
-        get_rule("grover").veto(kernel, RuleContext(local_size=(64,)), "test")
+    with pytest.raises(RaceDetected, match=r"analyzer veto \(test\)"):
+        analyzer_veto(kernel, (64,), "test")
 
 
 # ---------------------------------------------------------------------------

@@ -320,17 +320,24 @@ def test_unpicklable_app_is_redone_serially_and_reported():
     event when a sink listens, else a ``PoolFallbackWarning``."""
     from repro.parallel.pool import PoolFallbackWarning
 
+    def search(workers):
+        # two rules, so the level fans out (one payload runs serially)
+        options = SearchOptions(apps=(app,), rules=("grover", "hoist-global-loads"),
+                                depth=1, device="Fermi", workers=workers)
+        (result,) = run_search(options).results
+        return result
+
     app = _unpicklable_mt()
-    serial = _with_without(app, "Fermi")
+    serial = search(1)
     with events.collect() as sink:
-        fanned = _with_without(app, "Fermi", workers=2)
+        fanned = search(2)
     assert fanned.winner == serial.winner and fanned.verified
     falls = sink.of_kind("pool_fallback")
-    assert falls
+    assert len(falls) == 2
     assert {e.payload["where"] for e in falls} == {"search"}
     assert all(e.payload["error"] for e in falls)
     with pytest.warns(PoolFallbackWarning, match="in search"):
-        fanned = _with_without(app, "Fermi", workers=2)
+        fanned = search(2)
     assert fanned.winner == serial.winner
 
 
@@ -385,10 +392,18 @@ def test_cli_search_golden_drift_fails(tmp_path, capsys):
         (["fuzz", "--count", "-3"], "--count must be a positive integer"),
         (["nope.cl"], "cannot read nope.cl"),
         (["passes", "--run", "missing.cl"], "cannot read missing.cl"),
+        (["analyze", "--apps", "NOPE"], "EXT-ST3D"),
+        (["analyze", "--apps", "NVD-MT,"], "unknown app id(s): ''"),
+        (["matrix", "--apps", ","], "names no app"),
+        (["matrix", "--devices", ","], "names no device"),
+        (["analyze", "--apps", "NVD-MT", "--scale", "nope"],
+         "argument --scale: invalid choice"),
     ],
     ids=["app", "device", "rule", "beam", "depth", "matrix-app", "matrix-device",
          "matrix-workers", "matrix-scale", "search-scale",
-         "fuzz-workers", "fuzz-count", "kernel-file", "passes-file"],
+         "fuzz-workers", "fuzz-count", "kernel-file", "passes-file",
+         "analyze-app", "analyze-app-trailing-comma", "matrix-no-app",
+         "matrix-no-device", "analyze-scale"],
 )
 def test_cli_search_rejects_unknown_app(argv, message, capsys):
     """Bad arguments exit 2 with a usage error before anything is priced."""

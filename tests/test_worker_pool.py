@@ -21,7 +21,6 @@ from pathlib import Path
 import pytest
 
 from repro.parallel import pool as worker_pool
-from repro.parallel.pool import make_pool
 from repro.session import Session, events
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -29,7 +28,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 def _fan_out(workers=2, tasks=4):
     """Run ``tasks`` trivial tasks on the shared pool; their pids."""
-    pool = worker_pool.acquire(workers, factory=make_pool)
+    pool = worker_pool.acquire(workers)
     assert pool is not None
     return [f.result() for f in [pool.submit(os.getpid) for _ in range(tasks)]]
 
@@ -121,26 +120,15 @@ def test_pool_recycles_after_worker_death():
 
 
 def test_pool_grows_for_wider_fanout():
-    p2 = worker_pool.acquire(2, factory=make_pool)
+    p2 = worker_pool.acquire(2)
     assert p2 is not None
     with events.collect() as sink:
-        p4 = worker_pool.acquire(4, factory=make_pool)
+        p4 = worker_pool.acquire(4)
     assert p4 is not None and p4.n_workers == 4
     assert worker_pool._SHARED is p4
     assert sink.of_kind("pool_recycle")[0].payload["reason"] == "grow 2 -> 4"
     # a wide pool serves narrow fan-outs without another recycle
-    assert worker_pool.acquire(2, factory=make_pool) is p4
-
-
-def test_factory_change_recycles():
-    p1 = worker_pool.acquire(2, factory=make_pool)
-
-    def other_factory(n):
-        return make_pool(n)
-
-    p2 = worker_pool.acquire(2, factory=other_factory)
-    assert p2 is not None and p2 is not p1
-    assert worker_pool._SHARED is p2
+    assert worker_pool.acquire(2) is p4
 
 
 # ---------------------------------------------------------------------------
