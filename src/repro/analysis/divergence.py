@@ -160,6 +160,7 @@ def analyze_divergence(
     facts: Optional[KernelFacts] = None,
 ) -> AnalysisReport:
     report = report or AnalysisReport(fn.name)
+    facts = facts or KernelFacts(fn)
     for barrier, branch in find_divergent_barriers(fn, facts):
         assert barrier.parent is not None and branch.parent is not None
         report.add(
@@ -168,7 +169,8 @@ def analyze_divergence(
                 space="cfg",
                 obj=fn.name,
                 detail=(
-                    f"barrier %{barrier.id} in block {barrier.parent.name!r} is "
+                    f"barrier %{facts.positions[barrier.id]} in block "
+                    f"{barrier.parent.name!r} is "
                     f"control-dependent on the thread-id-dependent branch in "
                     f"block {branch.parent.name!r}; work-items taking the other "
                     "edge never reach it"

@@ -55,16 +55,23 @@ def replay_group(
     gt: GroupTrace,
     report: AnalysisReport,
     names: Optional[Dict[int, str]] = None,
+    positions: Optional[Dict[int, int]] = None,
 ) -> None:
     """Check one work-group's trace; findings are added to ``report``.
 
     ``names`` maps an access's inst id to the object it targets; an
-    access without an entry is named after its buffer id.
+    access without an entry is named after its buffer id.  ``positions``
+    maps an inst id to the index in ``fn.instructions()`` that details
+    print; an id without an entry is printed as is.
     """
     names = names or {}
+    positions = positions or {}
 
     def obj(inst_id: int, buffer_id: int) -> str:
         return names.get(inst_id, f"buffer#{buffer_id}")
+
+    def at(inst_id) -> int:
+        return positions.get(int(inst_id), int(inst_id))
 
     # per-buffer byte maps; "phase" arrays reset at each barrier phase,
     # "ever" arrays persist for the staging checks
@@ -127,7 +134,7 @@ def replay_group(
                     obj=obj(e.inst_id, buf),
                     detail=(
                         f"lanes {int(sl[k])} and {int(sl[k + 1])} both store "
-                        f"byte {int(sb[k])} in phase {e.phase} (store %{e.inst_id})"
+                        f"byte {int(sb[k])} in phase {e.phase} (store %{at(e.inst_id)})"
                     ),
                     decided_by="dynamic",
                     a_inst=e.inst_id,
@@ -145,8 +152,8 @@ def replay_group(
                     space=space,
                     obj=obj(e.inst_id, buf),
                     detail=(
-                        f"lane {int(lanes[k])} (store %{e.inst_id}) and lane "
-                        f"{int(prev[k])} (store %{int(writer_inst[buf][bytes_[k]])}) "
+                        f"lane {int(lanes[k])} (store %{at(e.inst_id)}) and lane "
+                        f"{int(prev[k])} (store %{at(writer_inst[buf][bytes_[k]])}) "
                         f"both store byte {int(bytes_[k])} in phase {e.phase}"
                     ),
                     decided_by="dynamic",
@@ -166,7 +173,7 @@ def replay_group(
                     obj=obj(e.inst_id, buf),
                     detail=(
                         f"lane {int(lanes[k])} stores byte {int(bytes_[k])} that "
-                        f"lane {int(prev[k])} loads (%{int(reader_inst[buf][bytes_[k]])}) "
+                        f"lane {int(prev[k])} loads (%{at(reader_inst[buf][bytes_[k]])}) "
                         f"in the same phase {e.phase}"
                     ),
                     decided_by="dynamic",
@@ -191,7 +198,7 @@ def replay_group(
                     obj=obj(e.inst_id, buf),
                     detail=(
                         f"lane {int(lanes[k])} loads byte {int(bytes_[k])} that "
-                        f"lane {int(prev[k])} stores (%{int(writer_inst[buf][bytes_[k]])}) "
+                        f"lane {int(prev[k])} stores (%{at(writer_inst[buf][bytes_[k]])}) "
                         f"in the same phase {e.phase}"
                     ),
                     decided_by="dynamic",
@@ -209,7 +216,7 @@ def replay_group(
                         space=space,
                         obj=obj(e.inst_id, buf),
                         detail=(
-                            f"load %{e.inst_id} reads byte {int(bytes_[k])} of "
+                            f"load %{at(e.inst_id)} reads byte {int(bytes_[k])} of "
                             f"local memory that no store ever staged "
                             f"(phase {e.phase}); there is no global source "
                             "to redirect this read to"
@@ -231,9 +238,12 @@ def replay_trace(
 ) -> AnalysisReport:
     """Replay every traced group (intra-group checks only)."""
     report = report or AnalysisReport(kernel.name if kernel else "<trace>")
-    names = (facts or KernelFacts(kernel)).obj_names if kernel else {}
+    names, positions = {}, {}
+    if kernel:
+        facts = facts or KernelFacts(kernel)
+        names, positions = facts.obj_names, facts.positions
     for gt in trace.groups:
-        replay_group(gt, report, names)
+        replay_group(gt, report, names, positions)
     return report
 
 

@@ -100,15 +100,19 @@ class Deferral:
     obj: str             # array / buffer the pair touches
     space: str           # 'local' | 'global'
     a_inst: int
+    #: the pair's indices in ``fn.instructions()``, which ``render``
+    #: prints: unlike the ids they are the same in every run
+    a_pos: int
     b_inst: Optional[int] = None
+    b_pos: Optional[int] = None
 
     def key(self) -> tuple:
         pair = tuple(sorted(i for i in (self.a_inst, self.b_inst) if i is not None))
         return (self.category, self.obj, pair)
 
     def render(self) -> str:
-        pair = f"%{self.a_inst}" + (
-            f"/%{self.b_inst}" if self.b_inst is not None else ""
+        pair = f"%{self.a_pos}" + (
+            f"/%{self.b_pos}" if self.b_pos is not None else ""
         )
         return (
             f"deferred [{self.category}] {self.space} {self.obj!r} "

@@ -153,6 +153,8 @@ class Access:
     offset: LinExpr          # byte offset from the base object
     elem_size: int
     region: int
+    #: ``inst``'s index in ``fn.instructions()``: the handle reports print
+    pos: int
 
     @property
     def obj_name(self) -> str:
@@ -164,7 +166,7 @@ class Access:
         verb = "store" if self.is_store else "load"
         return (
             f"{verb} {self.obj_name}[byte {self.offset.render()}] "
-            f"(%{self.inst.id}, {self.elem_size}B)"
+            f"(%{self.pos}, {self.elem_size}B)"
         )
 
 
@@ -197,28 +199,28 @@ def collect_accesses(
     if regions is None:
         regions, _ = phase_regions(fn)
     out: List[Access] = []
-    for bb in fn.blocks:
-        for inst in bb.instructions:
-            if isinstance(inst, Load):
-                space, elem = inst.addrspace, inst.type.size
-            elif isinstance(inst, Store):
-                space, elem = inst.addrspace, inst.value.type.size
-            else:
-                continue
-            if space not in (AddressSpace.LOCAL, AddressSpace.GLOBAL):
-                continue
-            base, off = _pointer_offset(ctx, inst.ptr)
-            out.append(
-                Access(
-                    inst=inst,
-                    is_store=isinstance(inst, Store),
-                    space=space,
-                    base=base,
-                    offset=off,
-                    elem_size=int(elem),
-                    region=regions[inst],
-                )
+    for pos, inst in enumerate(fn.instructions()):
+        if isinstance(inst, Load):
+            space, elem = inst.addrspace, inst.type.size
+        elif isinstance(inst, Store):
+            space, elem = inst.addrspace, inst.value.type.size
+        else:
+            continue
+        if space not in (AddressSpace.LOCAL, AddressSpace.GLOBAL):
+            continue
+        base, off = _pointer_offset(ctx, inst.ptr)
+        out.append(
+            Access(
+                inst=inst,
+                is_store=isinstance(inst, Store),
+                space=space,
+                base=base,
+                offset=off,
+                elem_size=int(elem),
+                region=regions[inst],
+                pos=pos,
             )
+        )
     return out
 
 
@@ -251,6 +253,13 @@ class KernelFacts:
     @cached_property
     def accesses(self) -> List[Access]:
         return collect_accesses(self.fn, regions=self.phases[0])
+
+    @cached_property
+    def positions(self) -> Dict[int, int]:
+        """inst id -> index in ``fn.instructions()``, the handle reports
+        print (ids come from a process-global counter and differ between
+        runs)."""
+        return {inst.id: i for i, inst in enumerate(self.fn.instructions())}
 
     @cached_property
     def obj_names(self) -> Dict[int, str]:
@@ -489,6 +498,8 @@ def analyze_races_static(
                         space=_SPACE_NAMES[a.space],
                         a_inst=a.inst.id,
                         b_inst=b.inst.id,
+                        a_pos=a.pos,
+                        b_pos=b.pos,
                     ))
     return report
 
@@ -519,7 +530,7 @@ def check_staging(
                 space="local",
                 obj=obj,
                 detail=(
-                    f"store %{inst.id} stages a computed value "
+                    f"store %{acc.pos} stages a computed value "
                     f"({type(src).__name__}) into {obj!r}; no global "
                     "address holds it, so the access is irreversible"
                 ),

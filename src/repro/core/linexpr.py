@@ -186,7 +186,11 @@ def render_symbol(sym: Symbol) -> str:
         return getattr(sym[1], "name", None) or f"{kind}{id(sym[1]) & 0xFFF}"
     if kind == "opaque":
         v = sym[1]
-        return getattr(v, "name", "") or f"op{getattr(v, 'id', id(v) & 0xFFF)}"
+        if getattr(v, "name", ""):
+            return v.name
+        # an instruction's position in its function, not its run-dependent id
+        pos = v.position() if hasattr(v, "position") else None
+        return f"op{pos if pos is not None else getattr(v, 'id', id(v) & 0xFFF)}"
     if kind == "prod":
         return "*".join(render_symbol(s) for s in sym[1:])
     return str(sym)

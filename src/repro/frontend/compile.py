@@ -9,9 +9,11 @@ and emits ``compile_start`` / ``compile_cache_hit`` /
 ``compile_cache_miss`` / ``compile_end`` events.
 
 Because downstream passes (notably :class:`repro.core.GroverPass`)
-mutate IR in place, every cache hit hands out a ``deepcopy`` of the
-cached module — callers own their module, exactly as if it had been
-compiled fresh.
+mutate IR in place, every cache hit hands out a ``copy.deepcopy`` of
+the cached module — callers own their module, exactly as if it had been
+compiled fresh.  That copy is the linear structural clone of
+``Module.__deepcopy__`` (:mod:`repro.ir.function`), not the generic
+recursion.
 """
 
 from __future__ import annotations

@@ -1,4 +1,9 @@
-"""Functions, basic blocks and modules."""
+"""Functions, basic blocks and modules.
+
+``copy.deepcopy`` of a :class:`Module` or :class:`Function` is a linear
+structural clone (:func:`_clone_ir`), not the generic recursion: every
+variant copy, compile-cache copy and rule trial goes through it.
+"""
 
 from __future__ import annotations
 
@@ -120,6 +125,9 @@ class Function:
                 return la
         raise KeyError(f"no local array named {name!r} in {self.name}")
 
+    def __deepcopy__(self, memo: dict) -> "Function":
+        return _clone_ir(self, memo)
+
     def __repr__(self) -> str:  # pragma: no cover
         kind = "kernel" if self.is_kernel else "func"
         return f"<{kind} {self.name} ({len(self.blocks)} blocks)>"
@@ -171,3 +179,83 @@ class Module:
 
     def __iter__(self) -> Iterator[Function]:
         return iter(self.functions.values())
+
+    def __deepcopy__(self, memo: dict) -> "Module":
+        return _clone_ir(self, memo)
+
+
+#: Value slots _clone_ir remaps to the copy's objects; of the rest,
+#: branch targets point at blocks and all others hold immutables
+#: (Types, names, ids, enums, scalars, callee names) that are shared
+_REMAPPED_SLOTS = frozenset({"uses", "operands", "parent"})
+_BLOCK_SLOTS = frozenset({"target", "if_true", "if_false"})
+_SLOT_PLANS: Dict[type, tuple] = {}
+
+
+def _slot_plan(cls: type) -> tuple:
+    """``(shared slots, block slots)`` of a Value subclass."""
+    slots = [s for k in cls.__mro__ for s in k.__dict__.get("__slots__", ())]
+    plan = _SLOT_PLANS[cls] = (
+        tuple(s for s in slots if s not in _REMAPPED_SLOTS | _BLOCK_SLOTS),
+        tuple(s for s in slots if s in _BLOCK_SLOTS),
+    )
+    return plan
+
+
+def _clone_ir(root, memo: dict):
+    """Copy the IR graph reachable from ``root`` in one linear pass.
+
+    Every Module, Function, BasicBlock and Value reached — through the
+    containers' lists, operands, use lists, parents and branch targets —
+    gets exactly one fresh object, keyed by ``id()`` in ``memo``: equal
+    but distinct Constants stay distinct, and a deepcopy of ``(module,
+    module.kernel())`` returns the copy's own kernel.  Ids, names and
+    list orders are kept; frozen Types, names and scalars are shared.
+    An instruction a use list still names after it left its block is
+    copied too, as the generic deepcopy would.
+    """
+    todo = []
+    lookup = memo.get
+
+    def get(old):
+        new = lookup(id(old))
+        if new is None:
+            new = memo[id(old)] = object.__new__(type(old))
+            todo.append(old)
+        return new
+
+    new_root = get(root)
+    done = []
+    while todo:
+        old = todo.pop()
+        done.append(old)
+        new = memo[id(old)]
+        # Values define no __bool__/__len__, so ``lookup(...) or get(...)``
+        # is a hit test; BasicBlock defines __len__ and always goes via get
+        if isinstance(old, Value):
+            shared, blocks = _SLOT_PLANS.get(type(old)) or _slot_plan(type(old))
+            for s in shared:
+                setattr(new, s, getattr(old, s))
+            new.uses = [(lookup(id(u)) or get(u), i) for u, i in old.uses]
+            if isinstance(old, Instruction):
+                new.parent = None if old.parent is None else get(old.parent)
+                new.operands = [lookup(id(op)) or get(op) for op in old.operands]
+                for s in blocks:
+                    setattr(new, s, get(getattr(old, s)))
+        else:
+            # attributes not remapped here (names, ret_type, is_kernel,
+            # reqd_work_group_size) are immutable and shared
+            fields = dict(old.__dict__)
+            if isinstance(old, BasicBlock):
+                fields["instructions"] = [get(i) for i in old.instructions]
+                fields["parent"] = None if old.parent is None else get(old.parent)
+            elif isinstance(old, Function):
+                fields["args"] = [get(a) for a in old.args]
+                fields["blocks"] = [get(b) for b in old.blocks]
+                fields["local_arrays"] = [get(la) for la in old.local_arrays]
+            else:
+                fields["functions"] = {k: get(f) for k, f in old.functions.items()}
+            new.__dict__.update(fields)
+    # as copy.deepcopy does: keep the originals alive while memo names their ids
+    memo.setdefault(id(memo), []).extend(done)
+    return new_root

@@ -152,6 +152,18 @@ class Instruction(Value):
     def function(self):  # -> Optional[Function]
         return self.parent.parent if self.parent is not None else None
 
+    def position(self) -> Optional[int]:
+        """Index in ``function.instructions()``, or None when not placed.
+
+        Unlike :attr:`id`, a process-global counter, the position is the
+        same in every run and in every copy of the function, so rendered
+        reports name instructions by it.
+        """
+        fn = self.function
+        if fn is None:
+            return None
+        return next((i for i, x in enumerate(fn.instructions()) if x is self), None)
+
     def short(self) -> str:
         return f"%{self.name or ('t%d' % self.id)}"
 

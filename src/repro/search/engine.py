@@ -543,12 +543,16 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     # every argument is checked before the first candidate is priced
     app_ids = tuple(a.strip() for a in args.apps.split(",") if a.strip())
-    if app_ids:
-        try:
-            validate_app_ids(app_ids)
-        except ValueError as exc:
-            p.error(str(exc))
     rules = tuple(r.strip() for r in args.rules.split(",") if r.strip())
+    # an empty selection is an error, not the every-app/every-rule default
+    if args.apps and not app_ids:
+        p.error(f"--apps {args.apps!r} names no app")
+    if args.rules and not rules:
+        p.error(f"--rules {args.rules!r} names no rule")
+    try:
+        validate_app_ids(app_ids)
+    except ValueError as exc:
+        p.error(str(exc))
     unknown = [r for r in rules if r not in rule_names()]
     if unknown:
         p.error(f"unknown rule(s): {', '.join(unknown)}; "

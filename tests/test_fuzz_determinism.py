@@ -46,6 +46,7 @@ def _fingerprint(results) -> str:
                 "evictions": r.outcome.evictions,
                 "cycles": r.outcome.cycles,
                 "mismatches": [m.check for m in r.outcome.mismatches],
+                "explanations": r.outcome.explanations,
             }
             for r in results
         ],
@@ -97,9 +98,20 @@ def test_verdicts_independent_of_worker_count(workers):
 
 #: computed once at import by the serial path; both parametrizations
 #: (and the cross-process test) must land on the same digest
-_EXPECTED_FP = _fingerprint(
-    run_fuzz(FuzzOptions(seed=SEED, count=COUNT, workers=1)).results
-)
+_SERIAL = run_fuzz(FuzzOptions(seed=SEED, count=COUNT, workers=1)).results
+_EXPECTED_FP = _fingerprint(_SERIAL)
+
+
+def test_explanations_identical_across_in_process_runs():
+    """Explanations name instructions by their position in the kernel,
+    not by the process-global id counter, so a second campaign in the
+    same interpreter (fresh ids) explains every case in the same words."""
+    again = run_fuzz(FuzzOptions(seed=SEED, count=COUNT, workers=1)).results
+    assert [r.outcome.explanations for r in again] == [
+        r.outcome.explanations for r in _SERIAL
+    ]
+    # the campaign does print instruction handles (deferred pairs, vetoes)
+    assert any("%" in e for r in _SERIAL for e in r.outcome.explanations)
 
 
 def test_case_seed_derivation_is_stable():

@@ -396,6 +396,8 @@ def test_cli_search_golden_drift_fails(tmp_path, capsys):
         (["analyze", "--apps", "NVD-MT,"], "unknown app id(s): ''"),
         (["matrix", "--apps", ","], "names no app"),
         (["matrix", "--devices", ","], "names no device"),
+        (["search", "--apps", ","], "names no app"),
+        (["search", "--rules", ","], "names no rule"),
         (["analyze", "--apps", "NVD-MT", "--scale", "nope"],
          "argument --scale: invalid choice"),
     ],
@@ -403,7 +405,7 @@ def test_cli_search_golden_drift_fails(tmp_path, capsys):
          "matrix-workers", "matrix-scale", "search-scale",
          "fuzz-workers", "fuzz-count", "kernel-file", "passes-file",
          "analyze-app", "analyze-app-trailing-comma", "matrix-no-app",
-         "matrix-no-device", "analyze-scale"],
+         "matrix-no-device", "search-no-app", "search-no-rule", "analyze-scale"],
 )
 def test_cli_search_rejects_unknown_app(argv, message, capsys):
     """Bad arguments exit 2 with a usage error before anything is priced."""
