@@ -11,7 +11,6 @@ from dataclasses import replace
 
 import pytest
 
-from repro.apps.registry import TABLE_ORDER
 from repro.experiments import app_trace
 from repro.perf import CPUModel
 from repro.perf.devices import MIC

@@ -9,7 +9,6 @@ ablation quantifies that bias.
 
 import pytest
 
-from repro.apps.registry import TABLE_ORDER
 from repro.experiments import app_trace
 from repro.perf import CPUModel
 from repro.perf.devices import SNB

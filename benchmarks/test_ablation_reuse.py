@@ -85,7 +85,6 @@ def test_reuse_without_vendor_cse(benchmark):
     """Measure the raw Algorithm-1 output: disable the vendor optimiser
     by comparing immediately after rewrite (reuse avoids duplicate
     instructions that CSE would otherwise need to remove)."""
-    from repro.core.optimize import vendor_optimize
 
     def raw_growth(reuse):
         fn = compile_kernel(MM)

@@ -11,8 +11,6 @@ a numpy stencil.
 Run:  python examples/stencil_analysis.py
 """
 
-import numpy as np
-
 from repro.apps.registry import get_app
 from repro.apps.harness import compile_app, validate_app
 from repro.ir import print_function

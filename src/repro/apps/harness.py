@@ -7,7 +7,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.apps.registry import App, Problem
+from repro.apps.registry import App
 from repro.core import GroverPass, GroverReport
 from repro.frontend import compile_kernel
 from repro.ir.function import Function

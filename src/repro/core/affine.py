@@ -32,12 +32,10 @@ from repro.ir.instructions import (
     Call,
     Cast,
     CastKind,
-    Instruction,
     Load,
     Opcode,
     Store,
 )
-from repro.ir.types import IntType
 from repro.ir.values import Argument, Constant, Value
 
 _TRANSPARENT_CASTS = {

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from repro.ir.cfg import dominators, inst_dominates
 from repro.ir.function import Function
-from repro.ir.instructions import Cast, GEP, Instruction, Load, Store
+from repro.ir.instructions import Cast, GEP, Load, Store
 from repro.ir.types import AddressSpace, PointerType
 from repro.ir.values import Argument, LocalArray, Value
 

@@ -9,13 +9,11 @@ Fig. 1(b).
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import Iterable
 
 from repro.ir.function import Function
 from repro.ir.instructions import (
     Alloca,
-    Call,
-    Instruction,
     Load,
     Store,
     is_barrier,

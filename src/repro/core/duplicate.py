@@ -15,12 +15,11 @@ sharing sub-expressions.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.core.exprtree import ExprNode
 from repro.ir.builder import IRBuilder
-from repro.ir.cfg import dominators, inst_dominates
-from repro.ir.function import Function
+from repro.ir.cfg import inst_dominates
 from repro.ir.instructions import Instruction
 from repro.ir.values import Value
 

@@ -28,7 +28,6 @@ from repro.ir.instructions import (
     Instruction,
     Load,
     Select,
-    Store,
 )
 from repro.ir.values import Argument, Constant, LocalArray, Value
 

@@ -9,8 +9,8 @@ Typical use::
     report = disable_local_memory(kernel)      # mutates the kernel IR
     print(report)                              # Table-III style summary
 
-The pass transforms the kernel in place; compile the source twice to keep
-both versions around (that is what the auto-tuner does).
+The pass transforms the kernel in place; keep a ``copy.deepcopy`` of the
+kernel (or compile the source twice) to keep both versions around.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.core.affine import AffineContext
-from repro.core.candidates import Candidate, Rejection, find_candidates
+from repro.core.candidates import Candidate, find_candidates
 from repro.core.dce import cleanup_after_rewrite
 from repro.core.exprtree import build_tree
 from repro.core.linexpr import LinExpr
@@ -27,11 +27,7 @@ from repro.core.linsys import SolveError, Solution, solve_correspondence
 from repro.core.patterns import PatternError, determine_data_index
 from repro.core.rewrite import RewriteError, required_lids, rewrite_local_load
 from repro.ir.function import Function, Module
-from repro.ir.instructions import GEP, Load, Store
-from repro.ir.passes import (
-    common_subexpression_elimination,
-    loop_invariant_code_motion,
-)
+from repro.ir.instructions import GEP
 from repro.ir.values import LocalArray
 from repro.ir.verifier import verify_function
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import List
 
 from repro.core.affine import AffineContext
-from repro.core.linexpr import ONE, LinExpr
+from repro.core.linexpr import ONE
 from repro.core.rewrite import Materializer, RewriteError
 from repro.ir.builder import IRBuilder
 from repro.ir.cfg import dominators

@@ -23,8 +23,8 @@ from typing import List, Optional, Tuple
 from repro.core.affine import AffineContext
 from repro.core.exprtree import ExprNode, build_tree
 from repro.core.linexpr import ONE, LinExpr
-from repro.ir.instructions import BinOp, Cast, GEP, Opcode
-from repro.ir.values import Constant, Value
+from repro.ir.instructions import BinOp, GEP, Opcode
+from repro.ir.values import Constant
 
 
 class PatternError(Exception):

@@ -14,10 +14,8 @@ For one local load ``LL`` with solved writer thread index, this module:
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, Optional
 
-from repro.core.affine import AffineContext
 from repro.core.candidates import Candidate
 from repro.core.duplicate import duplicate_instructions, mark_tree
 from repro.core.exprtree import ExprNode, build_tree, global_id_dim, local_id_dim
@@ -26,9 +24,9 @@ from repro.core.linsys import Solution
 from repro.ir.builder import IRBuilder
 from repro.ir.cfg import dominators, inst_dominates
 from repro.ir.function import Function
-from repro.ir.instructions import Call, CastKind, Instruction, Load, Opcode
+from repro.ir.instructions import CastKind, Instruction, Load
 from repro.ir.types import I64, IntType, U32
-from repro.ir.values import Argument, Constant, Value
+from repro.ir.values import Constant, Value
 
 
 class RewriteError(Exception):

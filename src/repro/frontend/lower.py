@@ -9,14 +9,14 @@ Section IV-B).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from pycparser import c_ast
 
 from repro.frontend.errors import FrontendError, UnsupportedFeature
 from repro.ir.builder import IRBuilder
 from repro.ir.function import BasicBlock, Function, Module
-from repro.ir.instructions import Alloca, CastKind, CmpPred, Opcode
+from repro.ir.instructions import CastKind, CmpPred, Opcode
 from repro.ir.types import (
     AddressSpace,
     ArrayType,
@@ -40,7 +40,7 @@ from repro.ir.types import (
     VectorType,
     VOID,
 )
-from repro.ir.values import Argument, Constant, LocalArray, Value
+from repro.ir.values import Constant, Value
 
 # ---------------------------------------------------------------------------
 # type resolution

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence, Union
 
-from repro.ir.function import BasicBlock, Function
+from repro.ir.function import BasicBlock
 from repro.ir.instructions import (
     Alloca,
     BinOp,
@@ -32,16 +32,8 @@ from repro.ir.instructions import (
     Select,
     Store,
 )
-from repro.ir.types import (
-    BoolType,
-    FloatType,
-    IntType,
-    PointerType,
-    Type,
-    VectorType,
-    VOID,
-)
-from repro.ir.values import Constant, Value
+from repro.ir.types import Type
+from repro.ir.values import Value
 
 
 class IRBuilder:

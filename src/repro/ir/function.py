@@ -8,10 +8,10 @@ variant copy, compile-cache copy and rule trial goes through it.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.ir.instructions import Instruction
-from repro.ir.types import ArrayType, PointerType, Type, VOID
+from repro.ir.types import ArrayType, Type, VOID
 from repro.ir.values import Argument, LocalArray, Value
 
 _block_ids = itertools.count()

@@ -24,15 +24,12 @@ from repro.ir.types import (
     ArrayType,
     BOOL,
     BoolType,
-    FloatType,
-    IntType,
     PointerType,
     Type,
     VectorType,
-    VoidType,
     VOID,
 )
-from repro.ir.values import Constant, Value
+from repro.ir.values import Value
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.ir.function import BasicBlock

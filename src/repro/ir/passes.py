@@ -146,9 +146,8 @@ def loop_invariant_code_motion(fn: Function) -> int:
 
 def fold_constants(fn: Function) -> int:
     """Fold binops/casts whose operands are all constants."""
-    from fractions import Fraction
 
-    from repro.ir.instructions import BinOp, Cast, CastKind, Opcode
+    from repro.ir.instructions import BinOp, Cast
     from repro.ir.types import FloatType, IntType
     from repro.ir.values import Constant
 

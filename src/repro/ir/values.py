@@ -21,7 +21,6 @@ from repro.ir.types import (
     IntType,
     PointerType,
     Type,
-    VectorType,
 )
 
 if TYPE_CHECKING:  # pragma: no cover

@@ -8,9 +8,9 @@ from __future__ import annotations
 
 from typing import Set
 
-from repro.ir.cfg import dominators, inst_dominates, predecessors, reverse_postorder
+from repro.ir.cfg import dominators, inst_dominates, reverse_postorder
 from repro.ir.function import Function, Module
-from repro.ir.instructions import Alloca, Br, CondBr, Instruction, Ret
+from repro.ir.instructions import Br, CondBr, Instruction
 from repro.ir.values import Argument, Constant, LocalArray, Value
 
 

@@ -12,7 +12,7 @@ assertion failure.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional
+from typing import Mapping, Optional
 
 import numpy as np
 

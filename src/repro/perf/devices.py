@@ -10,8 +10,8 @@ latency-tolerant and compute-bound, flattening the local-memory effect).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, Tuple, Union
 
 
 @dataclass(frozen=True)

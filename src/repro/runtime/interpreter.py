@@ -52,7 +52,7 @@ from repro.ir.types import (
 )
 from repro.ir.values import Argument, Constant, LocalArray, Value
 from repro.runtime.buffers import OFFSET_MASK, Buffer, Memory
-from repro.runtime.builtins import WORK_ITEM_QUERIES, WorkItemContext, eval_builtin
+from repro.runtime.builtins import WorkItemContext, eval_builtin
 from repro.runtime.errors import BarrierDivergenceError, MemoryFault, RuntimeLaunchError
 from repro.runtime.trace import GroupTrace, MemEvent
 

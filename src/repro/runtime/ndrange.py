@@ -28,7 +28,7 @@ import numpy as np
 from repro.ir.function import Function
 from repro.session import events
 from repro.ir.types import AddressSpace, PointerType
-from repro.ir.values import Argument, LocalArray
+from repro.ir.values import Argument
 from repro.runtime.buffers import Buffer, Memory
 from repro.runtime.builtins import WorkItemContext
 from repro.runtime.errors import RuntimeLaunchError

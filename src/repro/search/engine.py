@@ -23,16 +23,24 @@ A candidate that fails any gate is discarded and the next-best one is
 verified instead; the empty pipeline is always a candidate, so the
 reported winner is never worse than the default by predicted cycles.
 
-An extension whose last rule rewrote nothing is the same kernel as its
-parent, so it is never scored: :func:`evaluate_pipeline` returns it
-right after the rules are applied, without a launch or a pricing call,
-and the keep filter drops it.  Skipping it cannot change a winner.
+Search extends the parent's kernel, not the source.  Each app is
+compiled once, in the parent; every frontier candidate keeps its
+transformed kernel, and an extension is a clone of it (the linear
+``copy.deepcopy`` of :mod:`repro.ir.function`) with one more rule
+applied, still in the parent.  An extension whose last rule rewrote
+nothing is the same kernel as its parent, and one whose rule raised has
+no kernel: both become their candidate right there, unlaunched and
+unpriced, and never reach the pool.  Only rewriting kernels are fanned
+out, to the one scorer :func:`evaluate_pipeline` also ends in.  Skipping
+a no-op cannot change a winner.
 
-Everything is deterministic: rule applications are deterministic, the
-interpreter and models are deterministic, candidates are generated and
-ranked in a fixed order, and each depth level's candidates go through
-the shared :func:`repro.parallel.pool.fan_out`, which returns results
-in submission order — so the winning pipeline is byte-identical across
+Everything is deterministic: rule applications are deterministic (a
+clone-and-apply kernel prints the same IR as one re-derived from source,
+pinned by ``tests/test_search.py``), the interpreter and models are
+deterministic, candidates are generated and ranked in a fixed order,
+and each depth level's rewriting candidates go through the shared
+:func:`repro.parallel.pool.fan_out`, which returns results in
+submission order — so the winning pipeline is byte-identical across
 worker counts and repeated processes (pinned by
 ``tests/test_search_determinism.py``).
 
@@ -44,16 +52,20 @@ Exposed on the command line as ``repro search``::
 from __future__ import annotations
 
 import argparse
+import copy
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.frontend.errors import FrontendError
+from repro.ir.verifier import VerificationError
 from repro.parallel.pool import fan_out, resolve_workers
 from repro.session import events
 
 if TYPE_CHECKING:
     from repro.apps.registry import App
+    from repro.ir.function import Function
 
 __all__ = [
     "CandidateEval",
@@ -138,8 +150,12 @@ class SearchRunResult:
 
 
 # ---------------------------------------------------------------------------
-# candidate evaluation (runs in pool workers)
+# candidate evaluation
 # ---------------------------------------------------------------------------
+
+#: a rule that emitted IR the toolchain itself rejects: a rule bug that a
+#: serial rerun would reproduce identically, never a candidate to discard
+_TOOLCHAIN_ERRORS = (FrontendError, VerificationError)
 
 
 def _apply_pipeline(kernel, pipeline: Sequence[str], geometry) -> Tuple[int, ...]:
@@ -156,49 +172,33 @@ def _apply_pipeline(kernel, pipeline: Sequence[str], geometry) -> Tuple[int, ...
     return tuple(rewrites)
 
 
-def evaluate_pipeline(
+def _failed(app_id: str, pipeline: Tuple[str, ...], device_name: str,
+            exc: Exception) -> CandidateEval:
+    return CandidateEval(
+        app_id, pipeline, (), _FAILED, device_name,
+        error=f"{type(exc).__name__}: {exc}",
+    )
+
+
+def _score_kernel(
     app: App,
-    pipeline: Sequence[str],
+    kernel: Function,
+    pipeline: Tuple[str, ...],
+    rewrites: Tuple[int, ...],
     scale: str,
     sample_groups: int,
     device_name: str,
 ) -> CandidateEval:
-    """Compile, transform, execute (tape backend) and model one
-    pipeline.
+    """Execute (tape backend, sampled) and model one transformed kernel:
+    the only scoring path, run in a pool worker or in the parent."""
+    from repro.apps.harness import execute_app
+    from repro.perf import estimate_cost
+    from repro.session import Session
 
-    A non-empty pipeline whose last rule rewrote nothing is returned as
-    soon as the rules are applied, with ``cycles`` infinite and no
-    ``error``: it is its parent's kernel, which is already scored, and
-    the keep filter of :func:`search_app` drops it unpriced.
-
-    Candidate-specific runtime failures (a transformed kernel that
-    faults, races or diverges when executed) come back as ``error``
-    candidates — they describe the candidate, and the failure reason is
-    surfaced on its ``search_candidate`` event.  Deterministic
-    toolchain failures re-raise instead: a
-    :class:`~repro.frontend.errors.FrontendError` or
-    :class:`~repro.ir.verifier.VerificationError` means a rule emitted
-    IR the compiler itself rejects — a rule bug that a serial rerun
-    would reproduce identically, never something to discard quietly.
-    ``KeyboardInterrupt``/``SystemExit`` always propagate.
-    """
-    from repro.frontend.errors import FrontendError
-    from repro.ir.verifier import VerificationError
-
-    pipeline = tuple(pipeline)
     try:
-        from repro.apps.harness import compile_app, execute_app
-        from repro.perf import estimate_cost
-        from repro.session import Session
-
-        problem = app.make_problem(scale)
         # a fresh, environment-isolated session: scoring must not depend
         # on the caller's REPRO_* environment (determinism contract)
         with Session(env={}, exec_backend="tape").activate():
-            kernel, _ = compile_app(app, "with")
-            rewrites = _apply_pipeline(kernel, pipeline, problem.local_size)
-            if pipeline and rewrites[-1] == 0:
-                return CandidateEval(app.id, pipeline, rewrites, _FAILED, device_name)
             run = execute_app(
                 app,
                 kernel,
@@ -208,18 +208,60 @@ def evaluate_pipeline(
                 sample_groups=sample_groups,
             )
             cost = estimate_cost(run.trace, device_name)
-        return CandidateEval(app.id, pipeline, rewrites, cost.cycles, device_name)
-    except (FrontendError, VerificationError):
+    except _TOOLCHAIN_ERRORS:
         raise
     except Exception as exc:
-        return CandidateEval(
-            app.id,
-            pipeline,
-            (),
-            _FAILED,
-            device_name,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        return _failed(app.id, pipeline, device_name, exc)
+    return CandidateEval(app.id, pipeline, rewrites, cost.cycles, device_name)
+
+
+def evaluate_pipeline(
+    app: App,
+    pipeline: Sequence[str],
+    scale: str,
+    sample_groups: int,
+    device_name: str,
+) -> CandidateEval:
+    """Compile, transform, execute (tape backend) and model one
+    pipeline, from source.
+
+    :func:`search_app` does not call this: it derives each candidate
+    from its parent's kernel instead, and this function is the
+    from-source reference that path must match.  Both decide a no-op
+    before any launch: a non-empty pipeline whose last rule rewrote
+    nothing comes back with ``cycles`` infinite and no ``error`` (it is
+    its parent's kernel, already scored), and the search never ships
+    it to a pool worker.  A rewriting kernel is scored by the same
+    scorer the search fans out.
+
+    Candidate-specific failures (a rule that raises, a transformed
+    kernel that faults, races or diverges when executed) come back as
+    ``error`` candidates — they describe the candidate, and the failure
+    reason is surfaced on its ``search_candidate`` event.  Deterministic
+    toolchain failures re-raise instead: a
+    :class:`~repro.frontend.errors.FrontendError` or
+    :class:`~repro.ir.verifier.VerificationError` means a rule emitted
+    IR the compiler itself rejects — a rule bug that a serial rerun
+    would reproduce identically, never something to discard quietly.
+    ``KeyboardInterrupt``/``SystemExit`` always propagate.
+    """
+    from repro.apps.harness import compile_app
+    from repro.session import Session
+
+    pipeline = tuple(pipeline)
+    try:
+        problem = app.make_problem(scale)
+        with Session(env={}, exec_backend="tape").activate():
+            kernel, _ = compile_app(app, "with")
+            rewrites = _apply_pipeline(kernel, pipeline, problem.local_size)
+    except _TOOLCHAIN_ERRORS:
+        raise
+    except Exception as exc:
+        return _failed(app.id, pipeline, device_name, exc)
+    if pipeline and rewrites[-1] == 0:
+        return CandidateEval(app.id, pipeline, rewrites, _FAILED, device_name)
+    return _score_kernel(app, kernel, pipeline, rewrites, scale, sample_groups,
+                         device_name)
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +286,6 @@ def verify_pipeline(
     and ``KeyboardInterrupt``/``SystemExit`` propagate untouched.
     """
     from repro.analysis import RaceDetected, analyzer_veto
-    from repro.frontend.errors import FrontendError
-    from repro.ir.verifier import VerificationError
     from repro.apps.harness import compile_app, execute_app
     from repro.parallel.diff import (
         DifferentialMismatch,
@@ -324,7 +364,9 @@ def _resolved(options: SearchOptions) -> Tuple[Tuple[str, ...], int, int, int, s
 
 def search_app(app: App, options: SearchOptions) -> AppSearchResult:
     """Beam-search one application; see the module docstring."""
+    from repro.apps.harness import compile_app
     from repro.rules import get_rule
+    from repro.session import Session
 
     app_id = app.id
     rules, beam, depth, sample_groups, device_name = _resolved(options)
@@ -340,10 +382,20 @@ def search_app(app: App, options: SearchOptions) -> AppSearchResult:
         device=device_name,
     )
 
-    def payload(pipeline: Tuple[str, ...]):
-        return (app, pipeline, options.scale, sample_groups, device_name)
-
-    baseline = evaluate_pipeline(*payload(()))
+    # the app's one compile and every rule application run in one
+    # environment-isolated session (determinism contract); the fan-outs
+    # stay in the caller's session, whose ``workers`` they honour
+    session = Session(env={}, exec_backend="tape")
+    try:
+        geometry = app.make_problem(options.scale).local_size
+        with session.activate():
+            root, _ = compile_app(app, "with")
+        baseline = _score_kernel(app, root, (), (), options.scale,
+                                 sample_groups, device_name)
+    except _TOOLCHAIN_ERRORS:
+        raise
+    except Exception as exc:
+        baseline = _failed(app_id, (), device_name, exc)
     if baseline.error:
         raise RuntimeError(
             f"search baseline for {app_id!r} failed: {baseline.error}"
@@ -361,21 +413,42 @@ def search_app(app: App, options: SearchOptions) -> AppSearchResult:
     kept_all: List[CandidateEval] = []
     extended_all: List[CandidateEval] = []
     frontier: List[CandidateEval] = [baseline]
+    #: the transformed kernel of every frontier candidate, by pipeline
+    kernels: Dict[Tuple[str, ...], Function] = {(): root}
     for _level in range(depth):
-        extensions: List[Tuple[str, ...]] = []
+        # one slot per extension, in generation order: a no-op or failed
+        # extension is decided here, a rewriting one (None) is scored below
+        evals: List[Optional[CandidateEval]] = []
+        payloads: List[tuple] = []
+        rewritten: Dict[Tuple[str, ...], Function] = {}
         for cand in frontier:
             for name in rules:
                 if name in cand.pipeline:
                     continue  # rules are idempotent: repeats are no-ops
-                extensions.append(cand.pipeline + (name,))
-        if not extensions:
+                pipeline = cand.pipeline + (name,)
+                kernel = copy.deepcopy(kernels[cand.pipeline])
+                try:
+                    with session.activate():
+                        (count,) = _apply_pipeline(kernel, (name,), geometry)
+                except _TOOLCHAIN_ERRORS:
+                    raise
+                except Exception as exc:
+                    evals.append(_failed(app_id, pipeline, device_name, exc))
+                    continue
+                rewrites = cand.rewrites + (count,)
+                if count == 0:  # the parent's kernel, already scored
+                    evals.append(CandidateEval(app_id, pipeline, rewrites,
+                                               _FAILED, device_name))
+                    continue
+                evals.append(None)
+                rewritten[pipeline] = kernel
+                payloads.append((app, kernel, pipeline, rewrites, options.scale,
+                                 sample_groups, device_name))
+        if not evals:
             break
-        evals = fan_out(
-            evaluate_pipeline,
-            [payload(p) for p in extensions],
-            options.workers,
-            where="search",
-        )
+        scored = iter(fan_out(_score_kernel, payloads, options.workers,
+                              where="search"))
+        evals = [ev if ev is not None else next(scored) for ev in evals]
         extended_all.extend(evals)
         kept: List[CandidateEval] = []
         for ev in evals:
@@ -396,6 +469,7 @@ def search_app(app: App, options: SearchOptions) -> AppSearchResult:
                 kept.append(ev)
         kept_all.extend(kept)
         frontier = sorted(kept, key=lambda e: (e.cycles, e.pipeline))[:beam]
+        kernels = {c.pipeline: rewritten[c.pipeline] for c in frontier}
         if not frontier:
             break
 

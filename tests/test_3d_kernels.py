@@ -1,7 +1,6 @@
 """3-D NDRange coverage: the extension stencil and 3-D runtime paths."""
 
 import numpy as np
-import pytest
 
 from repro.apps.harness import compile_app, validate_app
 from repro.apps.registry import TABLE_ORDER, get_app

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from repro.core.affine import AffineContext
 from repro.core.exprtree import build_tree
-from repro.core.linexpr import ONE, LinExpr, lid, wid
+from repro.core.linexpr import ONE, LinExpr, lid
 from repro.core.patterns import (
     PatternError,
     detect_strides,

@@ -179,7 +179,6 @@ __kernel void k(__global float* out, __global const float* in, int H) {
             collect_trace=True, sample_groups=2,
         )
         from repro.analysis import apply_replay
-        from repro.analysis.races import analyze_races_static
 
         report = analyze_kernel(kernel, (64,))
         before = report.pairs_undecided

@@ -1,10 +1,9 @@
 """The paper's correctness claim (§VI-A): every application transforms
 and still runs correctly — plus Table III index assertions."""
 
-import numpy as np
 import pytest
 
-from repro.apps.harness import compile_app, run_app, validate_app
+from repro.apps.harness import compile_app, validate_app
 from repro.apps.registry import (
     SCALES,
     TABLE_ORDER,

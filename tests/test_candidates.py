@@ -6,10 +6,9 @@ from repro.core.candidates import (
     UnknownArrayError,
     base_object,
     find_candidates,
-    strip_casts,
 )
 from repro.frontend import compile_kernel
-from repro.ir.instructions import GEP, Load, Store
+from repro.ir.instructions import Load, Store
 from repro.ir.types import AddressSpace
 
 from tests.conftest import MM_SOURCE, MT_SOURCE, REDUCTION_SOURCE

@@ -9,7 +9,6 @@ promotion, constant folding, CSE and LICM against an independent oracle.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from tests.conftest import run_scalar_kernel

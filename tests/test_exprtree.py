@@ -1,9 +1,6 @@
 """Tests for index expression trees (Fig. 6, Section IV-B)."""
 
-import pytest
-
 from repro.core.exprtree import (
-    ExprNode,
     build_tree,
     find_leaves,
     global_id_dim,
@@ -11,7 +8,7 @@ from repro.core.exprtree import (
     local_id_dim,
 )
 from repro.frontend import compile_kernel
-from repro.ir.instructions import Call, Cast, GEP, Load, Store
+from repro.ir.instructions import Call, GEP, Load
 from repro.ir.types import AddressSpace
 from repro.ir.values import Argument, Constant
 

@@ -6,18 +6,15 @@ from repro.frontend import FrontendError, compile_kernel, compile_source
 from repro.frontend.errors import UnsupportedFeature
 from repro.ir.instructions import (
     Alloca,
-    BinOp,
     Call,
     Cast,
     GEP,
     Load,
-    Opcode,
     Store,
 )
 from repro.ir.types import (
     AddressSpace,
     ArrayType,
-    FLOAT,
     I32,
     PointerType,
     U32,

@@ -1,7 +1,6 @@
 """Semantic tests: compile mini-kernels and check C semantics by execution."""
 
 import numpy as np
-import pytest
 
 from tests.conftest import run_scalar_kernel
 
@@ -36,7 +35,6 @@ class TestIntegerSemantics:
 
     def test_c_remainder_sign(self):
         out = run1d("out[gid] = (gid - 8) % 3;")
-        import math
 
         expected = np.array(
             [(g - 8) - int((g - 8) / 3) * 3 for g in range(16)], np.int32

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import os
 
-import pytest
-
 from repro.core.grover import GroverPass
 from repro.frontend import compile_kernel
 from repro.fuzz import (

@@ -11,7 +11,7 @@ from repro.core import (
 )
 from repro.core.dce import has_local_accesses
 from repro.frontend import compile_kernel, compile_source
-from repro.ir.instructions import Call, Load, Store, is_barrier
+from repro.ir.instructions import Load, Store, is_barrier
 from repro.ir.types import AddressSpace
 
 from tests.conftest import (

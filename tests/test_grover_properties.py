@@ -7,10 +7,9 @@ that the transformed kernel computes exactly what the original does.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import GroverError, disable_local_memory
+from repro.core import disable_local_memory
 from repro.frontend import compile_kernel
 
 from tests.conftest import execute_kernel

@@ -1,7 +1,5 @@
 """Unit tests for CFG analyses: orders, dominators, loops."""
 
-import pytest
-
 from repro.ir.builder import IRBuilder
 from repro.ir.cfg import (
     back_edges,
@@ -14,7 +12,7 @@ from repro.ir.cfg import (
     reverse_postorder,
 )
 from repro.ir.function import Function
-from repro.ir.types import BOOL, I32
+from repro.ir.types import I32
 from repro.ir.values import Constant
 
 

@@ -5,7 +5,7 @@ import pytest
 from repro.ir.builder import IRBuilder
 from repro.ir.function import BasicBlock, Function, Module
 from repro.ir.instructions import Opcode
-from repro.ir.types import ArrayType, FLOAT, I32, PointerType, VOID, AddressSpace
+from repro.ir.types import ArrayType, FLOAT, I32, PointerType, AddressSpace
 from repro.ir.values import Constant
 
 

@@ -6,14 +6,14 @@ import pytest
 from repro.frontend import compile_kernel
 from repro.ir.builder import IRBuilder
 from repro.ir.function import Function
-from repro.ir.instructions import Alloca, BinOp, Call, Load, Opcode, Store
+from repro.ir.instructions import Alloca, BinOp, Load, Opcode, Store
 from repro.ir.passes import (
     common_subexpression_elimination,
     fold_constants,
     loop_invariant_code_motion,
     promote_single_store_slots,
 )
-from repro.ir.types import FLOAT, I32, I64
+from repro.ir.types import I32, I64
 from repro.ir.values import Constant
 from repro.ir.verifier import verify_function
 
@@ -258,7 +258,6 @@ class TestFullPipelineEquivalence:
         app = get_app(app_id)
         out_opt = run_app(app, "with", "test").outputs
         # recompile unoptimised by bypassing the vendor pipeline
-        import repro.apps.harness as harness
         from repro.frontend import compile_kernel as ck
 
         kernel = ck(app.source, app.kernel_name, defines=app.defines, optimize=False)

@@ -2,7 +2,6 @@
 
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.linexpr import (

@@ -1,11 +1,9 @@
 """Tests for the linear system solver (Equation 3, Section IV-D)."""
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.linexpr import ONE, LinExpr, lid, wid
+from repro.core.linexpr import LinExpr, lid, wid
 from repro.core.linsys import SolveError, solve_correspondence
 
 

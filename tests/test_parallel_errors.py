@@ -150,7 +150,10 @@ def _search(workers):
     (r,) = run_search(
         SearchOptions(apps=("NVD-MT",), depth=1, device="SNB", workers=workers)
     ).results
-    return (r.baseline, r.winner, r.candidates), len(r.candidates)
+    # only a rewriting extension reaches the pool; a no-op is decided in
+    # the parent
+    shipped = [c for c in r.candidates if c.rewrites and c.rewrites[-1] > 0]
+    return (r.baseline, r.winner, r.candidates), len(shipped)
 
 
 def _fuzz(workers):

@@ -1,7 +1,6 @@
 """Unit tests for the cache simulator and access-stream helpers."""
 
 import numpy as np
-import pytest
 
 from repro.perf.cache import (
     CacheHierarchy,

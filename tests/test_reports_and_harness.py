@@ -1,15 +1,14 @@
 """Coverage for report objects, the app harness, and small API surfaces."""
 
-import numpy as np
 import pytest
 
 from repro.apps.harness import AppRun, compile_app, run_app
 from repro.apps.registry import get_app
 from repro.core import GroverPass, disable_local_memory
-from repro.core.grover import CandidateRecord, GroverReport
+from repro.core.grover import GroverReport
 from repro.frontend import compile_kernel
 
-from tests.conftest import MM_SOURCE, MT_SOURCE, REDUCTION_SOURCE
+from tests.conftest import MT_SOURCE, REDUCTION_SOURCE
 
 
 class TestGroverReportAPI:

@@ -17,7 +17,7 @@ from repro.core.rewrite import Materializer, RewriteError
 from repro.frontend import compile_kernel
 from repro.ir.builder import IRBuilder
 from repro.ir.cfg import dominators
-from repro.ir.instructions import BinOp, Call, Instruction, Load, Store, is_barrier
+from repro.ir.instructions import BinOp, Call, Instruction, Store, is_barrier
 from repro.ir.types import AddressSpace, I64
 from repro.ir.values import Constant
 

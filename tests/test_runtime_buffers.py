@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.runtime.buffers import Buffer, Memory, OFFSET_BITS
+from repro.runtime.buffers import Memory, OFFSET_BITS
 from repro.runtime.errors import MemoryFault
 
 

@@ -1,7 +1,6 @@
 """Datatype coverage: doubles, small integers, unsigned, mixed widths."""
 
 import numpy as np
-import pytest
 
 from tests.conftest import run_scalar_kernel
 

@@ -7,7 +7,6 @@ authentic source shape.
 """
 
 import numpy as np
-import pytest
 
 from repro.core import GroverPass, disable_local_memory
 from repro.frontend import compile_kernel

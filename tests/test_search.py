@@ -91,6 +91,95 @@ def test_noop_extension_is_not_launched():
 
 
 # ---------------------------------------------------------------------------
+# the search derives each extension from its parent's kernel
+# ---------------------------------------------------------------------------
+
+_DERIVED_APPS = ("NVD-MT", "AMD-MT", "PAB-ST")
+
+
+@pytest.mark.parametrize("app_id", _DERIVED_APPS)
+def test_clone_and_apply_matches_the_source_derivation(monkeypatch, app_id):
+    """Every extension the search builds by cloning its parent's kernel
+    and applying one rule prints the IR that compiling the source and
+    applying the whole pipeline prints, and has the rewrite counts, the
+    cycles and the ``search_candidate`` event of the from-source
+    evaluation."""
+    import repro.search.engine as engine
+    from repro.apps.harness import compile_app
+    from repro.ir import print_function
+
+    derived = []
+    real_apply = engine._apply_pipeline
+
+    def spy(kernel, pipeline, geometry):
+        counts = real_apply(kernel, pipeline, geometry)
+        derived.append(kernel)
+        return counts
+
+    monkeypatch.setattr(engine, "_apply_pipeline", spy)
+    with events.collect() as sink:
+        r = _search(app_id, depth=3, device="Fermi", sample_groups=8)
+    monkeypatch.undo()
+
+    app = get_app(app_id)
+    geometry = app.make_problem("test").local_size
+    assert len(r.candidates) >= 7 and not any(c.error for c in r.candidates)
+    assert any(c.rewrites[-1] == 0 for c in r.candidates)
+    assert any(len(c.pipeline) >= 2 for c in r.candidates)  # clones of clones
+    cand_events = sink.of_kind("search_candidate")[1:]
+    assert len(cand_events) == len(r.candidates)
+    # the extensions are applied first, in generation order; verification
+    # re-derives from source after them
+    for cand, kernel, event in zip(r.candidates, derived, cand_events):
+        with Session(env={}, exec_backend="tape").activate():
+            source, _ = compile_app(app, "with")
+            rewrites = engine._apply_pipeline(source, cand.pipeline, geometry)
+        assert print_function(kernel) == print_function(source), cand.label
+        assert cand.rewrites == rewrites
+        assert cand == evaluate_pipeline(app, cand.pipeline, "test", 8, "Fermi")
+        assert event.payload["pipeline"] == list(cand.pipeline)
+        assert event.payload["rewrites"] == list(rewrites)
+        assert event.payload["kept"] is (rewrites[-1] > 0)
+
+
+def test_each_app_compiles_once_and_ships_only_rewriting_kernels(monkeypatch):
+    """Scoring compiles each app once, and a no-op extension never
+    reaches the fan-out."""
+    import repro.apps.harness as harness
+    import repro.search.engine as engine
+
+    compiles, shipped, at_verify = [], [], []
+    real_compile, real_fan_out = harness.compile_kernel, engine.fan_out
+    real_verify = engine.verify_pipeline
+
+    def compile_kernel(*args, **kwargs):
+        compiles.append(args)
+        return real_compile(*args, **kwargs)
+
+    def fan_out(fn, payloads, workers, where):
+        payloads = list(payloads)
+        shipped.extend(payloads)
+        return real_fan_out(fn, payloads, workers, where)
+
+    def verify_pipeline(*args):
+        at_verify.append(len(compiles))
+        return real_verify(*args)
+
+    monkeypatch.setattr(harness, "compile_kernel", compile_kernel)
+    monkeypatch.setattr(engine, "fan_out", fan_out)
+    monkeypatch.setattr(engine, "verify_pipeline", verify_pipeline)
+    for app_id in _DERIVED_APPS:
+        compiles.clear()
+        shipped.clear()
+        at_verify.clear()
+        r = _search(app_id)
+        assert at_verify[0] == 1, app_id  # compiles before the first verify
+        assert all(rewrites[-1] > 0 for _, _, _, rewrites, *_ in shipped)
+        rewriting = [c for c in r.candidates if c.rewrites[-1] > 0]
+        assert len(shipped) == len(rewriting) < len(r.candidates)
+
+
+# ---------------------------------------------------------------------------
 # verification gates
 # ---------------------------------------------------------------------------
 
@@ -321,8 +410,9 @@ def test_unpicklable_app_is_redone_serially_and_reported():
     from repro.parallel.pool import PoolFallbackWarning
 
     def search(workers):
-        # two rules, so the level fans out (one payload runs serially)
-        options = SearchOptions(apps=(app,), rules=("grover", "hoist-global-loads"),
+        # both rules rewrite NVD-MT, so the level ships two kernels to the
+        # pool (a single payload runs serially)
+        options = SearchOptions(apps=(app,), rules=("grover", "pad-local-arrays"),
                                 depth=1, device="Fermi", workers=workers)
         (result,) = run_search(options).results
         return result

@@ -3,7 +3,6 @@
 from collections import OrderedDict
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ir.types import AddressSpace
