@@ -146,7 +146,8 @@ def eval_builtin(inst: Call, args: List[np.ndarray], ctx: WorkItemContext) -> np
         assert isinstance(vty, VectorType)
         return args[0].astype(vty.element.numpy_dtype)
     if name.startswith("make_"):
-        return np.stack(args, axis=-1)
+        # tape batches mix per-group (G, n) and group-uniform (n,) args
+        return np.stack(np.broadcast_arrays(*args), axis=-1)
     if name == "dot":
         a, b = args
         with np.errstate(all="ignore"):

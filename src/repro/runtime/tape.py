@@ -2,12 +2,15 @@
 
 The reference path (:mod:`repro.runtime.interpreter`) vectorises over the
 *lane* axis but re-runs the block scheduler and per-instruction
-``isinstance`` dispatch for every work-group.  All eleven paper apps have
-group-uniform control flow, so that per-group cost is pure overhead.
-This backend removes it by running work-groups in batches with a new
-leading *group* axis — every value is ``(G, n_lanes)`` (or ``(G, n, k)``
-for vectors; group-uniform values stay ``(n,)`` and broadcast) — so one
-numpy op covers the whole batch:
+``isinstance`` dispatch for every work-group.  Ten of the eleven paper
+apps steer every work-group through the same block schedule; the
+eleventh, AMD-SS, differs between groups only in which lanes take
+``if (text[gid + j] != c) ok = 0;``, a predicable if-arm (below).  So
+that per-group cost is pure overhead.  This backend removes it by
+running work-groups in batches with a new leading *group* axis — every
+value is ``(G, n_lanes)`` (or ``(G, n, k)`` for vectors; group-uniform
+values stay ``(n,)`` and broadcast) — so one numpy op covers the whole
+batch:
 
 1. **Leader-recorded first batch**: the first batch runs through the
    reference scheduler's logic (min-RPO pending dict, ``alive`` mask,
@@ -22,6 +25,16 @@ numpy op covers the whole batch:
    phase, retired instructions, the private-arena cursor) lives on the
    executor.
 
+**Predicated if-arms.**  A ``CondBr`` whose ``if_true`` arm only
+computes and reads or writes scalar private slots, and rejoins the
+``if_false`` block (the exact rule is :func:`predicated_arms`), does not
+end its step in a guard.  The arm runs as the last closure of its
+branch's step, for every row at once: pure ops at full width, as the
+reference runs them, and slot stores under each row's ``mask & cond``.
+Each row counts its own retired arm instructions (``arm_insts``).  The
+step's only successor is the join, so every group keeps one schedule
+whatever its condition row.
+
 Batched ``__local``/private storage lives in per-batch scratch buffers
 with out-of-band ids (``_SCRATCH_BASE``), and batched memory events are
 split back into bit-identical per-group :class:`GroupTrace`\\ s.  While
@@ -31,7 +44,7 @@ divergence and its k-th private-array ``alloca`` claims
 ``private_arena[k]`` from the allocator.
 
 Correctness never depends on uniformity: a **divergence guard** after
-every ``CondBr`` compares each group's condition row (on the step's
+every other ``CondBr`` compares each group's condition row (on the step's
 active lanes) against the leader's, and the load/store closures check
 that every group resolves the access to the leader's buffer.  Any
 group that disagrees is *evicted*: its partial trace is split out, the
@@ -57,6 +70,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.ir.cfg import predecessors
 from repro.ir.function import BasicBlock, Function
 from repro.ir.instructions import (
     Alloca,
@@ -125,6 +139,55 @@ class _Step:
         self.weight = 0
         self.ops: List = []
         self.guard = None
+
+
+def _scalar_slot(ptr: Value) -> bool:
+    """Whether ``ptr`` is a register-allocated scalar private slot."""
+    return isinstance(ptr, Alloca) and not isinstance(
+        ptr.allocated_type, (ArrayType, VectorType)
+    )
+
+
+def _predicable(inst) -> bool:
+    """An instruction a predicated arm may hold: pure, or a load/store of
+    a scalar private slot (never traced, never faults)."""
+    if isinstance(inst, (BinOp, ICmp, FCmp, Cast, Select)):
+        return True
+    return isinstance(inst, (Load, Store)) and _scalar_slot(inst.ptr)
+
+
+def predicated_arms(
+    fn: Function, rpo: Dict[BasicBlock, int]
+) -> Dict[BasicBlock, BasicBlock]:
+    """Map each block ``B`` whose ``CondBr`` arm can be predicated to
+    that arm ``T`` (its ``if_true`` block; ``F`` is ``if_false``).
+
+    ``T`` qualifies when ``T is not F``, ``B`` is its only predecessor,
+    it ends in ``Br F``, ``rpo[B] < rpo[T] < rpo[F]``, every other
+    instruction in it is :func:`_predicable`, and no value it defines is
+    used outside it.  Then the min-RPO scheduler runs ``T`` right after
+    ``B`` and ``F`` later with all of ``B``'s lanes, so running ``T``'s
+    pure ops at full width and its slot stores under ``mask & cond`` as
+    part of ``B``'s step is exact, whatever each group's condition.
+    """
+    preds = predecessors(fn)
+    arms: Dict[BasicBlock, BasicBlock] = {}
+    for bb in fn.blocks:
+        term = bb.terminator
+        if not isinstance(term, CondBr) or bb not in rpo:
+            continue
+        t, f = term.if_true, term.if_false
+        if (
+            t is not f
+            and preds[t] == [bb]
+            and isinstance(t.terminator, Br)
+            and t.terminator.target is f
+            and rpo[bb] < rpo[t] < rpo[f]
+            and all(_predicable(i) for i in t.instructions[:-1])
+            and all(u.parent is t for i in t.instructions for u, _ in i.uses)
+        ):
+            arms[bb] = t
+    return arms
 
 
 class _BatchedContext:
@@ -256,6 +319,9 @@ class TapeExecutor:
         self.phase = 0
         self.barriers = 0
         self.inst_count = 0
+        #: per surviving row, the instructions its predicated arms
+        #: retired (``inst_count`` is the schedule's, shared by all rows)
+        self.arm_insts: np.ndarray = np.empty(0, np.int64)
         self.arena_next = 0
         self.step_idx = 0
         #: one tuple per traced access: (space, is_store, buffer_id,
@@ -278,7 +344,11 @@ class TapeExecutor:
         self._consts: Dict[Constant, np.ndarray] = {}
         #: (block, mask bytes) -> its closures
         self._block_ops: Dict[Tuple[BasicBlock, bytes], List] = {}
+        #: branch block -> its predicated arm; set when recording starts
+        self._arms: Dict[BasicBlock, BasicBlock] = {}
+        self._weights: Dict[BasicBlock, int] = {}
         self.n_closures = 0
+        self.n_arms = 0
         self.compile_s = 0.0
 
     # -- compilation -------------------------------------------------------
@@ -290,6 +360,9 @@ class TapeExecutor:
         if entry is None:
             t0 = time.perf_counter()
             entry = self._block_ops[key] = self._compile_block(bb, mask)
+            if bb in self._arms:
+                entry.append(self._compile_arm(bb, mask))
+                self.n_arms += 1
             self.compile_s += time.perf_counter() - t0
             self.n_closures += len(entry)
         return entry
@@ -325,6 +398,44 @@ class TapeExecutor:
             if op is not None:
                 ops.append(op)
         return ops
+
+    def _compile_arm(self, bb: BasicBlock, mask: np.ndarray):
+        """One closure running ``bb``'s predicated arm (see
+        :func:`predicated_arms`) for the lanes of ``mask`` whose
+        condition holds, in every row at once: pure ops at full width,
+        as the reference runs them, and slot stores under the per-row
+        lane mask.  Each row's retired arm instructions go to
+        ``arm_insts``; a batch in which no lane takes the arm skips it,
+        since no value it defines is used outside it."""
+        term = bb.instructions[-1]
+        arm = term.if_true
+        slots = self.slots
+        gc = self._getter(term.cond)
+        weight = self._weights[arm]
+        take = mask  # rebound by run_arm for each batch
+
+        def slot_store(inst: Store):
+            ptr, gval = inst.ptr, self._getter(inst.value)
+
+            def run_arm_store():
+                np.copyto(slots[ptr], gval(), casting="unsafe", where=take)
+            return run_arm_store
+
+        ops = [
+            slot_store(inst) if isinstance(inst, Store)
+            else self._compile_inst(inst, mask, arm, idx)
+            for idx, inst in enumerate(arm.instructions[:-1])
+        ]
+
+        def run_arm():
+            nonlocal take
+            take = mask & gc()
+            if not take.any():
+                return
+            for op in ops:
+                op()
+            self.arm_insts += weight * take.sum(axis=-1)
+        return run_arm
 
     def _compile_inst(self, inst, mask: np.ndarray, bb: BasicBlock, idx: int):
         env = self.env
@@ -621,10 +732,10 @@ class TapeExecutor:
             dt = _np_type(ty)
         isz = dt.itemsize
 
-        def run_load():
+        def load() -> bool:
             G = len(self.live)
             if not G:
-                return
+                return True
             addrs = self._batched_addrs(gp, G)
             am = addrs if full else addrs[:, mask]
             ids = am >> OFFSET_BITS
@@ -633,7 +744,7 @@ class TapeExecutor:
             if bad.any():
                 keep = self._span_fault(bad, bb, idx)
                 if not len(self.live):
-                    return
+                    return True
                 addrs = addrs[keep]
                 am = am[keep]
                 G = len(self.live)
@@ -649,7 +760,7 @@ class TapeExecutor:
                 val = self.memory.buffers[id0].view(dt)[ix]
             except (IndexError, KeyError):
                 self._fault("load", id0, ix, dt, offs_m, bb, idx)
-                return run_load()
+                return False
             if record:
                 sid, stride = self.scratch_map.get(id0, (id0, 0))
                 self.records.append((
@@ -657,6 +768,13 @@ class TapeExecutor:
                     self.phase, inst.id, self.live,
                 ))
             env[inst] = val
+            return True
+
+        def run_load():
+            # a fault evicts its rows and the rest redo the load; a loop,
+            # not recursion, so no closure references itself
+            while not load():
+                pass
         return run_load
 
     def _compile_store(self, inst: Store, mask: np.ndarray, bb, idx: int):
@@ -713,10 +831,10 @@ class TapeExecutor:
                 dt = np.dtype(np.uint8)
         isz = dt.itemsize
 
-        def run_store():
+        def store() -> bool:
             G = len(self.live)
             if not G:
-                return
+                return True
             v = gval()
             addrs = self._batched_addrs(gp, G)
             am = addrs[:, mask]
@@ -726,7 +844,7 @@ class TapeExecutor:
             if bad.any():
                 keep = self._span_fault(bad, bb, idx)
                 if not len(self.live):
-                    return
+                    return True
                 am = am[keep]
                 if v.ndim >= 2 + int(vec):
                     v = v[keep]
@@ -744,13 +862,19 @@ class TapeExecutor:
                 self.memory.buffers[id0].view(dt)[ix] = v
             except (IndexError, KeyError):
                 self._fault("store", id0, ix, dt, offs, bb, idx)
-                return run_store()
+                return False
             if record:
                 sid, stride = self.scratch_map.get(id0, (id0, 0))
                 self.records.append((
                     space, True, sid, stride, offs, lanes, elem,
                     self.phase, inst.id, self.live,
                 ))
+            return True
+
+        def run_store():
+            # see run_load
+            while not store():
+                pass
         return run_store
 
     # -- eviction ----------------------------------------------------------
@@ -782,7 +906,7 @@ class TapeExecutor:
         n_prefix = 0
         if self.collect_trace:
             gt = GroupTrace(gid_t, self.n)
-            gt.inst_count = self.inst_count
+            gt.inst_count = self.inst_count + int(self.arm_insts[row])
             gt.barriers = self.barriers
             gt.events = self._split_events(slot)
             n_prefix = len(gt.events)
@@ -884,6 +1008,7 @@ class TapeExecutor:
                 self.env[v] = arr[keep]
         for a, arr in self.slots.items():
             self.slots[a] = arr[keep]
+        self.arm_insts = self.arm_insts[keep]
         self.live = self.live[keep]
         self.bctx.compact(keep)
 
@@ -943,9 +1068,12 @@ class TapeExecutor:
                             space, is_store, sid, rows[pos],
                             lanes, elem, phase, inst_id,
                         ))
-        for slot, evs in per_slot.items():
+        # per_slot is in row order, as arm_insts is
+        for (slot, evs), arm_insts in zip(
+            per_slot.items(), self.arm_insts.tolist()
+        ):
             gt = GroupTrace(self.slot_gids[slot], self.n)
-            gt.inst_count = self.sched_inst_count
+            gt.inst_count = self.sched_inst_count + arm_insts
             gt.barriers = self.sched_barriers
             gt.events = evs
             self._done[slot] = gt
@@ -963,6 +1091,7 @@ class TapeExecutor:
         self.phase = 0
         self.barriers = 0
         self.inst_count = 0
+        self.arm_insts = np.zeros(G0, dtype=np.int64)
         self.arena_next = 0
         self._done = {}
         self._deferred = []
@@ -1022,7 +1151,8 @@ class TapeExecutor:
         to the tape as it runs."""
         fn = self.fn
         rpo = _reverse_postorder(fn)
-        weights = block_weights(fn)
+        weights = self._weights = block_weights(fn)
+        self._arms = predicated_arms(fn, rpo)
         alive = np.ones(self.n, dtype=bool)
         pending: Dict[BasicBlock, np.ndarray] = {fn.entry: alive}
         with np.errstate(all="ignore"):
@@ -1042,7 +1172,11 @@ class TapeExecutor:
                 for op in step.ops:
                     op()
                 term = bb.instructions[-1]
-                if isinstance(term, CondBr):
+                if bb in self._arms:
+                    # the arm ran among the step's ops; every lane of
+                    # the step goes on to the join
+                    step.succ = [(term.if_false, mask)]
+                elif isinstance(term, CondBr):
                     c = self._getter(term.cond)()
                     step.cond = (c if c.ndim == 1 else c[0]).copy()
                     self._set_guard(step, term)
@@ -1076,12 +1210,20 @@ class TapeExecutor:
             self.memory.buffers.pop(buf.id, None)
         self._scratch = []
         self._private_slabs = []
-        # the executor's closures make it a reference cycle, freed only
-        # by the cyclic collector: hold no batch values or traces past
-        # the batch, so a dropped trace is freed by reference counting
+        # the executor's closures make it a reference cycle until
+        # release(): hold no batch values or traces past the batch, so a
+        # dropped trace is freed by reference counting
         self._done = {}
         self.records = []
         self.env.clear()
+
+    def release(self) -> None:
+        """Drop the compiled closures at the end of the launch.  They
+        reference the executor, so until then it is a reference cycle
+        that only the cyclic collector could free, with everything it
+        holds."""
+        for ops in self._block_ops.values():
+            ops.clear()
 
     def replay_batch(
         self, slot_gids: List[Tuple[int, ...]]
@@ -1140,17 +1282,21 @@ def execute_tape(
     )
     traces: Dict[int, Optional[GroupTrace]] = {}
     n_batches = 0
-    for lo in range(0, len(picks), tape_batch):
-        chunk = gids[lo:lo + tape_batch]
-        n_batches += 1
-        out = tape.replay_batch(chunk)
-        for slot, gt in out.items():
-            traces[lo + slot] = gt
+    try:
+        for lo in range(0, len(picks), tape_batch):
+            chunk = gids[lo:lo + tape_batch]
+            n_batches += 1
+            out = tape.replay_batch(chunk)
+            for slot, gt in out.items():
+                traces[lo + slot] = gt
+    finally:
+        tape.release()
     events.emit(
         "tape_compile",
         kernel=kernel.name,
         steps=len(tape.steps),
         closures=tape.n_closures,
+        arms=tape.n_arms,
         wall_ms=tape.compile_s * 1e3,
     )
     events.emit(

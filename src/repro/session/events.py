@@ -120,6 +120,8 @@ EVENT_SCHEMA: Dict[str, Dict[str, Tuple[type, ...]]] = {
         "kernel": (str,),
         "steps": (int,),
         "closures": (int,),
+        # predicated if-arms compiled into their branch's step
+        "arms": (int,),
         "wall_ms": (int, float),
     },
     "tape_replay": {

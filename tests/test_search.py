@@ -191,6 +191,17 @@ def test_verify_accepts_default_and_legal_pipelines():
     assert ok, reason
 
 
+@pytest.mark.parametrize("pipeline, launches", [((), 2), (("grover",), 3)])
+def test_verify_launches_the_baseline_only_for_a_transform(pipeline, launches):
+    """The default kernel is its own baseline: verifying it launches the
+    traced reference and tape runs only; a transform adds the untraced
+    baseline launch its outputs are compared against."""
+    with events.collect() as sink:
+        ok, reason = verify_pipeline(get_app("NVD-MM-B"), pipeline, "test")
+    assert ok, reason
+    assert len(sink.of_kind("launch_start")) == launches
+
+
 def test_verify_rejects_broken_pipelines():
     ok, reason = verify_pipeline(MT, ("bogus",), "test")
     assert not ok and "bogus" in reason

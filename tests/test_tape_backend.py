@@ -6,11 +6,14 @@ the block schedule its first pick (the leader) takes, compiling each
 block to closures as it is reached; later batches replay the tape.  Its
 contract is bit-identity with the reference per-group scheduler:
 identical ``KernelTrace`` streams (events, phases, instruction counts),
-identical output buffer bytes — for any batch size, and for kernels
-whose groups diverge from the leader's schedule (those are evicted to
-the scalar path).  The recorder also keeps what a serial launch's first
-group decides for the launch: the leader's barrier-divergence error,
-the private-arena allocations, and faults surfacing in pick order.
+identical output buffer bytes — for any batch size, for kernels whose
+data-dependent if-arms are predicated into their branch's step, and for
+kernels whose groups diverge from the leader's schedule otherwise
+(those are evicted to the scalar path).  The recorder also keeps what a
+serial launch's first group decides for the launch: the leader's
+barrier-divergence error, the private-arena allocations, and faults
+surfacing in pick order.  A launch frees its executor without the
+cyclic garbage collector.
 
 Every Table III app is diffed too: both variants, tape against
 reference, on real kernels.
@@ -39,6 +42,8 @@ from repro.apps.registry import TABLE_ORDER, get_app
 from repro.frontend import compile_kernel
 from repro.ir.builder import IRBuilder
 from repro.ir.function import Function
+from repro.ir.instructions import CondBr
+from repro.ir.verifier import verify_function
 from repro.parallel.diff import assert_outputs_equal, assert_traces_equal
 from repro.runtime import Memory, launch
 from repro.runtime.errors import BarrierDivergenceError, MemoryFault
@@ -225,9 +230,11 @@ __kernel void ev(__global float* out, __global const float* in)
     float acc = in[gi];
     if (wg % 2 == 1) {           /* group-uniform, differs from leader */
         acc = acc * 2.0f + 1.0f;
+        out[gi] = acc;           /* a global store: never predicated */
     }
     if ((gi / (wg + 1)) % 2 == 0) {   /* mask shape varies per group */
         acc += 3.0f;
+        out[gi] = acc;
     }
     out[gi] = acc;
 }
@@ -280,6 +287,210 @@ def test_only_evicted_groups_run_the_reference_interpreter(monkeypatch):
         )
     evicted = {tuple(e.payload["group_id"]) for e in sink.of_kind("tape_evict")}
     assert evicted and callers <= evicted
+
+
+# ---------------------------------------------------------------------------
+# predicated if-arms: a data-dependent branch whose arm only computes and
+# writes scalar private slots runs inside its branch's step, per lane
+# ---------------------------------------------------------------------------
+
+#: the eviction kernel's two branches without their global stores
+_ARM_SOURCE = r"""
+__kernel void arm(__global float* out, __global const float* in)
+{
+    int gi = get_global_id(0);
+    int wg = get_group_id(0);
+    float acc = in[gi];
+    if (wg % 2 == 1) {
+        acc = acc * 2.0f + 1.0f;
+    }
+    if ((gi / (wg + 1)) % 2 == 0) {
+        acc += 3.0f;
+    }
+    out[gi] = acc;
+}
+"""
+
+#: AMD-SS's compare loop: the arm's condition depends on the text
+_SEARCH_SOURCE = r"""
+__kernel void search(__global uint* out, __global const uchar* in,
+                     __global const uchar* pattern)
+{
+    int gi = get_global_id(0);
+    uint ok = 1;
+    for (int j = 0; j < 8; ++j) {
+        uchar c = pattern[j];
+        if (in[gi + j] != c)
+            ok = 0;
+    }
+    out[gi] = ok;
+}
+"""
+
+#: group 0 takes no lane of the arm; groups 2 and 5 take one each
+_LATE_ARM_SOURCE = r"""
+__kernel void late(__global float* out, __global const float* in)
+{
+    int gi = get_global_id(0);
+    float acc = in[gi];
+    if (gi % 48 == 40)
+        acc = acc * 4.0f;
+    out[gi] = acc;
+}
+"""
+
+
+def _search_spec():
+    rng = np.random.default_rng(21)
+    text = rng.integers(ord("a"), ord("c"), size=136, dtype=np.uint8)
+    pattern = text[40:48].copy()
+    text[96:104] = pattern
+    return {"in": text, "pattern": pattern}, {"out": (np.uint32, (128,))}
+
+
+def _float_spec():
+    data = np.random.default_rng(7).standard_normal(128).astype(np.float32)
+    return {"in": data}, {"out": (np.float32, (128,))}
+
+
+def _assert_tape_matches(kernel, spec, outs, tape_batch):
+    """Tape == reference at ``tape_batch``; returns the tape's trace,
+    its ``tape_evict`` events and its ``tape_compile`` arm counts."""
+    ref_trace, ref_out = _traced_launch(
+        kernel, spec, (128,), (16,), outs, backend="reference"
+    )
+    with events.collect() as sink:
+        trace, out = _traced_launch(
+            kernel, spec, (128,), (16,), outs,
+            backend="tape", tape_batch=tape_batch,
+        )
+    ctx = f"{kernel.name} batch={tape_batch}"
+    assert_traces_equal(ref_trace, trace, ctx)
+    assert_outputs_equal(ref_out, out, ctx)
+    arms = [e.payload["arms"] for e in sink.of_kind("tape_compile")]
+    return trace, sink.of_kind("tape_evict"), arms
+
+
+@pytest.mark.parametrize("tape_batch", (1, 4, 256))
+@pytest.mark.parametrize("source, spec", [
+    (_ARM_SOURCE, _float_spec),
+    (_SEARCH_SOURCE, _search_spec),
+    (_LATE_ARM_SOURCE, _float_spec),
+], ids=("arms", "search", "late-arm"))
+def test_predicated_arms_match_reference_without_eviction(
+    source, spec, tape_batch
+):
+    """Groups that take an arm on different lanes (or not at all, the
+    leader included) stay in the batch; each retires its own arm
+    instructions, so the per-group ``inst_count``s still differ."""
+    trace, evicts, arms = _assert_tape_matches(
+        compile_kernel(source), *spec(), tape_batch
+    )
+    assert evicts == []
+    assert arms and all(a >= 1 for a in arms)
+    assert len({g.inst_count for g in trace.groups}) > 1
+
+
+def _retarget_arm_to_loop_header(kernel):
+    """``if (c) acc += 1.0f`` as the last statement of a while loop,
+    with the arm branching straight back to the loop header: the arm
+    ends in ``Br F`` but ``F`` precedes its branch in RPO."""
+    body = next(bb for bb in kernel.blocks if bb.name == "while.body")
+    header = next(bb for bb in kernel.blocks if bb.name == "while.cond")
+    term = body.instructions[-1]
+    join = term.if_false
+    term.if_true.instructions[-1].target = header
+    term.if_false = header
+    kernel.blocks.remove(join)
+    return kernel
+
+
+def _give_arm_a_second_predecessor(kernel):
+    """The first if-arm falls into the second one, so the second arm
+    has two predecessors (and the first no longer ends in ``Br F``)."""
+    first, second = (
+        bb.instructions[-1] for bb in kernel.blocks
+        if isinstance(bb.instructions[-1], CondBr)
+    )
+    first.if_true.instructions[-1].target = second.if_true
+    return kernel
+
+
+_INELIGIBLE = {
+    "global-store": (r"""
+__kernel void gs(__global float* out, __global const float* in)
+{
+    int gi = get_global_id(0);
+    out[gi] = in[gi];
+    if (in[gi] > 0.0f)
+        out[gi] = 0.0f;
+}
+""", None),
+    "two-predecessors": (r"""
+__kernel void tp(__global float* out, __global const float* in)
+{
+    int gi = get_global_id(0);
+    float acc = in[gi];
+    if (get_local_id(0) < 4)
+        acc += 1.0f;
+    if (in[gi] > 0.0f)
+        acc += 2.0f;
+    out[gi] = acc;
+}
+""", _give_arm_a_second_predecessor),
+    "vector-slot": (r"""
+__kernel void vs(__global float* out, __global const float* in)
+{
+    int gi = get_global_id(0);
+    float4 a = make_float4(in[gi], 1.0f, 2.0f, 3.0f);
+    float4 v = a * 2.0f;
+    if (in[gi] > 0.0f)
+        v = a;
+    out[gi] = v.x + v.y;
+}
+""", None),
+    "loop-header": (r"""
+__kernel void lh(__global float* out, __global const float* in)
+{
+    int gi = get_global_id(0);
+    float acc = 0.0f;
+    int j = 0;
+    while (j < 4) {
+        j++;
+        if (in[(gi + j) % 128] > 0.0f)
+            acc += 1.0f;
+    }
+    out[gi] = acc;
+}
+""", _retarget_arm_to_loop_header),
+}
+
+
+@pytest.mark.parametrize("tape_batch", (4, 256))
+@pytest.mark.parametrize("case", sorted(_INELIGIBLE))
+def test_ineligible_arms_still_evict(case, tape_batch):
+    """A data-dependent branch whose arm is not predicable keeps the
+    divergence guard: groups that disagree with the leader evict."""
+    source, edit = _INELIGIBLE[case]
+    kernel = compile_kernel(source, cache=False)
+    if edit is not None:
+        verify_function(edit(kernel))
+    _, evicts, arms = _assert_tape_matches(kernel, *_float_spec(), tape_batch)
+    assert arms == [0]
+    assert evicts
+
+
+def test_amd_ss_predicates_its_compare_arm():
+    """AMD-SS's data-dependent ``if (text[gid + j] != c) ok = 0;`` is a
+    predicated arm, so no group leaves the tape."""
+    app = get_app("AMD-SS")
+    kernel, _ = compile_app(app, "with")
+    with Session(exec_backend="tape").activate(), events.collect() as sink:
+        execute_app(app, kernel, variant="with", scale="test",
+                    collect_trace=True)
+    (compiled,) = sink.of_kind("tape_compile")
+    assert compiled.payload["arms"] >= 1
+    assert sink.of_kind("tape_evict") == []
 
 
 def test_eviction_composes_with_sampling():
@@ -547,6 +758,35 @@ def test_successful_launch_end_has_empty_error():
 # ---------------------------------------------------------------------------
 # a dropped trace is freed by reference counting alone
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("source, spec", [
+    (_EVICT_SOURCE, _float_spec), (_SEARCH_SOURCE, _search_spec),
+], ids=("evicting", "predicated"))
+def test_tape_executor_is_freed_without_the_cycle_collector(
+    source, spec, monkeypatch
+):
+    """The executor's closures reference it; the launch drops them, so
+    the executor is freed as soon as the launch returns, with the
+    cyclic garbage collector switched off."""
+    from repro.runtime import tape
+
+    made = []
+
+    class Recorded(tape.TapeExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(tape, "TapeExecutor", Recorded)
+    kernel = compile_kernel(source)
+    in_spec, outs = spec()
+    gc.disable()
+    try:
+        _traced_launch(kernel, in_spec, (128,), (16,), outs, backend="tape")
+        assert made and all(ref() is None for ref in made)
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("backend", ("reference", "tape"))
