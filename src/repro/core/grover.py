@@ -25,7 +25,13 @@ from repro.core.exprtree import build_tree
 from repro.core.linexpr import LinExpr
 from repro.core.linsys import SolveError, Solution, solve_correspondence
 from repro.core.patterns import PatternError, determine_data_index
-from repro.core.rewrite import RewriteError, required_lids, rewrite_local_load
+from repro.core.rewrite import (
+    RewriteError,
+    commit_global_load,
+    discard,
+    emit_global_load,
+    required_lids,
+)
 from repro.ir.function import Function, Module
 from repro.ir.instructions import GEP
 from repro.ir.values import LocalArray
@@ -252,15 +258,27 @@ class GroverPass:
         rec = CandidateRecord(
             cand.name, "transformed", gl_index=gl_str, ls_dims=ls_dims
         )
+        solved = []
         for ll in list(cand.lls):
             # S1: data index of this LL (constants side)
             ll_dims, _ = self._access_dims(ctx, ll.ptr, strides=ls_strides)
             # S2: create and solve the linear system
             sol = solve_correspondence(ls_dims, ll_dims, required=needed)
-            # S3 + S4: substitute into G and emit the nGL
-            ngl = rewrite_local_load(
-                kernel, cand, ll, sol, reuse_subexprs=self.reuse_subexprs
-            )
+            solved.append((ll, ll_dims, sol))
+        # S3 + S4: substitute into G and emit every nGL before any LL is
+        # replaced, so a candidate that fails leaves the IR untouched
+        chains = []
+        try:
+            for ll, _, sol in solved:
+                chains.append(emit_global_load(
+                    kernel, cand, ll, sol, reuse_subexprs=self.reuse_subexprs
+                ))
+        except RewriteError:
+            for chain in chains:
+                discard(chain)
+            raise
+        for (ll, ll_dims, sol), chain in zip(solved, chains):
+            ngl = commit_global_load(ll, chain)
             rec.lls.append(
                 LLRecord(
                     ll_dims=ll_dims,

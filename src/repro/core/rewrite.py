@@ -8,13 +8,17 @@ For one local load ``LL`` with solved writer thread index, this module:
    ``get_local_id`` (and, transitively, ``get_global_id``) leaves with
    the materialised solution, and duplicates the marked nodes per
    Algorithm 1;
-3. creates the ``nGL`` load through the new pointer and replaces every
-   use of the ``LL`` with it.
+3. creates the ``nGL`` load through the new pointer; committing then
+   replaces every use of the ``LL`` with it.
+
+Emitting and committing are separate steps, so the pass can emit the
+``nGL`` of every ``LL`` of a candidate before it replaces any of them,
+and leave the IR as it was when one of them cannot be rewritten.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from repro.core.candidates import Candidate
 from repro.core.duplicate import duplicate_instructions, mark_tree
@@ -224,14 +228,17 @@ def _check_clone_operands(
                 )
 
 
-def rewrite_local_load(
+def emit_global_load(
     fn: Function,
     cand: Candidate,
     ll: Load,
     sol: Solution,
     reuse_subexprs: bool = True,
-) -> Load:
-    """Replace ``ll`` with a new global load; returns the ``nGL``."""
+) -> List[Instruction]:
+    """Emit the ``nGL`` for ``ll`` immediately before it, leaving ``ll``
+    and its uses alone; returns the emitted instructions, ``nGL`` last
+    (see :func:`commit_global_load`, :func:`discard`).  On
+    :class:`RewriteError` nothing stays emitted."""
     if cand.gl.type != ll.type:
         raise RewriteError(
             f"type mismatch: global load is {cand.gl.type}, local load is {ll.type}"
@@ -239,18 +246,37 @@ def rewrite_local_load(
     doms = dominators(fn)
     builder = IRBuilder()
     builder.position_before(ll)
-    mat = Materializer(builder, fn, doms, ll)
+    block = ll.parent
+    start = block.instructions.index(ll)
 
-    tree = build_tree(cand.gl.ptr)
-    subst = build_substitutions(tree, sol, mat)
-    mark_tree(tree, subst, anchor=ll, doms=doms, force_all=not reuse_subexprs)
-    _check_clone_operands(tree, subst, doms, ll)
-    new_ptr = duplicate_instructions(tree, builder, subst)
-    if not isinstance(new_ptr, Value):  # pragma: no cover
-        raise RewriteError("duplication produced no pointer")
+    def emitted() -> List[Instruction]:
+        return block.instructions[start : block.instructions.index(ll)]
 
-    ngl = Load(new_ptr, name=f"nGL_{cand.name}")
-    builder.emit(ngl)
+    try:
+        mat = Materializer(builder, fn, doms, ll)
+        tree = build_tree(cand.gl.ptr)
+        subst = build_substitutions(tree, sol, mat)
+        mark_tree(tree, subst, anchor=ll, doms=doms, force_all=not reuse_subexprs)
+        _check_clone_operands(tree, subst, doms, ll)
+        new_ptr = duplicate_instructions(tree, builder, subst)
+        if not isinstance(new_ptr, Value):  # pragma: no cover
+            raise RewriteError("duplication produced no pointer")
+    except RewriteError:
+        discard(emitted())
+        raise
+    builder.emit(Load(new_ptr, name=f"nGL_{cand.name}"))
+    return emitted()
+
+
+def commit_global_load(ll: Load, chain: List[Instruction]) -> Load:
+    """Replace ``ll`` with the ``nGL`` that ends ``chain``; returns it."""
+    ngl = chain[-1]
     ll.replace_all_uses_with(ngl)
     ll.erase_from_parent()
     return ngl
+
+
+def discard(chain: List[Instruction]) -> None:
+    """Erase an emitted chain, users before the values they use."""
+    for inst in reversed(chain):
+        inst.erase_from_parent()

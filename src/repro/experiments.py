@@ -1,10 +1,13 @@
 """Experiment driver: regenerates the paper's tables and figures.
 
-Traces are device-independent, so each (application, variant) is
-executed once at the requested scale and then priced once per device
-family (the three CPUs, or the three GPUs) with
-:func:`repro.perf.price`; traces and cycles are memoised process-wide
-because pytest-benchmark runs each benchmark body several times.
+Traces are device-independent, so each distinct kernel, problem and
+variant is executed once at the requested scale and then priced once
+per device family (the three CPUs, or the three GPUs) with
+:func:`repro.perf.price`.  Traces and cycles are memoised process-wide
+because pytest-benchmark runs each benchmark body several times, keyed
+by what determines the launch rather than by app id: NVD-MM-A, -B and
+-AB are three Grover choices on one kernel, so their ``with`` baselines
+are one trace and one pricing.
 
 Everything here runs serially in the calling process; the fanned-out
 (app × device) grid is :func:`repro.parallel.run_matrix` (``repro
@@ -14,10 +17,10 @@ matrix --workers N``), whose values are bit-identical to these.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Dict, Hashable
 
 from repro.apps.harness import run_app
-from repro.apps.registry import TABLE_ORDER, get_app
+from repro.apps.registry import TABLE_ORDER, App, get_app
 from repro.parallel.matrix import MatrixResult, run_matrix  # noqa: F401  (re-export)
 from repro.perf.devices import CPU_DEVICES, GPU_DEVICES, device
 from repro.perf.timing import classify, price
@@ -26,16 +29,38 @@ from repro.runtime.trace import KernelTrace
 #: work-groups simulated per launch at bench scale (extrapolated)
 BENCH_SAMPLE_GROUPS = 4
 
-_trace_cache: Dict[Tuple[str, str, str], KernelTrace] = {}
-#: (app, variant, scale) -> device -> cycles, one device family at a time
-_cycles_cache: Dict[Tuple[str, str, str], Dict[str, float]] = {}
+#: launch key (see :func:`_launch_key`) -> trace
+_trace_cache: Dict[Hashable, KernelTrace] = {}
+#: launch key -> device -> cycles, one device family at a time
+_cycles_cache: Dict[Hashable, Dict[str, float]] = {}
+
+
+def _launch_key(app: App, variant: str, scale: str) -> Hashable:
+    """What determines an app's trace: its kernel, problem and variant.
+
+    ``make_problem`` compares by identity, so two :func:`kernel_app`
+    wrappers never share an entry; the Grover ``arrays`` choice only
+    matters once Grover runs."""
+    arrays = None
+    if variant == "without" and app.arrays is not None:
+        arrays = tuple(app.arrays)
+    return (
+        app.source,
+        app.kernel_name,
+        tuple(sorted(app.defines.items())),
+        app.make_problem,
+        variant,
+        arrays,
+        scale,
+    )
 
 
 def app_trace(app_id: str, variant: str, scale: str = "bench") -> KernelTrace:
-    key = (app_id, variant, scale)
+    app = get_app(app_id)
+    key = _launch_key(app, variant, scale)
     if key not in _trace_cache:
         run = run_app(
-            get_app(app_id),
+            app,
             variant,
             scale,
             collect_trace=True,
@@ -60,7 +85,8 @@ def app_cycles(app_id: str, variant: str, device_name: str, scale: str = "bench"
     The first request for a device prices the trace on its whole family
     at once, so a CPU request never pays for GPU pricing and the other
     members of the family come for free."""
-    per_device = _cycles_cache.setdefault((app_id, variant, scale), {})
+    key = _launch_key(get_app(app_id), variant, scale)
+    per_device = _cycles_cache.setdefault(key, {})
     if device_name not in per_device:
         family = GPU_DEVICES if device(device_name).is_gpu else CPU_DEVICES
         per_device.update(price(app_trace(app_id, variant, scale), list(family)))

@@ -8,6 +8,7 @@ numpy backing store directly.
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, Optional
 
 import numpy as np
@@ -25,7 +26,9 @@ class Buffer:
     """A contiguous allocation in one of the OpenCL memory spaces."""
 
     def __init__(self, mem: "Memory", buf_id: int, nbytes: int, name: str = "") -> None:
-        self.mem = mem
+        # weak, so a dropped Memory and its buffers are freed by
+        # reference counting rather than left to the cycle collector
+        self._mem = weakref.ref(mem)
         self.id = buf_id
         self.nbytes = nbytes
         self.name = name
@@ -33,6 +36,12 @@ class Buffer:
         self.data = np.zeros(padded, dtype=np.uint8)
         #: cached dtype views of the backing store
         self._views: Dict[np.dtype, np.ndarray] = {}
+
+    @property
+    def mem(self) -> Optional["Memory"]:
+        """The registry this buffer was allocated in; ``None`` once it
+        has been dropped."""
+        return self._mem()
 
     @property
     def base_addr(self) -> int:

@@ -119,6 +119,11 @@ def launch(
         for v in args.values():
             if isinstance(v, Buffer):
                 memory = v.mem
+                if memory is None:
+                    raise RuntimeLaunchError(
+                        f"buffer {v.name or v.id} outlived the Memory it "
+                        "was allocated in"
+                    )
                 break
         else:
             memory = Memory()

@@ -69,42 +69,59 @@ class GroupTrace:
         Two groups of a homogeneous kernel touch the same buffers with
         the same per-event shapes, store flags, lane patterns and
         barrier structure — only the base offset into each buffer
-        differs.  The fingerprint therefore hashes, per event: the
+        differs.  The fingerprint therefore covers, per event: the
         buffer's first-appearance slot (not its id), the address
-        space, store flag, element size, barrier phase, lane ids, and
-        offsets relative to the buffer's minimum offset over the whole
-        group — plus the group's work-item/instruction/barrier counts.
-        Groups with equal fingerprints produce identical relative
-        streams, which the performance models use to reuse simulation
-        results (see ``REPRO_PERF_MEMO``).  The digest is cached;
-        traces are immutable once the interpreter returns them.
+        space, store flag, element size, barrier phase, instruction,
+        access count, lane ids, and offsets relative to the buffer's
+        minimum offset over the whole group — plus the group's
+        work-item/instruction/barrier counts.  Groups with equal
+        fingerprints produce identical relative streams, which the
+        performance models use to reuse simulation results (see
+        ``REPRO_PERF_MEMO``).
+
+        It is one pass: each event becomes one row of an int64 table,
+        whose lane column is the index of the event's lane ids among
+        the group's distinct lane patterns (the tape shares a few lane
+        arrays across all events, so each distinct content is hashed
+        once), and the offsets of all events are rebased and hashed as
+        one array.  The digest is cached; traces are immutable once the
+        interpreter returns them.
         """
         if self._fingerprint is None:
-            base: dict = {}
-            for e in self.events:
-                if len(e.offsets):
-                    lo = int(np.asarray(e.offsets).min())
-                    prior = base.get(e.buffer_id)
-                    base[e.buffer_id] = lo if prior is None else min(prior, lo)
             slots: dict = {}
-            h = hashlib.blake2b(digest_size=16)
-            h.update(
+            by_object: dict = {}
+            by_content: dict = {}
+            rows = []
+            for e in self.events:
+                idx = by_object.get(id(e.lanes))
+                if idx is None:
+                    content = np.asarray(e.lanes, np.int64).tobytes()
+                    idx = by_content.setdefault(content, len(by_content))
+                    by_object[id(e.lanes)] = idx
+                rows.append((
+                    slots.setdefault(e.buffer_id, len(slots)), int(e.space),
+                    int(e.is_store), e.elem_size, e.phase, e.inst_id, idx,
+                    len(e.offsets),
+                ))
+            h = hashlib.sha256(
                 np.array(
-                    [self.work_items, self.inst_count, self.barriers], np.int64
+                    [self.work_items, self.inst_count, self.barriers,
+                     len(rows), len(by_content)],
+                    np.int64,
                 ).tobytes()
             )
-            for e in self.events:
-                slot = slots.setdefault(e.buffer_id, len(slots))
-                h.update(
-                    np.array(
-                        [slot, int(e.space), int(e.is_store), e.elem_size,
-                         e.phase, e.inst_id],
-                        np.int64,
-                    ).tobytes()
-                )
-                rel = np.asarray(e.offsets, np.int64) - base.get(e.buffer_id, 0)
-                h.update(rel.tobytes())
-                h.update(np.asarray(e.lanes, np.int64).tobytes())
+            if rows:
+                table = np.array(rows, np.int64)
+                h.update(table.tobytes())
+                for content in by_content:
+                    h.update(np.int64(len(content)).tobytes())
+                    h.update(content)
+                offs = np.concatenate([e.offsets for e in self.events])
+                offs = offs.astype(np.int64, copy=False)
+                slot_of = np.repeat(table[:, 0], table[:, 7])
+                base = np.full(len(slots), np.iinfo(np.int64).max, np.int64)
+                np.minimum.at(base, slot_of, offs)
+                h.update(offs - base[slot_of])
             self._fingerprint = h.digest()
         return self._fingerprint
 

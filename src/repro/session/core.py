@@ -260,7 +260,8 @@ class Session:
         With ``analyze=True`` (``$REPRO_ANALYZE``) the static race
         analyzer vets the kernel as an independent arbiter: a decided
         intra-group race or barrier divergence — before *or* after the
-        transformation — raises :class:`~repro.analysis.RaceDetected`
+        transformation (checked only when a candidate was transformed) —
+        raises :class:`~repro.analysis.RaceDetected`
         instead of silently transforming an already-undefined kernel
         (Grover's Eq. 3 reasons per local array; it cannot see, e.g.,
         two individually-invertible stores that collide with each
@@ -279,7 +280,9 @@ class Session:
             if analyze:
                 self._veto_races(kernel, local_size, stage="pre-transform")
             report = GroverPass(**kwargs).run(kernel)
-            if analyze:
+            # a pass that transformed nothing left the IR as it was, and
+            # the pre-transform check has already passed it
+            if analyze and report.transformed:
                 self._veto_races(kernel, local_size, stage="post-transform")
             return report
 

@@ -18,8 +18,13 @@ import os
 import numpy as np
 import pytest
 
+from repro.core import GroverPass
+from repro.frontend import compile_kernel
 from repro.fuzz import expectation_mismatches, load_manifest, replay_entry
 from repro.fuzz.oracle import BACKENDS, input_data
+from repro.ir.instructions import GEP, Load
+from repro.ir.printer import print_function
+from repro.ir.values import LocalArray
 from repro.runtime import Memory
 from repro.session import Session
 
@@ -28,7 +33,7 @@ MANIFEST = load_manifest(CORPUS_DIR)
 
 
 def test_corpus_is_committed_and_sized():
-    assert len(MANIFEST) == 25
+    assert len(MANIFEST) == 28
     for entry in MANIFEST:
         assert os.path.exists(os.path.join(CORPUS_DIR, str(entry["file"])))
     # promotion is shape-deduplicated: every committed case pins a
@@ -78,6 +83,47 @@ def test_corpus_backends_bit_identical(backend):
             outs["reference"].view(np.uint8), outs[backend].view(np.uint8)
         )
         ran += 1
-        if ran >= 8:  # a spread is plenty; the oracle test covers all 25
+        if ran >= 8:  # a spread is plenty; the oracle test covers all 28
             break
     assert ran > 0
+
+
+#: kernels whose candidates are all rejected after the pass used to
+#: rewrite some of their local loads: a candidate failing on its second
+#: load (``fuzz_b5d7...``) or on re-creating an index term whose
+#: operand is unavailable at the load (the other two)
+ALL_REJECTED = (
+    "fuzz_b5d75f9e2fe98327.cl",
+    "fuzz_c71a6290df50ba2b.cl",
+    "fuzz_eff7becf7cfdaa33.cl",
+)
+
+
+def _local_loads(kernel):
+    """Local array name -> number of loads reading it."""
+    counts = {}
+    for inst in kernel.instructions():
+        if isinstance(inst, Load):
+            base = inst.ptr.base if isinstance(inst.ptr, GEP) else inst.ptr
+            if isinstance(base, LocalArray):
+                counts[base.name] = counts.get(base.name, 0) + 1
+    return counts
+
+
+@pytest.mark.parametrize(
+    "entry", MANIFEST, ids=[str(e["file"])[:21] for e in MANIFEST]
+)
+def test_corpus_rejected_candidates_leave_ir_untouched(entry):
+    """Grover leaves the loads of every rejected array in place, and a
+    pass that transforms nothing leaves the IR exactly as it was."""
+    with open(os.path.join(CORPUS_DIR, str(entry["file"]))) as fh:
+        kernel = compile_kernel(fh.read(), str(entry["kernel"]))
+    before, loads = print_function(kernel), _local_loads(kernel)
+    report = GroverPass(allow_partial=True).run(kernel)
+    after = _local_loads(kernel)
+    for rec in report.rejected:
+        assert after.get(rec.name) == loads.get(rec.name), rec.name
+    if not report.transformed:
+        assert print_function(kernel) == before
+    if entry["file"] in ALL_REJECTED:
+        assert report.records and not report.transformed

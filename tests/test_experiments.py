@@ -30,6 +30,46 @@ class TestExperimentDrivers:
         t2 = app_trace("NVD-MT", "with", "test")
         assert t1 is t2
 
+    def test_mm_baselines_are_one_trace(self):
+        """NVD-MM-A, -B and -AB are three Grover choices on one kernel:
+        their ``with`` runs are one launch, their ``without`` runs not."""
+        base = app_trace("NVD-MM-A", "with", "test")
+        assert app_trace("NVD-MM-B", "with", "test") is base
+        assert app_trace("NVD-MM-AB", "with", "test") is base
+        without = {id(app_trace(a, "without", "test")) for a in
+                   ("NVD-MM-A", "NVD-MM-B", "NVD-MM-AB")}
+        assert len(without) == 3
+
+    def test_sweep_launches_each_distinct_kernel_once(self):
+        """The paper sweep launches 20 kernels for its 22 (app, variant)
+        pairs, and each value equals pricing the app's own trace."""
+        from repro.apps.harness import run_app
+        from repro.apps.registry import get_app
+        from repro.perf import price
+        from repro.perf.devices import CPU_DEVICES, GPU_DEVICES
+        from repro.session import events
+
+        clear_caches()
+        with events.collect() as sink:
+            t4 = table4(scale="test")
+            fig10 = {dev: figure10(dev, scale="test") for dev in GPU_DEVICES}
+            figure2(scale="test")
+        assert len(sink.of_kind("launch_end")) == 20
+        assert t4.cases == 33
+        for app_id in TABLE_ORDER:
+            own = {
+                v: price(
+                    run_app(get_app(app_id), v, "test", collect_trace=True).trace,
+                    list(CPU_DEVICES) + list(GPU_DEVICES),
+                )
+                for v in ("with", "without")
+            }
+            for dev in list(CPU_DEVICES) + list(GPU_DEVICES):
+                expected = own["with"][dev] / own["without"][dev]
+                assert normalized_perf(app_id, dev, "test") == expected
+                if dev in fig10:
+                    assert fig10[dev].values[app_id] == expected
+
     def test_normalized_perf_is_positive(self):
         v = normalized_perf("NVD-MT", "SNB", "test")
         assert v > 0

@@ -167,6 +167,31 @@ __kernel void k(__global float* out, __global const float* in)
         with pytest.raises(NotReversible):
             disable_local_memory(fn)
 
+    def test_candidate_failing_on_a_later_load_is_left_untouched(self):
+        # the first load solves (lx = li + 1), the second cannot (2 lx =
+        # 2 li - 1): no load of the rejected array may be rewritten
+        src = """
+__kernel void k(__global float* out, __global const float* in)
+{
+    __local float keep[64];
+    __local float t[64];
+    int li = get_local_id(0);
+    int gi = get_global_id(0);
+    keep[li] = in[gi];
+    t[2 * li + 1] = in[gi];
+    barrier(CLK_LOCAL_MEM_FENCE);
+    out[gi] = keep[li] + t[2 * li + 3] + t[2 * li];
+}
+"""
+        from repro.ir.printer import print_function
+
+        fn = compile_kernel(src)
+        report = disable_local_memory(fn, allow_partial=True)
+        assert [r.name for r in report.transformed] == ["keep"]
+        assert "inconsistent" in report.record("t").reason
+        assert sum(isinstance(i, Load) for i in local_ops(fn)) == 2
+        assert "nGL_t" not in print_function(fn)
+
     def test_non_kernel_rejected(self):
         from repro.core.grover import GroverError
 

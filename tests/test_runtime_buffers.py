@@ -1,10 +1,13 @@
 """Unit tests for device buffers and the encoded-pointer scheme."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.runtime.buffers import Memory, OFFSET_BITS
-from repro.runtime.errors import MemoryFault
+from repro.runtime.errors import MemoryFault, RuntimeLaunchError
 
 
 class TestBuffer:
@@ -89,3 +92,49 @@ class TestMemoryRegistry:
         b1 = m1.alloc(8)
         b2 = m2.alloc(8)
         assert b1.id == b2.id  # ids are per-registry
+
+
+class TestLifetime:
+    """A buffer holds its ``Memory`` weakly, so a launch's buffers are
+    freed by reference counting, not left to the cycle collector."""
+
+    def test_dropped_app_run_frees_its_buffers(self, monkeypatch):
+        from repro.apps import harness
+        from repro.apps.registry import get_app
+
+        made = []
+
+        class Tracked(Memory):
+            def __init__(self):
+                super().__init__()
+                made.append(weakref.ref(self))
+
+            def alloc(self, nbytes, name=""):
+                buf = super().alloc(nbytes, name)
+                made.append(weakref.ref(buf))
+                return buf
+
+        monkeypatch.setattr(harness, "Memory", Tracked)
+        app = get_app("NVD-MT")
+        kernel, _ = harness.compile_app(app)
+        gc.collect()
+        gc.disable()
+        try:
+            run = harness.execute_app(app, kernel, scale="test", collect_trace=True)
+            assert run.trace is not None and len(made) > 2
+            del run
+            assert [r() for r in made if r() is not None] == []
+        finally:
+            gc.enable()
+
+    def test_launch_needs_a_live_memory(self):
+        from repro.frontend import compile_kernel
+        from repro.runtime import launch
+
+        kernel = compile_kernel(
+            "__kernel void k(__global float* o) { o[get_global_id(0)] = 1.0f; }"
+        )
+        buf = Memory().alloc(64, "o")
+        assert buf.mem is None
+        with pytest.raises(RuntimeLaunchError, match="outlived the Memory"):
+            launch(kernel, (16,), (4,), {"o": buf})
