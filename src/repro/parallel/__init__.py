@@ -7,7 +7,9 @@ pool (:mod:`repro.parallel.pool`), with one failure contract.
 :func:`run_matrix` fans the (app × device) grid of Table IV / Fig. 10 /
 the extension-GPU scoring out one application per case
 (:mod:`repro.parallel.matrix`); search candidate scoring and fuzz
-campaigns call the same ``fan_out``.  A single kernel launch always
+campaigns call the same ``fan_out``, and the search's root-kernel gate
+runs beside them through ``fan_out``'s one-case entry point,
+:func:`submit_case`.  A single kernel launch always
 runs serially in the process that issued it.
 
 Fanned-out results are required to be *bit-identical* to serial
@@ -34,6 +36,7 @@ from repro.parallel.pool import (
     make_pool,
     resolve_workers,
     shutdown_shared,
+    submit_case,
 )
 
 __all__ = [
@@ -51,5 +54,6 @@ __all__ = [
     "resolve_workers",
     "run_matrix",
     "shutdown_shared",
+    "submit_case",
     "trace_mismatch",
 ]

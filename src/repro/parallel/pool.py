@@ -1,17 +1,22 @@
-"""The process-wide persistent worker pool and the one case fan-out.
+"""The process-wide persistent worker pool and its two case entry points.
 
-Every fan-out in the system — the experiment matrix, search candidate
-scoring, fuzz campaigns — calls :func:`fan_out`, which spreads whole,
-independent cases over **one** warm pool: the first fan-out forks it,
-later fan-outs reuse the same worker processes (and everything warm
+Every case sent to a worker — experiment matrix cells, search
+candidates and the search's root-kernel gate, fuzz cases — goes
+through :func:`submit_case`, on **one** warm pool: the first case forks
+it, later cases reuse the same worker processes (and everything warm
 inside them, such as the compile cache), and it is torn down when the
 session that first acquired it closes — or at interpreter exit,
 whichever comes first.
 
-``fan_out(fn, payloads, workers, where)`` returns ``[fn(*p) for p in
-payloads]`` in input order, computed on the pool when ``workers``
-resolves to more than 1 and there are at least two payloads.  Its
-failure contract is the serial path's: a case's
+``submit_case(fn, payload, workers, where)`` starts ``fn(*payload)``
+on the pool when ``workers`` resolves to more than 1 and returns a
+zero-argument getter of its result, so the caller can work while the
+case runs; with one worker the getter computes the case in the parent
+when it is first called.  ``fan_out(fn, payloads, workers, where)`` is
+built on it: it returns ``[fn(*p) for p in payloads]`` in input order,
+computed on the pool when ``workers`` resolves to more than 1 and
+there are at least two payloads.  Both share one failure contract,
+the serial path's: a case's
 :class:`RuntimeLaunchError`, :class:`MemoryFault` or
 :class:`BarrierDivergenceError` propagates unchanged (a serial redo
 would fail identically); any other ``Exception`` from a pool task —
@@ -19,11 +24,12 @@ broken pool, lost worker, a payload that does not pickle — is reported
 with :func:`report_fallback` and the case is redone in the parent;
 ``KeyboardInterrupt``/``SystemExit`` propagate.
 
-``acquire(n)`` hands out the shared :class:`WorkerPool`, built by
-:func:`make_pool`.  The pool is recycled — old executor shut down, a
-fresh one forked, a ``pool_recycle`` event emitted — when it is broken
-(a worker died) or too small for the request.  When ``make_pool``
-returns ``None`` the fan-out runs serially.
+``acquire(n)``, called only by :func:`submit_case`, hands out the
+shared :class:`WorkerPool`, built by :func:`make_pool`.  The pool is
+recycled — old executor shut down, a fresh one forked, a
+``pool_recycle`` event emitted — when it is broken (a worker died) or
+too small for the request.  When ``make_pool`` returns ``None`` the
+case runs in the parent.
 
 ``resolve_workers`` normalises every ``workers=`` argument: ``None``
 means the session's ``workers`` setting (``$REPRO_WORKERS``), the
@@ -33,6 +39,7 @@ number of cases fanned out at once; 1 is serial.
 from __future__ import annotations
 
 import atexit
+import functools
 import multiprocessing
 import time
 import warnings
@@ -49,7 +56,7 @@ from repro.session import events
 
 __all__ = ["PoolFallbackWarning", "WORKERS_ENV", "WorkerPool", "acquire",
            "fan_out", "make_pool", "report_fallback", "resolve_workers",
-           "session_closed", "shutdown_shared"]
+           "session_closed", "shutdown_shared", "submit_case"]
 
 #: environment default for every ``workers=None`` entry point; setting
 #: ``REPRO_WORKERS=1`` is the global escape hatch that forces serial
@@ -93,7 +100,7 @@ def make_pool(n_workers: int) -> Optional[ProcessPoolExecutor]:
     :func:`report_fallback`.
 
     Only :func:`acquire` calls this, so the warm pool is reused
-    instead of forked per fan-out.
+    instead of forked per case.
     """
     try:
         methods = multiprocessing.get_all_start_methods()
@@ -151,7 +158,7 @@ class WorkerPool:
             shutdown(wait=True, cancel_futures=True)
 
 
-#: the shared pool, created by the first fan-out
+#: the shared pool, created by the first case submitted
 _SHARED: Optional[WorkerPool] = None
 #: weakref to the Session whose close() tears the shared pool down
 _OWNER: Optional["weakref.ref"] = None
@@ -208,41 +215,58 @@ _CASE_ERRORS = (RuntimeLaunchError, MemoryFault, BarrierDivergenceError)
 
 
 def _run_in_worker(fn: Callable, payload: Tuple) -> object:
-    """Pool-child entry of every fan-out: first drop the event sinks
+    """Pool-child entry of every case: first drop the event sinks
     inherited over ``fork`` — a child writing to the parent's JSONL
     file handle would interleave two streams."""
     events.bus()._sinks.clear()
     return fn(*payload)
 
 
-def fan_out(
-    fn: Callable, payloads: Iterable[Tuple], workers: Optional[int], where: str
-) -> List:
-    """``[fn(*p) for p in payloads]``, fanned out over the shared pool
-    when ``workers`` resolves to more than 1; see the module docstring
-    for the failure contract.  ``fn`` must be a module-level function
-    (it is pickled by reference); ``where`` names the caller in
-    ``pool_fallback`` reports."""
-    payloads = list(payloads)
+def submit_case(
+    fn: Callable, payload: Tuple, workers: Optional[int], where: str
+) -> Callable[[], object]:
+    """Start ``fn(*payload)`` on the shared pool and return a
+    zero-argument getter of its result; the caller goes on working
+    while the case runs.
+
+    When ``workers`` resolves to 1 the case runs in the parent, the
+    first time the getter is called.  The getter computes the result
+    once and returns it on every later call.  Failures follow the
+    module docstring's contract; ``fn`` must be a module-level function
+    and ``where`` names the caller in ``pool_fallback`` reports.
+    """
     n_workers = resolve_workers(workers)
-    pool = (
-        acquire(min(n_workers, len(payloads)))
-        if n_workers > 1 and len(payloads) > 1
-        else None
-    )
-    if pool is None:
-        return [fn(*p) for p in payloads]
-    futures = [pool.submit(_run_in_worker, fn, p) for p in payloads]
-    results = []
-    for payload, fut in zip(payloads, futures):  # input order
+    pool = acquire(n_workers) if n_workers > 1 else None
+    future = pool.submit(_run_in_worker, fn, payload) if pool is not None else None
+
+    @functools.cache
+    def result() -> object:
+        if future is None:
+            return fn(*payload)
         try:
-            results.append(fut.result())
+            return future.result()
         except _CASE_ERRORS:
             raise
         except Exception as exc:
             report_fallback(where, "case redone serially", exc)
-            results.append(fn(*payload))
-    return results
+            return fn(*payload)
+
+    return result
+
+
+def fan_out(
+    fn: Callable, payloads: Iterable[Tuple], workers: Optional[int], where: str
+) -> List:
+    """``[fn(*p) for p in payloads]``, fanned out over the shared pool
+    when ``workers`` resolves to more than 1 and there are at least two
+    payloads: every payload is a :func:`submit_case`, collected in input
+    order."""
+    payloads = list(payloads)
+    # a single payload runs in the parent, and a pool never needs more
+    # workers than there are payloads
+    n_workers = max(1, min(resolve_workers(workers), len(payloads)))
+    results = [submit_case(fn, p, n_workers, where) for p in payloads]
+    return [result() for result in results]
 
 
 def shutdown_shared() -> None:

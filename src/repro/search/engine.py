@@ -9,7 +9,7 @@ scores every candidate with the trace-driven performance model under the
 tape execution backend, and keeps the ``beam`` best per depth level.
 
 Scoring is a prediction; shipping is gated.  Every surviving winner is
-re-derived from scratch and verified before it is reported:
+verified before it is reported:
 
 * the static race/divergence analyzer must not find a decided race or
   barrier divergence in the transformed kernel (the same veto arbiter
@@ -17,10 +17,21 @@ re-derived from scratch and verified before it is reported:
 * the tape backend must produce traces and outputs bit-identical to the
   reference interpreter's for the transformed kernel;
 * the transformed kernel's outputs must be byte-identical to the
-  untransformed baseline's (:func:`repro.parallel.diff.assert_outputs_equal`).
+  untransformed root kernel's reference outputs
+  (:func:`repro.parallel.diff.assert_outputs_equal`).
 
-The empty pipeline's kernel *is* the baseline, so it takes only the
-reference-vs-tape gate: one compile and two launches.
+The empty pipeline's kernel is the root, and every search checks it:
+right after the app's one compile, the root's full-grid, traced
+reference-vs-tape gate is submitted to the shared pool
+(:func:`repro.parallel.pool.submit_case`) and runs there while the
+candidates are scored.  The worker returns only the verdict and the
+reference outputs, never a trace.  A ``(default)`` winner takes that
+verdict, with no compile or launch of its own; a transform is
+re-derived from source (one compile, two launches) and compared with
+the root's reference outputs.  With one worker the gate runs in the
+parent, when the first verification needs it.  Its launches run where
+the gate runs, so with a pool their ``launch_*`` events are not in the
+parent's event stream; ``search_verified`` still reports the verdict.
 
 A candidate that fails any gate is discarded and the next-best one is
 verified instead; the empty pipeline is always a candidate, so the
@@ -59,11 +70,15 @@ import copy
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union,
+)
+
+import numpy as np
 
 from repro.frontend.errors import FrontendError
 from repro.ir.verifier import VerificationError
-from repro.parallel.pool import fan_out, resolve_workers
+from repro.parallel.pool import fan_out, resolve_workers, submit_case
 from repro.session import events
 
 if TYPE_CHECKING:
@@ -272,34 +287,96 @@ def evaluate_pipeline(
 # ---------------------------------------------------------------------------
 
 
+#: what the root gate returns: ``(ok, reason, reference outputs)``; the
+#: outputs are ``None`` when the gate failed
+RootGate = Tuple[bool, str, Optional[Dict[str, np.ndarray]]]
+
+
+def _gate_reason(exc: Exception) -> str:
+    """A gate refusal as the ``reason`` of a ``search_verified`` event."""
+    from repro.analysis import RaceDetected
+    from repro.parallel.diff import DifferentialMismatch
+
+    if isinstance(exc, RaceDetected):
+        return str(exc)
+    if isinstance(exc, DifferentialMismatch):
+        return f"differential: {exc}"
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _reference_vs_tape(app: App, kernel: Function, scale: str) -> Dict[str, np.ndarray]:
+    """Launch ``kernel`` on the full grid, traced, on the reference
+    interpreter and on the tape; raise
+    :class:`~repro.parallel.diff.DifferentialMismatch` unless traces and
+    outputs are bit-identical, else return the reference outputs."""
+    from repro.apps.harness import execute_app
+    from repro.parallel.diff import assert_outputs_equal, assert_traces_equal
+    from repro.session import Session
+
+    runs = {}
+    for backend in ("reference", "tape"):
+        with Session(env={}, exec_backend=backend).activate():
+            # full grid, no sampling: sampled launches execute only the
+            # sampled groups, and verification must compare the complete
+            # output of every work-group
+            runs[backend] = execute_app(
+                app, kernel, variant="with", scale=scale, collect_trace=True,
+            )
+    ref, tape = runs["reference"], runs["tape"]
+    assert_traces_equal(ref.trace, tape.trace, f"{app.id} search winner [tape]")
+    assert_outputs_equal(ref.outputs, tape.outputs, f"{app.id} search winner [tape]")
+    return ref.outputs
+
+
+def _root_gate(app: App, root: Function, scale: str) -> RootGate:
+    """The untransformed kernel's reference-vs-tape gate, run whole
+    where it is called (a pool worker during a search): only the
+    verdict and the reference outputs come back, never a trace."""
+    try:
+        outputs = _reference_vs_tape(app, root, scale)
+    except _TOOLCHAIN_ERRORS:
+        raise
+    except Exception as exc:
+        return False, _gate_reason(exc), None
+    return True, "", outputs
+
+
 def verify_pipeline(
     app: App,
     pipeline: Sequence[str],
     scale: str,
+    root_gate: Optional[Callable[[], RootGate]] = None,
 ) -> Tuple[bool, str]:
-    """Re-derive the transformed kernel and gate it; ``(ok, reason)``.
+    """Gate one pipeline's kernel; ``(ok, reason)``.
 
-    Gates, in order: the static race/divergence analyzer (a decided
-    finding vetoes), reference-vs-tape trace + output bit-identity, and
-    byte-identical outputs against the untransformed baseline.  The
-    empty pipeline's kernel is the baseline, so it takes the
-    reference-vs-tape gate alone: one compile, two launches.
+    ``root_gate`` is the getter :func:`search_app` holds for the
+    untransformed kernel's :func:`_root_gate`.  The empty pipeline's
+    kernel is that root, so its verdict is the root gate's.  A
+    transform is re-derived from source and gated, in order: the static
+    race/divergence analyzer (a decided finding vetoes), its own
+    reference-vs-tape trace + output bit-identity, and byte-identical
+    outputs against the root's reference outputs — a root that failed
+    its gate has none, which rejects the transform.  With a root gate
+    the empty pipeline launches nothing and a transform costs one
+    compile and two launches.
+
+    Without ``root_gate`` the root is compiled here: the empty pipeline
+    costs one compile and two launches, a transform two compiles and
+    three (its baseline is an untraced reference run of the root).
 
     Gate refusals come back as ``(False, reason)``; deterministic
     compile/verifier errors re-raise (same contract as
     :func:`evaluate_pipeline` — they are rule bugs, not gate verdicts)
     and ``KeyboardInterrupt``/``SystemExit`` propagate untouched.
     """
-    from repro.analysis import RaceDetected, analyzer_veto
+    from repro.analysis import analyzer_veto
     from repro.apps.harness import compile_app, execute_app
-    from repro.parallel.diff import (
-        DifferentialMismatch,
-        assert_outputs_equal,
-        assert_traces_equal,
-    )
+    from repro.parallel.diff import assert_outputs_equal
     from repro.session import Session
 
     pipeline = tuple(pipeline)
+    if not pipeline and root_gate is not None:
+        return root_gate()[:2]
     problem = app.make_problem(scale)
     try:
         with Session(env={}, exec_backend="tape").activate():
@@ -307,41 +384,25 @@ def verify_pipeline(
             _apply_pipeline(kernel, pipeline, problem.local_size)
             if pipeline:
                 analyzer_veto(kernel, problem.local_size, "post-transform")
-                baseline_kernel, _ = compile_app(app, "with")
-                base = execute_app(
-                    app, baseline_kernel, variant="with", scale=scale,
-                    collect_trace=False,
-                )
-        runs = {}
-        for backend in ("reference", "tape"):
-            with Session(env={}, exec_backend=backend).activate():
-                # full grid, no sampling: sampled launches execute only
-                # the sampled groups, and verification must compare the
-                # complete output of every work-group
-                runs[backend] = execute_app(
-                    app, kernel, variant="with", scale=scale,
-                    collect_trace=True,
-                )
-        ref, tape = runs["reference"], runs["tape"]
-        assert_traces_equal(ref.trace, tape.trace, f"{app.id} search winner [tape]")
-        assert_outputs_equal(
-            ref.outputs, tape.outputs, f"{app.id} search winner [tape]"
-        )
-        if pipeline:
-            # byte-identical outputs against the untransformed kernel:
-            # every shipped rule preserves computed values exactly (it
-            # reorders or re-homes memory traffic, never arithmetic)
-            assert_outputs_equal(
-                base.outputs, ref.outputs, f"{app.id} search winner vs default"
-            )
-    except RaceDetected as exc:
-        return False, str(exc)
-    except DifferentialMismatch as exc:
-        return False, f"differential: {exc}"
-    except (FrontendError, VerificationError):
+        if not pipeline:
+            return _root_gate(app, kernel, scale)[:2]
+        outputs = _reference_vs_tape(app, kernel, scale)
+        if root_gate is None:
+            with Session(env={}, exec_backend="reference").activate():
+                root, _ = compile_app(app, "with")
+                base = execute_app(app, root, variant="with", scale=scale).outputs
+        else:
+            ok, reason, base = root_gate()
+            if not ok:
+                return False, f"default kernel failed verification: {reason}"
+        # byte-identical outputs against the untransformed kernel: every
+        # shipped rule preserves computed values exactly (it reorders or
+        # re-homes memory traffic, never arithmetic)
+        assert_outputs_equal(base, outputs, f"{app.id} search winner vs default")
+    except _TOOLCHAIN_ERRORS:
         raise
     except Exception as exc:
-        return False, f"{type(exc).__name__}: {exc}"
+        return False, _gate_reason(exc)
     return True, ""
 
 
@@ -396,6 +457,10 @@ def search_app(app: App, options: SearchOptions) -> AppSearchResult:
         geometry = app.make_problem(options.scale).local_size
         with session.activate():
             root, _ = compile_app(app, "with")
+        # the root's full-grid verification runs on the pool while the
+        # candidates are scored; the winner's verification collects it
+        root_gate = submit_case(_root_gate, (app, root, options.scale),
+                                options.workers, where="search")
         baseline = _score_kernel(app, root, (), (), options.scale,
                                  sample_groups, device_name)
     except _TOOLCHAIN_ERRORS:
@@ -488,7 +553,7 @@ def search_app(app: App, options: SearchOptions) -> AppSearchResult:
     verified = False
     rejected: List[str] = []
     for cand in ranked:
-        ok, reason = verify_pipeline(app, cand.pipeline, options.scale)
+        ok, reason = verify_pipeline(app, cand.pipeline, options.scale, root_gate)
         events.emit(
             "search_verified",
             app=app_id,
@@ -610,7 +675,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                    help="device model scoring candidates "
                    "(default: $REPRO_SEARCH_DEVICE)")
     p.add_argument("--workers", type=int, default=None,
-                   help="process-pool width for candidate evaluation "
+                   help="process-pool width for candidate scoring and the "
+                   "default kernel's verification, which runs beside it; "
+                   "above 1 every search starts a pool "
                    "(default: $REPRO_WORKERS, then 1)")
     p.add_argument("--golden", metavar="FILE", default=None,
                    help="compare the report against FILE (CI pinning); "

@@ -150,10 +150,10 @@ def _search(workers):
     (r,) = run_search(
         SearchOptions(apps=("NVD-MT",), depth=1, device="SNB", workers=workers)
     ).results
-    # only a rewriting extension reaches the pool; a no-op is decided in
-    # the parent
+    # only a rewriting extension reaches the pool, beside the root gate; a
+    # no-op is decided in the parent
     shipped = [c for c in r.candidates if c.rewrites and c.rewrites[-1] > 0]
-    return (r.baseline, r.winner, r.candidates), len(shipped)
+    return (r.baseline, r.winner, r.candidates), len(shipped) + 1
 
 
 def _fuzz(workers):
@@ -230,3 +230,47 @@ def test_matrix_does_not_retry_barrier_divergence(monkeypatch):
 def test_matrix_lets_interrupts_propagate(monkeypatch, exc_type):
     with pytest.raises(exc_type):
         _run_small_matrix(monkeypatch, exc_type())
+
+
+# ---------------------------------------------------------------------------
+# the deferred entry point: one case, its result collected later
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "exc", [RuntimeLaunchError("bad binding"), MemoryFault("oob")]
+)
+def test_submit_case_does_not_retry_deterministic_kernel_errors(monkeypatch, exc):
+    from repro.parallel.pool import submit_case
+    from repro.session import events
+
+    redone = []
+    _use_failed_pool(monkeypatch, exc)
+    with events.collect() as sink:
+        result = submit_case(redone.append, (1,), 2, "gate")
+        with pytest.raises(type(exc)) as excinfo:
+            result()
+    assert excinfo.value is exc
+    assert not redone and not sink.of_kind("pool_fallback")
+
+
+def test_submit_case_redoes_a_failed_task_in_the_parent_once(monkeypatch):
+    from concurrent.futures.process import BrokenProcessPool
+
+    from repro.parallel.pool import submit_case
+    from repro.session import events
+
+    calls = []
+
+    def case(x):
+        calls.append(x)
+        return 2 * x
+
+    _use_failed_pool(monkeypatch, BrokenProcessPool("worker died"))
+    with events.collect() as sink:
+        result = submit_case(case, (21,), 2, "gate")
+        assert result() == 42 and result() == 42
+    assert calls == [21]
+    (fall,) = sink.of_kind("pool_fallback")
+    assert fall.payload["where"] == "gate"
+    assert "BrokenProcessPool" in fall.payload["error"]

@@ -202,6 +202,90 @@ def test_verify_launches_the_baseline_only_for_a_transform(pipeline, launches):
     assert len(sink.of_kind("launch_start")) == launches
 
 
+def test_a_default_winner_costs_one_compile_per_search(monkeypatch):
+    """The root gate verifies a ``(default)`` winner with the search's
+    one compile of the app, not a second one."""
+    import repro.apps.harness as harness
+
+    compiles = []
+    real_compile = harness.compile_kernel
+
+    def compile_kernel(*args, **kwargs):
+        compiles.append(args)
+        return real_compile(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "compile_kernel", compile_kernel)
+    r = _search("NVD-MM-B")
+    assert r.winner.pipeline == () and r.verified
+    assert len(compiles) == 1
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_search_leaves_the_root_kernel_unchanged(monkeypatch, workers):
+    """Scoring, cloning and the root gate (launched in the parent with
+    one worker, pickled to the pool with two) leave the root kernel's
+    IR as compiled."""
+    import repro.apps.harness as harness
+    from repro.ir import print_function
+
+    roots = []
+    real_compile_app = harness.compile_app
+
+    def compile_app(app, *args, **kwargs):
+        kernel, report = real_compile_app(app, *args, **kwargs)
+        roots.append((kernel, print_function(kernel)))
+        return kernel, report
+
+    monkeypatch.setattr(harness, "compile_app", compile_app)
+    r = _search(depth=2, device="Fermi", workers=workers)
+    assert r.winner.pipeline == ("pad-local-arrays",) and r.verified
+    root, printed = roots[0]
+    assert print_function(root) == printed
+
+
+def test_a_transform_is_compared_with_the_root_reference_outputs(monkeypatch):
+    """A transformed winner whose outputs differ from the root gate's
+    reference outputs is rejected, and the default wins."""
+    import repro.search.engine as engine
+
+    real_gate = engine._root_gate
+
+    def corrupted_gate(app, root, scale):
+        ok, reason, outputs = real_gate(app, root, scale)
+        return ok, reason, {name: out + 1 for name, out in outputs.items()}
+
+    monkeypatch.setattr(engine, "_root_gate", corrupted_gate)
+    r = _search(depth=1, rules=("pad-local-arrays",), device="Fermi")
+    assert r.winner.pipeline == () and r.verified
+    (rejected,) = r.rejected
+    assert rejected.startswith("pad-local-arrays: differential:")
+    assert "search winner vs default" in rejected
+
+
+def test_the_root_gate_returns_no_trace():
+    """Only the verdict and the reference outputs leave the process that
+    runs the root gate; a trace would cost the parent its memory."""
+    from repro.apps.harness import compile_app
+    from repro.runtime.trace import GroupTrace, KernelTrace
+    from repro.search.engine import _root_gate
+
+    root, _ = compile_app(MT, "with")
+    gate = _root_gate(MT, root, "test")
+    ok, reason, outputs = gate
+    assert ok and reason == ""
+    assert set(outputs) == set(MT.make_problem("test").expected)
+    todo = [gate]
+    while todo:
+        value = todo.pop()
+        assert not isinstance(value, (KernelTrace, GroupTrace)), type(value)
+        if isinstance(value, dict):
+            todo.extend(value.values())
+        elif isinstance(value, (tuple, list)):
+            todo.extend(value)
+        else:
+            assert isinstance(value, (bool, str, np.ndarray)), type(value)
+
+
 def test_verify_rejects_broken_pipelines():
     ok, reason = verify_pipeline(MT, ("bogus",), "test")
     assert not ok and "bogus" in reason
@@ -417,12 +501,13 @@ def _unpicklable_mt():
 def test_unpicklable_app_is_redone_serially_and_reported():
     """A payload that cannot reach a pool worker is scored in the parent
     — same winner — and each redo is reported: a ``pool_fallback``
-    event when a sink listens, else a ``PoolFallbackWarning``."""
+    event when a sink listens, else a ``PoolFallbackWarning``.  The
+    root gate is one more such payload."""
     from repro.parallel.pool import PoolFallbackWarning
 
     def search(workers):
         # both rules rewrite NVD-MT, so the level ships two kernels to the
-        # pool (a single payload runs serially)
+        # pool (a single payload runs serially), beside the root gate
         options = SearchOptions(apps=(app,), rules=("grover", "pad-local-arrays"),
                                 depth=1, device="Fermi", workers=workers)
         (result,) = run_search(options).results
@@ -434,7 +519,7 @@ def test_unpicklable_app_is_redone_serially_and_reported():
         fanned = search(2)
     assert fanned.winner == serial.winner and fanned.verified
     falls = sink.of_kind("pool_fallback")
-    assert len(falls) == 2
+    assert len(falls) == 3
     assert {e.payload["where"] for e in falls} == {"search"}
     assert all(e.payload["error"] for e in falls)
     with pytest.warns(PoolFallbackWarning, match="in search"):

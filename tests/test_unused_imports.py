@@ -22,13 +22,15 @@ _LINTED = ("src", "tests", "benchmarks", "examples")
 _SCOPES = (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def _linted_files() -> Iterator[str]:
+def linted_files(with_init: bool = False) -> Iterator[str]:
+    """Every ``.py`` file CI lints; ``__init__.py`` files only when
+    ``with_init`` (ruff.toml exempts those re-export modules from F401
+    only)."""
     for top in _LINTED:
         for dirpath, dirnames, filenames in os.walk(os.path.join(_ROOT, top)):
             dirnames[:] = sorted(d for d in dirnames if not d.startswith("."))
             for name in sorted(filenames):
-                # ruff.toml exempts the __init__.py re-export modules
-                if name.endswith(".py") and name != "__init__.py":
+                if name.endswith(".py") and (with_init or name != "__init__.py"):
                     yield os.path.join(dirpath, name)
 
 
@@ -94,7 +96,7 @@ def unused_imports(path: str) -> List[str]:
 
 
 def test_no_unused_imports():
-    found = [hit for path in _linted_files() for hit in unused_imports(path)]
+    found = [hit for path in linted_files() for hit in unused_imports(path)]
     assert not found, "imported but unused (F401):\n" + "\n".join(found)
 
 

@@ -95,6 +95,47 @@ def test_search_reuses_pool_and_reproduces_serial_winners():
 
 
 # ---------------------------------------------------------------------------
+# the deferred entry point
+# ---------------------------------------------------------------------------
+
+
+def _pid_and(value):
+    return os.getpid(), value
+
+
+def test_submit_case_runs_in_a_worker():
+    result = worker_pool.submit_case(_pid_and, (1,), 2, "test")
+    pid, value = result()
+    assert value == 1 and pid != os.getpid()
+    assert pid in worker_pool._SHARED.worker_pids()
+
+
+def test_unpicklable_case_is_redone_in_the_parent_and_reported():
+    with events.collect() as sink:
+        result = worker_pool.submit_case(_pid_and, (lambda: 0,), 2, "test")
+        pid, _ = result()
+    assert pid == os.getpid()
+    (fall,) = sink.of_kind("pool_fallback")
+    assert fall.payload["where"] == "test"
+    assert "pickle" in fall.payload["error"].lower()
+
+
+def test_one_worker_runs_the_case_in_the_parent_when_asked():
+    calls = []
+
+    def case(value):
+        calls.append(os.getpid())
+        return value
+
+    with events.collect() as sink:
+        result = worker_pool.submit_case(case, (7,), 1, "test")
+        assert calls == []  # nothing runs before the result is needed
+        assert result() == 7 and result() == 7
+    assert calls == [os.getpid()]
+    assert worker_pool._SHARED is None and not sink.of_kind("pool_start")
+
+
+# ---------------------------------------------------------------------------
 # recycling
 # ---------------------------------------------------------------------------
 
