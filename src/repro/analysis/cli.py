@@ -114,6 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    from repro.cli import read_source
+
     p = build_parser()
     args = p.parse_args(argv)
     if args.update_golden and not args.golden:
@@ -145,6 +147,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         defines[name] = value or "1"
     scalar_args = dict(args.scalar_args)
     local_args = dict(args.local_args)
+    sources = [(path, read_source(p, path)) for path in args.files]
 
     from repro.session import session_from_flags
 
@@ -162,11 +165,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         execute=not args.static_only,
                     )
                     reports.append((label, rep))
-            for path in args.files:
+            for path, source in sources:
                 label = Path(path).name
                 try:
                     rep = analyze_source(
-                        Path(path).read_text(),
+                        source,
                         kernel_name=args.kernel,
                         defines=defines,
                         global_size=args.global_size,

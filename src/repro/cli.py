@@ -135,6 +135,8 @@ def read_source(p: argparse.ArgumentParser, path: str) -> str:
         return Path(path).read_text()
     except OSError as exc:
         p.error(f"cannot read {path}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        p.error(f"cannot read {path}: not UTF-8 text ({exc.reason} at byte {exc.start})")
 
 
 def passes_main(argv=None) -> int:

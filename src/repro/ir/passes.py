@@ -11,10 +11,11 @@ phi-node leaves.
 
 from __future__ import annotations
 
+import operator
 from typing import Dict, List
 
 from repro.ir.function import Function, Module
-from repro.ir.instructions import Alloca, Instruction, Load, Store
+from repro.ir.instructions import Alloca, Instruction, Load, Opcode, Store
 from repro.ir.values import Value
 
 
@@ -144,6 +145,15 @@ def loop_invariant_code_motion(fn: Function) -> int:
     return hoisted_total
 
 
+#: float opcodes folded in Python arithmetic
+_FLOAT_FOLDS = {
+    Opcode.FADD: operator.add,
+    Opcode.FSUB: operator.sub,
+    Opcode.FMUL: operator.mul,
+    Opcode.FDIV: operator.truediv,
+}
+
+
 def fold_constants(fn: Function) -> int:
     """Fold binops/casts whose operands are all constants."""
 
@@ -161,11 +171,7 @@ def fold_constants(fn: Function) -> int:
                 if isinstance(inst, BinOp) and all(
                     isinstance(o, Constant) for o in inst.operands
                 ):
-                    a, b = (o.value for o in inst.operands)
-                    try:
-                        result = _fold_binop(inst.opcode, a, b)
-                    except (ZeroDivisionError, ValueError):
-                        result = None
+                    result = _fold_binop(inst)
                 elif isinstance(inst, Cast) and isinstance(inst.value, Constant):
                     if isinstance(inst.type, (IntType, FloatType)):
                         result = inst.value.value
@@ -178,29 +184,33 @@ def fold_constants(fn: Function) -> int:
     return folded
 
 
-def _fold_binop(op, a, b):
-    from repro.ir.instructions import Opcode
+def _fold_binop(inst):
+    """The value of a binop of two constants, or ``None`` to leave it.
 
-    table = {
-        Opcode.ADD: lambda: a + b,
-        Opcode.SUB: lambda: a - b,
-        Opcode.MUL: lambda: a * b,
-        Opcode.FADD: lambda: a + b,
-        Opcode.FSUB: lambda: a - b,
-        Opcode.FMUL: lambda: a * b,
-        Opcode.FDIV: lambda: a / b,
-        Opcode.AND: lambda: a & b,
-        Opcode.OR: lambda: a | b,
-        Opcode.XOR: lambda: a ^ b,
-        Opcode.SHL: lambda: a << b,
-        Opcode.ASHR: lambda: a >> b,
-        Opcode.SDIV: lambda: int(a / b) if b else None,
-        Opcode.UDIV: lambda: int(a / b) if b else None,
-        Opcode.SREM: lambda: a - int(a / b) * b if b else None,
-        Opcode.UREM: lambda: a - int(a / b) * b if b else None,
-    }
-    fn = table.get(op)
-    return fn() if fn else None
+    Integer opcodes compute through :mod:`repro.runtime.ops` on
+    one-element arrays of the operand dtype, so a fold equals what the
+    runtime computes (wrap-around, truncating division, masked shift
+    counts); a zero divisor is left to the runtime.  A float
+    ``Constant`` holds an unrounded double, so float opcodes fold in
+    Python arithmetic.  ``lshr`` is not folded.
+    """
+    import numpy as np
+
+    from repro.runtime import ops
+
+    lhs, rhs = inst.operands
+    op = inst.opcode
+    if op in _FLOAT_FOLDS:
+        try:
+            return _FLOAT_FOLDS[op](lhs.value, rhs.value)
+        except ZeroDivisionError:
+            return None
+    if op == Opcode.LSHR:
+        return None
+    if op in (Opcode.SDIV, Opcode.UDIV, Opcode.SREM, Opcode.UREM) and not rhs.value:
+        return None
+    with np.errstate(all="ignore"):
+        return ops.BINOPS[op](ops.splat(lhs, 1), ops.splat(rhs, 1)).item()
 
 
 def common_subexpression_elimination(fn: Function) -> int:

@@ -24,7 +24,8 @@ broken pool, lost worker, a payload that does not pickle — is reported
 with :func:`report_fallback` and the case is redone in the parent;
 ``KeyboardInterrupt``/``SystemExit`` propagate.
 
-``acquire(n)``, called only by :func:`submit_case`, hands out the
+``acquire(n)``, called once per :func:`submit_case` or
+:func:`fan_out`, hands out the
 shared :class:`WorkerPool`, built by :func:`make_pool`.  The pool is
 recycled — old executor shut down, a fresh one forked, a
 ``pool_recycle`` event emitted — when it is broken (a worker died) or
@@ -44,7 +45,7 @@ import multiprocessing
 import time
 import warnings
 import weakref
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from typing import Callable, Iterable, List, Optional, Tuple
 
 from repro.runtime.errors import (
@@ -237,7 +238,20 @@ def submit_case(
     """
     n_workers = resolve_workers(workers)
     pool = acquire(n_workers) if n_workers > 1 else None
-    future = pool.submit(_run_in_worker, fn, payload) if pool is not None else None
+    return _start(pool, fn, payload, where)
+
+
+def _start(
+    pool: Optional[WorkerPool], fn: Callable, payload: Tuple, where: str
+) -> Callable[[], object]:
+    """:func:`submit_case` on an already acquired ``pool``."""
+    future = None
+    if pool is not None:
+        try:
+            future = pool.submit(_run_in_worker, fn, payload)
+        except Exception as exc:  # the pool broke after it was acquired
+            future = Future()
+            future.set_exception(exc)
 
     @functools.cache
     def result() -> object:
@@ -259,13 +273,15 @@ def fan_out(
 ) -> List:
     """``[fn(*p) for p in payloads]``, fanned out over the shared pool
     when ``workers`` resolves to more than 1 and there are at least two
-    payloads: every payload is a :func:`submit_case`, collected in input
-    order."""
+    payloads: the pool is acquired once, every payload is started on
+    it as a :func:`submit_case` would, and the results are collected in
+    input order."""
     payloads = list(payloads)
     # a single payload runs in the parent, and a pool never needs more
     # workers than there are payloads
-    n_workers = max(1, min(resolve_workers(workers), len(payloads)))
-    results = [submit_case(fn, p, n_workers, where) for p in payloads]
+    n_workers = min(resolve_workers(workers), len(payloads))
+    pool = acquire(n_workers) if n_workers > 1 else None
+    results = [_start(pool, fn, p, where) for p in payloads]
     return [result() for result in results]
 
 

@@ -10,6 +10,10 @@ reverse post-order (successors visited false-edge-first when computing
 the order), which makes masks reconverge at join points and lets loops
 drain fully before their exit blocks run — the property the barrier
 check relies on.
+
+The value of every pure instruction comes from :mod:`repro.runtime.ops`,
+which the tape backend shares, so the two backends differ only in
+scheduling, batching, eviction and faults.
 """
 
 from __future__ import annotations
@@ -21,36 +25,19 @@ import numpy as np
 from repro.ir.function import BasicBlock, Function
 from repro.ir.instructions import (
     Alloca,
-    BinOp,
     Br,
     Call,
     Cast,
-    CastKind,
-    CmpPred,
     CondBr,
-    ExtractElement,
-    FCmp,
     GEP,
-    ICmp,
-    InsertElement,
     Instruction,
     Load,
-    Opcode,
     Ret,
-    Select,
     Store,
 )
-from repro.ir.types import (
-    AddressSpace,
-    ArrayType,
-    BoolType,
-    FloatType,
-    IntType,
-    PointerType,
-    Type,
-    VectorType,
-)
+from repro.ir.types import AddressSpace, ArrayType, VectorType
 from repro.ir.values import Argument, Constant, LocalArray, Value
+from repro.runtime import ops
 from repro.runtime.buffers import OFFSET_MASK, Buffer, Memory
 from repro.runtime.builtins import WorkItemContext, eval_builtin
 from repro.runtime.errors import BarrierDivergenceError, MemoryFault, RuntimeLaunchError
@@ -83,16 +70,6 @@ def _reverse_postorder(fn: Function) -> Dict[BasicBlock, int]:
             post.append(bb)
             stack.pop()
     return {bb: i for i, bb in enumerate(reversed(post))}
-
-
-def _np_type(ty: Type) -> np.dtype:
-    if isinstance(ty, (IntType, FloatType)):
-        return ty.numpy_dtype
-    if isinstance(ty, BoolType):
-        return np.dtype(bool)
-    if isinstance(ty, PointerType):
-        return np.dtype(np.int64)
-    raise TypeError(f"no runtime dtype for {ty}")
 
 
 def merge_pending(
@@ -207,12 +184,14 @@ class GroupExecutor:
         self._arena = private_arena
         self._arena_next = 0
         self._block_weight = block_weights(fn)
+        #: each pure instruction's resolved :func:`ops.resolve` pair
+        self._pure: Dict[Instruction, tuple] = {}
 
         for arg, v in arg_values.items():
             if isinstance(v, Buffer):
                 self.values[arg] = np.full(self.n, v.base_addr, dtype=np.int64)
             else:
-                dt = _np_type(arg.type)
+                dt = ops.np_type(arg.type)
                 self.values[arg] = np.full(self.n, v, dtype=dt)
         for arg, buf in local_arg_buffers.items():
             self.values[arg] = np.full(self.n, buf.base_addr, dtype=np.int64)
@@ -222,10 +201,7 @@ class GroupExecutor:
     # -- value access ----------------------------------------------------------
     def get(self, v: Value) -> np.ndarray:
         if isinstance(v, Constant):
-            ty = v.type
-            if isinstance(ty, BoolType):
-                return np.full(self.n, bool(v.value))
-            return np.full(self.n, v.value, dtype=_np_type(ty))
+            return ops.splat(v, self.n)
         return self.values[v]
 
     # -- main loop ---------------------------------------------------------------
@@ -243,12 +219,13 @@ class GroupExecutor:
         if pending is None:
             pending = {self.fn.entry: self.alive.copy()}
         rpo = self.rpo
-        while pending:
-            bb = min(pending, key=lambda b: rpo.get(b, 1 << 30))
-            mask = pending.pop(bb) & self.alive
-            if not mask.any():
-                continue
-            merge_pending(pending, self.exec_block(bb, mask))
+        with np.errstate(all="ignore"):
+            while pending:
+                bb = min(pending, key=lambda b: rpo.get(b, 1 << 30))
+                mask = pending.pop(bb) & self.alive
+                if not mask.any():
+                    continue
+                merge_pending(pending, self.exec_block(bb, mask))
         if self.emit_group_executed:
             events.emit(
                 "group_executed",
@@ -272,12 +249,13 @@ class GroupExecutor:
         instruction weight was accounted when the block started, exactly
         as :meth:`exec_block` would have.
         """
-        for inst in bb.instructions[start_index:]:
-            if inst.is_terminator:
-                merge_pending(pending, self.exec_terminator(inst, mask))
-                self.run(pending)
-                return
-            self.exec_inst(inst, mask)
+        with np.errstate(all="ignore"):
+            for inst in bb.instructions[start_index:]:
+                if inst.is_terminator:
+                    merge_pending(pending, self.exec_terminator(inst, mask))
+                    self.run(pending)
+                    return
+                self.exec_inst(inst, mask)
         raise RuntimeLaunchError(f"block {bb.name} has no terminator")
 
     def exec_block(self, bb: BasicBlock, mask: np.ndarray):
@@ -304,144 +282,20 @@ class GroupExecutor:
 
     # -- per-instruction evaluation -------------------------------------------------
     def exec_inst(self, inst: Instruction, mask: np.ndarray) -> None:
-        if isinstance(inst, BinOp):
-            self.values[inst] = self._binop(inst)
-        elif isinstance(inst, (ICmp, FCmp)):
-            self.values[inst] = self._cmp(inst)
-        elif isinstance(inst, Load):
+        if isinstance(inst, Load):
             self.values[inst] = self._load(inst, mask)
         elif isinstance(inst, Store):
             self._store(inst, mask)
-        elif isinstance(inst, GEP):
-            self.values[inst] = self._gep(inst)
         elif isinstance(inst, Call):
             self._call(inst, mask)
-        elif isinstance(inst, Cast):
-            self.values[inst] = self._cast(inst)
-        elif isinstance(inst, Select):
-            c, t, f = (self.get(o) for o in inst.operands)
-            if t.ndim == 2:
-                c = c[:, None]
-            self.values[inst] = np.where(c, t, f)
         elif isinstance(inst, Alloca):
             self._alloca(inst)
-        elif isinstance(inst, ExtractElement):
-            vec = self.get(inst.vec)
-            idx = inst.index
-            if isinstance(idx, Constant):
-                self.values[inst] = vec[:, int(idx.value)]
-            else:
-                iv = self.get(idx)
-                self.values[inst] = np.take_along_axis(vec, iv[:, None], axis=1)[:, 0]
-        elif isinstance(inst, InsertElement):
-            vec = self.get(inst.vec).copy()
-            val = self.get(inst.value)
-            idx = inst.index
-            if isinstance(idx, Constant):
-                vec[:, int(idx.value)] = val
-            else:
-                iv = self.get(idx)
-                np.put_along_axis(vec, iv[:, None], val[:, None], axis=1)
-            self.values[inst] = vec
-        else:  # pragma: no cover
-            raise RuntimeLaunchError(f"cannot execute {type(inst).__name__}")
-
-    # -- arithmetic ----------------------------------------------------------------
-    def _binop(self, inst: BinOp) -> np.ndarray:
-        a = self.get(inst.lhs)
-        b = self.get(inst.rhs)
-        op = inst.opcode
-        with np.errstate(all="ignore"):
-            if op in (Opcode.ADD, Opcode.FADD):
-                return a + b
-            if op in (Opcode.SUB, Opcode.FSUB):
-                return a - b
-            if op in (Opcode.MUL, Opcode.FMUL):
-                return a * b
-            if op == Opcode.FDIV:
-                return a / b
-            if op in (Opcode.SDIV, Opcode.UDIV):
-                return self._int_div(a, b, inst.type)
-            if op in (Opcode.SREM, Opcode.UREM):
-                q = self._int_div(a, b, inst.type)
-                return a - q * b
-            if op == Opcode.AND:
-                return a & b
-            if op == Opcode.OR:
-                return a | b
-            if op == Opcode.XOR:
-                if a.dtype == bool:
-                    return a ^ b
-                return a ^ b.astype(a.dtype)
-            if op == Opcode.SHL:
-                return a << (b & (a.dtype.itemsize * 8 - 1))
-            if op == Opcode.ASHR:
-                return a >> (b & (a.dtype.itemsize * 8 - 1))
-            if op == Opcode.LSHR:
-                udt = np.dtype(f"u{a.dtype.itemsize}")
-                return (a.view(udt) >> (b & (a.dtype.itemsize * 8 - 1)).view(udt)).view(
-                    a.dtype
-                )
-        raise RuntimeLaunchError(f"unknown opcode {op}")  # pragma: no cover
-
-    @staticmethod
-    def _int_div(a: np.ndarray, b: np.ndarray, ty: Type) -> np.ndarray:
-        """C-style truncating integer division (numpy // floors)."""
-        safe_b = np.where(b == 0, 1, b)
-        q = a // safe_b
-        r = a - q * safe_b
-        adjust = (r != 0) & ((a < 0) != (safe_b < 0))
-        return (q + adjust).astype(a.dtype)
-
-    def _cmp(self, inst) -> np.ndarray:
-        a = self.get(inst.operands[0])
-        b = self.get(inst.operands[1])
-        pred = inst.pred
-        if pred in (CmpPred.ULT, CmpPred.ULE, CmpPred.UGT, CmpPred.UGE):
-            udt = np.dtype(f"u{a.dtype.itemsize}")
-            a = a.view(udt)
-            b = b.view(udt)
-        with np.errstate(invalid="ignore"):
-            if pred in (CmpPred.EQ, CmpPred.OEQ):
-                return a == b
-            if pred in (CmpPred.NE, CmpPred.ONE):
-                return a != b
-            if pred in (CmpPred.SLT, CmpPred.ULT, CmpPred.OLT):
-                return a < b
-            if pred in (CmpPred.SLE, CmpPred.ULE, CmpPred.OLE):
-                return a <= b
-            if pred in (CmpPred.SGT, CmpPred.UGT, CmpPred.OGT):
-                return a > b
-            if pred in (CmpPred.SGE, CmpPred.UGE, CmpPred.OGE):
-                return a >= b
-        raise RuntimeLaunchError(f"unknown predicate {pred}")  # pragma: no cover
-
-    def _cast(self, inst: Cast) -> np.ndarray:
-        v = self.get(inst.value)
-        kind = inst.kind
-        ty = inst.type
-        if kind == CastKind.BITCAST:
-            if isinstance(ty, PointerType):
-                return v  # pointer bitcasts keep the encoded address
-            dt = _np_type(ty)
-            if v.dtype.itemsize == dt.itemsize:
-                return v.view(dt)
-            return v.astype(dt)
-        if kind in (CastKind.TRUNC, CastKind.SEXT, CastKind.ZEXT):
-            src_ty = inst.value.type
-            if kind == CastKind.ZEXT and isinstance(src_ty, IntType) and src_ty.signed:
-                v = v.view(np.dtype(f"u{v.dtype.itemsize}"))
-            return v.astype(_np_type(ty))
-        if kind in (CastKind.SITOFP, CastKind.UITOFP, CastKind.FPEXT, CastKind.FPTRUNC):
-            return v.astype(_np_type(ty))
-        if kind in (CastKind.FPTOSI, CastKind.FPTOUI):
-            with np.errstate(all="ignore"):
-                return np.trunc(v).astype(_np_type(ty))
-        if kind == CastKind.BOOL_TO_INT:
-            return v.astype(_np_type(ty))
-        if kind == CastKind.INT_TO_BOOL:
-            return v != 0
-        raise RuntimeLaunchError(f"unknown cast {kind}")  # pragma: no cover
+        else:
+            pure = self._pure.get(inst)
+            if pure is None:
+                pure = self._pure[inst] = ops.resolve(inst)
+            f, operands = pure
+            self.values[inst] = f(*[self.get(o) for o in operands])
 
     # -- memory ---------------------------------------------------------------------
     def _alloca(self, inst: Alloca) -> None:
@@ -473,17 +327,8 @@ class GroupExecutor:
         if isinstance(ty, VectorType):
             self.slots[inst] = np.zeros((self.n, ty.count), dtype=ty.element.numpy_dtype)
         else:
-            self.slots[inst] = np.zeros(self.n, dtype=_np_type(ty))
+            self.slots[inst] = np.zeros(self.n, dtype=ops.np_type(ty))
         self.values[inst] = None  # register-allocated slot; loads special-cased
-
-    def _gep(self, inst: GEP) -> np.ndarray:
-        addr = self.get(inst.base)
-        strides = inst.strides()
-        out = addr.astype(np.int64, copy=True)
-        for idx, stride in zip(inst.indices, strides):
-            iv = self.get(idx)
-            out += iv.astype(np.int64) * stride
-        return out
 
     def _slot_for(self, ptr: Value) -> Optional[np.ndarray]:
         if isinstance(ptr, Alloca) and ptr in self.slots:
@@ -505,7 +350,7 @@ class GroupExecutor:
             lanes = np.arange(ty.count, dtype=np.int64)
             idx = base[:, None] + lanes[None, :]
         else:
-            dt = _np_type(ty)
+            dt = ops.np_type(ty)
             idx = offs // dt.itemsize
         try:
             return self.memory.buffers[buf_id].view(dt)[idx]
@@ -536,7 +381,7 @@ class GroupExecutor:
             idx = (offs // k)[:, None] + np.arange(ty.count, dtype=np.int64)[None, :]
             value = value[mask]
         else:
-            dt = _np_type(ty)
+            dt = ops.np_type(ty)
             if dt == np.dtype(bool):
                 dt = np.dtype(np.uint8)
                 value = value.astype(np.uint8)

@@ -78,33 +78,22 @@ from repro.ir.instructions import (
     Br,
     Call,
     Cast,
-    CastKind,
-    CmpPred,
     CondBr,
-    ExtractElement,
     FCmp,
-    GEP,
     ICmp,
-    InsertElement,
     Load,
-    Opcode,
     Ret,
     Select,
     Store,
 )
-from repro.ir.types import (
-    AddressSpace,
-    ArrayType,
-    BoolType,
-    VectorType,
-)
+from repro.ir.types import AddressSpace, ArrayType, VectorType
 from repro.ir.values import Argument, Constant, LocalArray, Value
+from repro.runtime import ops
 from repro.runtime.buffers import OFFSET_BITS, OFFSET_MASK, Buffer, Memory
 from repro.runtime.builtins import WorkItemContext, eval_builtin
 from repro.runtime.errors import MemoryFault, RuntimeLaunchError
 from repro.runtime.interpreter import (
     GroupExecutor,
-    _np_type,
     _reverse_postorder,
     barrier_divergence,
     block_weights,
@@ -378,11 +367,7 @@ class TapeExecutor:
         if isinstance(v, Constant):
             arr = self._consts.get(v)
             if arr is None:
-                ty = v.type
-                if isinstance(ty, BoolType):
-                    arr = np.full(self.n, bool(v.value))
-                else:
-                    arr = np.full(self.n, v.value, dtype=_np_type(ty))
+                arr = ops.splat(v, self.n)
                 arr.setflags(write=False)
                 self._consts[v] = arr
             return lambda: arr
@@ -390,14 +375,14 @@ class TapeExecutor:
         return lambda: env[v]
 
     def _compile_block(self, bb: BasicBlock, mask: np.ndarray) -> List:
-        ops: List = []
+        closures: List = []
         for idx, inst in enumerate(bb.instructions):
             if inst.is_terminator:
                 break
             op = self._compile_inst(inst, mask, bb, idx)
             if op is not None:
-                ops.append(op)
-        return ops
+                closures.append(op)
+        return closures
 
     def _compile_arm(self, bb: BasicBlock, mask: np.ndarray):
         """One closure running ``bb``'s predicated arm (see
@@ -421,7 +406,7 @@ class TapeExecutor:
                 np.copyto(slots[ptr], gval(), casting="unsafe", where=take)
             return run_arm_store
 
-        ops = [
+        closures = [
             slot_store(inst) if isinstance(inst, Store)
             else self._compile_inst(inst, mask, arm, idx)
             for idx, inst in enumerate(arm.instructions[:-1])
@@ -432,151 +417,42 @@ class TapeExecutor:
             take = mask & gc()
             if not take.any():
                 return
-            for op in ops:
+            for op in closures:
                 op()
             self.arm_insts += weight * take.sum(axis=-1)
         return run_arm
 
     def _compile_inst(self, inst, mask: np.ndarray, bb: BasicBlock, idx: int):
-        env = self.env
-        if isinstance(inst, BinOp):
-            f = _BINOPS_FACTORY(inst)
-            ga, gb = self._getter(inst.lhs), self._getter(inst.rhs)
-
-            def run_binop():
-                env[inst] = f(ga(), gb())
-            return run_binop
-        if isinstance(inst, (ICmp, FCmp)):
-            return self._compile_cmp(inst)
         if isinstance(inst, Load):
             return self._compile_load(inst, mask, bb, idx)
         if isinstance(inst, Store):
             return self._compile_store(inst, mask, bb, idx)
-        if isinstance(inst, GEP):
-            gb_ = self._getter(inst.base)
-            pairs = [
-                (self._getter(i), s)
-                for i, s in zip(inst.indices, inst.strides())
-            ]
-
-            def run_gep():
-                out = gb_().astype(np.int64)
-                for g, s in pairs:
-                    out = out + g().astype(np.int64) * s
-                env[inst] = out
-            return run_gep
         if isinstance(inst, Call):
             return self._compile_call(inst, mask)
-        if isinstance(inst, Cast):
-            return self._compile_cast(inst)
-        if isinstance(inst, Select):
-            gc_, gt_, gf_ = (self._getter(o) for o in inst.operands)
-            vec = isinstance(inst.type, VectorType)
-
-            def run_select():
-                c = gc_()
-                if vec:
-                    c = c[..., None]
-                env[inst] = np.where(c, gt_(), gf_())
-            return run_select
         if isinstance(inst, Alloca):
             return self._compile_alloca(inst)
-        if isinstance(inst, ExtractElement):
-            return self._compile_extract(inst)
-        if isinstance(inst, InsertElement):
-            return self._compile_insert(inst)
-        raise RuntimeLaunchError(
-            f"tape backend cannot compile {type(inst).__name__}"
-        )  # pragma: no cover
-
-    def _compile_cmp(self, inst):
+        f, operands = ops.resolve(inst)
         env = self.env
-        ga = self._getter(inst.operands[0])
-        gb = self._getter(inst.operands[1])
-        pred = inst.pred
-        unsigned = pred in (CmpPred.ULT, CmpPred.ULE, CmpPred.UGT, CmpPred.UGE)
-        if pred in (CmpPred.EQ, CmpPred.OEQ):
-            f = lambda a, b: a == b  # noqa: E731
-        elif pred in (CmpPred.NE, CmpPred.ONE):
-            f = lambda a, b: a != b  # noqa: E731
-        elif pred in (CmpPred.SLT, CmpPred.ULT, CmpPred.OLT):
-            f = lambda a, b: a < b  # noqa: E731
-        elif pred in (CmpPred.SLE, CmpPred.ULE, CmpPred.OLE):
-            f = lambda a, b: a <= b  # noqa: E731
-        elif pred in (CmpPred.SGT, CmpPred.UGT, CmpPred.OGT):
-            f = lambda a, b: a > b  # noqa: E731
-        elif pred in (CmpPred.SGE, CmpPred.UGE, CmpPred.OGE):
-            f = lambda a, b: a >= b  # noqa: E731
-        else:  # pragma: no cover
-            raise RuntimeLaunchError(f"unknown predicate {pred}")
+        g = [self._getter(o) for o in operands]
+        if len(g) == 1:
+            (g0,) = g
 
-        def run_cmp():
-            a, b = ga(), gb()
-            if unsigned:
-                udt = np.dtype(f"u{a.dtype.itemsize}")
-                a = a.view(udt)
-                b = b.view(udt)
-            env[inst] = f(a, b)
-        return run_cmp
+            def run_pure():
+                env[inst] = f(g0())
+        elif len(g) == 2:
+            g0, g1 = g
 
-    def _compile_cast(self, inst: Cast):
-        env = self.env
-        gv = self._getter(inst.value)
-        kind = inst.kind
-        ty = inst.type
-        from repro.ir.types import IntType, PointerType
+            def run_pure():
+                env[inst] = f(g0(), g1())
+        elif len(g) == 3:
+            g0, g1, g2 = g
 
-        if kind == CastKind.BITCAST:
-            if isinstance(ty, PointerType):
-                def run_bc_ptr():
-                    env[inst] = gv()
-                return run_bc_ptr
-            dt = _np_type(ty)
-
-            def run_bc():
-                v = gv()
-                env[inst] = v.view(dt) if v.dtype.itemsize == dt.itemsize else v.astype(dt)
-            return run_bc
-        if kind in (CastKind.TRUNC, CastKind.SEXT, CastKind.ZEXT):
-            dt = _np_type(ty)
-            src_ty = inst.value.type
-            reinterp = (
-                kind == CastKind.ZEXT
-                and isinstance(src_ty, IntType)
-                and src_ty.signed
-            )
-
-            def run_intcast():
-                v = gv()
-                if reinterp:
-                    v = v.view(np.dtype(f"u{v.dtype.itemsize}"))
-                env[inst] = v.astype(dt)
-            return run_intcast
-        if kind in (
-            CastKind.SITOFP, CastKind.UITOFP, CastKind.FPEXT, CastKind.FPTRUNC
-        ):
-            dt = _np_type(ty)
-
-            def run_fpcast():
-                env[inst] = gv().astype(dt)
-            return run_fpcast
-        if kind in (CastKind.FPTOSI, CastKind.FPTOUI):
-            dt = _np_type(ty)
-
-            def run_fptoint():
-                env[inst] = np.trunc(gv()).astype(dt)
-            return run_fptoint
-        if kind == CastKind.BOOL_TO_INT:
-            dt = _np_type(ty)
-
-            def run_b2i():
-                env[inst] = gv().astype(dt)
-            return run_b2i
-        if kind == CastKind.INT_TO_BOOL:
-            def run_i2b():
-                env[inst] = gv() != 0
-            return run_i2b
-        raise RuntimeLaunchError(f"unknown cast {kind}")  # pragma: no cover
+            def run_pure():
+                env[inst] = f(g0(), g1(), g2())
+        else:
+            def run_pure():
+                env[inst] = f(*[gi() for gi in g])
+        return run_pure
 
     def _compile_alloca(self, inst: Alloca):
         env = self.env
@@ -609,7 +485,7 @@ class TapeExecutor:
             def run_alloca_vec():
                 slots[inst] = np.zeros((len(self.live), n, count), dtype=dt)
             return run_alloca_vec
-        dt = _np_type(ty)
+        dt = ops.np_type(ty)
 
         def run_alloca():
             slots[inst] = np.zeros((len(self.live), n), dtype=dt)
@@ -652,51 +528,6 @@ class TapeExecutor:
             env[inst] = eval_builtin(inst, [g() for g in getters], self.bctx)
         return run_call
 
-    def _compile_extract(self, inst: ExtractElement):
-        env = self.env
-        gv = self._getter(inst.vec)
-        idx = inst.index
-        if isinstance(idx, Constant):
-            i = int(idx.value)
-
-            def run_extract_c():
-                env[inst] = gv()[..., i]
-            return run_extract_c
-        gi = self._getter(idx)
-
-        def run_extract():
-            vec, iv = gv(), gi()
-            if iv.ndim + 1 > vec.ndim:
-                vec = np.broadcast_to(vec, iv.shape + (vec.shape[-1],))
-            elif iv.ndim + 1 < vec.ndim:
-                iv = np.broadcast_to(iv, vec.shape[:-1])
-            env[inst] = np.take_along_axis(vec, iv[..., None], axis=-1)[..., 0]
-        return run_extract
-
-    def _compile_insert(self, inst: InsertElement):
-        env = self.env
-        gv = self._getter(inst.vec)
-        gval = self._getter(inst.value)
-        idx = inst.index
-        const_i = int(idx.value) if isinstance(idx, Constant) else None
-        gi = None if const_i is not None else self._getter(idx)
-
-        def run_insert():
-            vec, val = gv(), gval()
-            if val.ndim + 1 > vec.ndim:
-                vec = np.broadcast_to(vec, val.shape + (vec.shape[-1],))
-            vec = vec.copy()
-            if const_i is not None:
-                vec[..., const_i] = val
-            else:
-                iv = np.broadcast_to(gi(), vec.shape[:-1])
-                np.put_along_axis(
-                    vec, iv[..., None],
-                    np.broadcast_to(val, vec.shape[:-1])[..., None], axis=-1,
-                )
-            env[inst] = vec
-        return run_insert
-
     # -- batched loads/stores ---------------------------------------------
     def _batched_addrs(self, gp, G: int) -> np.ndarray:
         addrs = gp()
@@ -729,7 +560,7 @@ class TapeExecutor:
             dt = ty.element.numpy_dtype
             comp = np.arange(ty.count, dtype=np.int64)
         else:
-            dt = _np_type(ty)
+            dt = ops.np_type(ty)
         isz = dt.itemsize
 
         def load() -> bool:
@@ -825,7 +656,7 @@ class TapeExecutor:
             comp = np.arange(ty.count, dtype=np.int64)
             kc = ty.count
         else:
-            dt = _np_type(ty)
+            dt = ops.np_type(ty)
             to_u8 = dt == np.dtype(bool)
             if to_u8:
                 dt = np.dtype(np.uint8)
@@ -1109,7 +940,7 @@ class TapeExecutor:
             if isinstance(v, Buffer):
                 self.env[arg] = np.full(n, v.base_addr, dtype=np.int64)
             else:
-                self.env[arg] = np.full(n, v, dtype=_np_type(arg.type))
+                self.env[arg] = np.full(n, v, dtype=ops.np_type(arg.type))
         for owner, buf in list(self.local_buffers.items()) + list(
             self.local_arg_buffers.items()
         ):
@@ -1222,8 +1053,8 @@ class TapeExecutor:
         reference the executor, so until then it is a reference cycle
         that only the cyclic collector could free, with everything it
         holds."""
-        for ops in self._block_ops.values():
-            ops.clear()
+        for closures in self._block_ops.values():
+            closures.clear()
 
     def replay_batch(
         self, slot_gids: List[Tuple[int, ...]]
@@ -1315,45 +1146,3 @@ def execute_tape(
     )
     return group_traces, tape.n * len(picks)
 
-
-def _BINOPS_FACTORY(inst: BinOp):
-    """Resolve a BinOp's opcode to a two-argument array function once."""
-    op = inst.opcode
-    ty = inst.type
-    if op in (Opcode.ADD, Opcode.FADD):
-        return lambda a, b: a + b
-    if op in (Opcode.SUB, Opcode.FSUB):
-        return lambda a, b: a - b
-    if op in (Opcode.MUL, Opcode.FMUL):
-        return lambda a, b: a * b
-    if op == Opcode.FDIV:
-        return lambda a, b: a / b
-    if op in (Opcode.SDIV, Opcode.UDIV):
-        return lambda a, b: GroupExecutor._int_div(a, b, ty)
-    if op in (Opcode.SREM, Opcode.UREM):
-        def rem(a, b):
-            q = GroupExecutor._int_div(a, b, ty)
-            return a - q * b
-        return rem
-    if op == Opcode.AND:
-        return lambda a, b: a & b
-    if op == Opcode.OR:
-        return lambda a, b: a | b
-    if op == Opcode.XOR:
-        def xor(a, b):
-            if a.dtype == bool:
-                return a ^ b
-            return a ^ b.astype(a.dtype)
-        return xor
-    if op == Opcode.SHL:
-        return lambda a, b: a << (b & (a.dtype.itemsize * 8 - 1))
-    if op == Opcode.ASHR:
-        return lambda a, b: a >> (b & (a.dtype.itemsize * 8 - 1))
-    if op == Opcode.LSHR:
-        def lshr(a, b):
-            udt = np.dtype(f"u{a.dtype.itemsize}")
-            return (
-                a.view(udt) >> (b & (a.dtype.itemsize * 8 - 1)).view(udt)
-            ).view(a.dtype)
-        return lshr
-    raise RuntimeLaunchError(f"unknown opcode {op}")  # pragma: no cover

@@ -1,12 +1,25 @@
-"""Semantic tests: compile mini-kernels and check C semantics by execution."""
+"""Semantic tests: compile mini-kernels and check C semantics by execution.
+
+These tests are the arithmetic oracle of the runtime: each value is
+checked against C's rules computed in Python, not against the other
+backend.  The edge cases (:func:`run1d_each`) also run as two
+work-groups on the reference interpreter and on the tape backend.
+"""
 
 import numpy as np
+import pytest
 
-from tests.conftest import run_scalar_kernel
+from repro.session import Session
+from tests.conftest import execute_kernel, run_scalar_kernel
+
+BACKENDS = ("reference", "tape")
 
 
-def run1d(body, inputs=None, n=16, out_dtype=np.int32, params=""):
-    """Run a 1-work-group kernel writing out[gid]; returns the out array."""
+def run1d(body, inputs=None, n=16, out_dtype=np.int32, params="", backend=None):
+    """Run a kernel writing out[gid]; returns the out array.
+
+    With ``backend`` unset the kernel runs as one work-group; with a
+    backend named it runs as two work-groups on that backend."""
     ctype = {
         np.int32: "int",
         np.uint32: "uint",
@@ -21,30 +34,49 @@ __kernel void t(__global {ctype}* out{extra})
     {body}
 }}
 """
-    _, outs = run_scalar_kernel(
-        src, inputs or {}, (n,), (n,), {"out": (out_dtype, (n,))}
-    )
-    return outs["out"]
+    outs = {"out": (out_dtype, (n,))}
+    if backend is None:
+        _, got = run_scalar_kernel(src, inputs or {}, (n,), (n,), outs)
+    else:
+        with Session(exec_backend=backend).activate():
+            _, got = run_scalar_kernel(src, inputs or {}, (n,), (n // 2,), outs)
+    return got["out"]
+
+
+def run1d_each(body, **kwargs):
+    """The out arrays of ``body`` run as one work-group, then as two
+    work-groups on each backend."""
+    return [run1d(body, **kwargs, backend=b) for b in (None, *BACKENDS)]
 
 
 class TestIntegerSemantics:
     def test_truncating_division(self):
-        out = run1d("out[gid] = (gid - 8) / 3;")
         expected = np.array([int((g - 8) / 3) for g in range(16)], np.int32)
-        np.testing.assert_array_equal(out, expected)
+        for out in run1d_each("out[gid] = (gid - 8) / 3;"):
+            np.testing.assert_array_equal(out, expected)
 
     def test_c_remainder_sign(self):
-        out = run1d("out[gid] = (gid - 8) % 3;")
-
         expected = np.array(
             [(g - 8) - int((g - 8) / 3) * 3 for g in range(16)], np.int32
         )
-        np.testing.assert_array_equal(out, expected)
+        for out in run1d_each("out[gid] = (gid - 8) % 3;"):
+            np.testing.assert_array_equal(out, expected)
 
     def test_shifts(self):
         out = run1d("out[gid] = (1 << gid) >> 2;")
         expected = np.array([(1 << g) >> 2 for g in range(16)], np.int32)
         np.testing.assert_array_equal(out, expected)
+
+    def test_shift_count_is_masked_to_the_width(self):
+        s = np.arange(16) + 24
+        expected = (np.int32(1) << (s & 31)) + (np.int32(-256) >> (s & 31))
+        for out in run1d_each("int s = gid + 24; out[gid] = (1 << s) + (-256 >> s);"):
+            np.testing.assert_array_equal(out, expected.astype(np.int32))
+
+    def test_logical_shift_of_a_negative_bit_pattern(self):
+        expected = np.array([((g - 8) % 2**32) >> 28 for g in range(16)], np.int32)
+        for out in run1d_each("uint u = (uint)(gid - 8); out[gid] = (int)(u >> 28);"):
+            np.testing.assert_array_equal(out, expected)
 
     def test_bitwise_ops(self):
         out = run1d("out[gid] = (gid & 5) | (gid ^ 3);")
@@ -53,9 +85,15 @@ class TestIntegerSemantics:
 
     def test_unsigned_comparison(self):
         # (uint)(gid - 8) is huge for gid < 8
-        out = run1d("uint u = (uint)(gid - 8); out[gid] = u > 100u ? 1 : 0;")
-        expected = np.array([1 if g < 8 else 0 for g in range(16)], np.int32)
-        np.testing.assert_array_equal(out, expected)
+        expected = np.array(
+            [(1 if g < 8 else 0) + (2 if 8 <= g < 13 else 0) for g in range(16)],
+            np.int32,
+        )
+        for out in run1d_each(
+            "uint u = (uint)(gid - 8);"
+            " out[gid] = (u > 100u ? 1 : 0) + (u < 5u ? 2 : 0);"
+        ):
+            np.testing.assert_array_equal(out, expected)
 
     def test_integer_overflow_wraps(self):
         out = run1d("int big = 2147483647; out[gid] = big + gid;")
@@ -84,6 +122,56 @@ class TestIntegerSemantics:
         out = run1d("out[gid] = -gid + (!gid) + (~gid);")
         expected = np.array([-g + (0 if g else 1) + (~g) for g in range(16)], np.int32)
         np.testing.assert_array_equal(out, expected)
+
+    def test_zero_extending_a_signed_char(self):
+        """The frontend widens a signed char with sext; the IR's zext of
+        a signed source reads its bit pattern as unsigned."""
+        from repro.frontend import compile_kernel
+        from repro.ir.instructions import Cast, CastKind
+
+        kernel = compile_kernel(
+            "__kernel void t(__global int* out)"
+            " { int gid = get_global_id(0); out[gid] = (int)(char)(gid - 8); }",
+            cache=False,
+        )
+        (widen,) = [
+            i for i in kernel.instructions()
+            if isinstance(i, Cast) and i.kind == CastKind.SEXT
+            and i.value.type.bits == 8
+        ]
+        widen.kind = CastKind.ZEXT
+        expected = np.array([(g - 8) % 256 for g in range(16)], np.int32)
+        for backend in BACKENDS:
+            with Session(exec_backend=backend).activate():
+                _, outs = execute_kernel(
+                    kernel, {}, (16,), (8,), {"out": (np.int32, (16,))}
+                )
+            np.testing.assert_array_equal(outs["out"], expected)
+
+
+class TestConstantFolding:
+    """A folded constant expression equals the same expression computed
+    at run time from operands that equal those constants."""
+
+    @pytest.mark.parametrize(
+        "folded, computed, expected",
+        [
+            ("9007199254740993L / 1", "a / one", 9007199254740993),
+            ("1L << 65", "c << b", 2),
+            ("1 << 33", "d << e", 2),
+        ],
+        ids=["long-division", "long-shift", "int-shift"],
+    )
+    def test_fold_matches_runtime(self, folded, computed, expected):
+        out = run1d(
+            f"out[0] = {folded}; out[1] = {computed};",
+            inputs={"a": 9007199254740993, "one": 1, "b": 65, "c": 1,
+                    "d": 1, "e": 33},
+            n=2,
+            out_dtype=np.int64,
+            params="long a, long one, long b, long c, int d, int e",
+        )
+        np.testing.assert_array_equal(out, [expected, expected])
 
 
 class TestFloatSemantics:
@@ -114,9 +202,9 @@ class TestFloatSemantics:
         np.testing.assert_allclose(out, x * 2 + 1 / np.sqrt(x), rtol=1e-5)
 
     def test_float_int_conversions(self):
-        out = run1d("float x = 2.75f * (float)gid; out[gid] = (int)x;")
-        expected = np.trunc(2.75 * np.arange(16)).astype(np.int32)
-        np.testing.assert_array_equal(out, expected)
+        expected = np.trunc(2.75 * (np.arange(16) - 8)).astype(np.int32)
+        for out in run1d_each("float x = 2.75f * (float)(gid - 8); out[gid] = (int)x;"):
+            np.testing.assert_array_equal(out, expected)
 
     def test_clamp_and_min(self):
         out = run1d(

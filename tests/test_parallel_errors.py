@@ -274,3 +274,21 @@ def test_submit_case_redoes_a_failed_task_in_the_parent_once(monkeypatch):
     (fall,) = sink.of_kind("pool_fallback")
     assert fall.payload["where"] == "gate"
     assert "BrokenProcessPool" in fall.payload["error"]
+
+
+def test_fan_out_tries_to_start_a_pool_once(monkeypatch):
+    """A host where no pool can start pays one attempt per fan-out, not
+    one per payload, and reports it once."""
+    from repro.parallel import pool
+    from repro.session import events
+
+    def no_pool(*args, **kwargs):
+        raise OSError("no semaphores")
+
+    pool.shutdown_shared()
+    monkeypatch.setattr(pool, "ProcessPoolExecutor", no_pool)
+    with events.collect() as sink:
+        assert pool.fan_out(abs, [(-1,), (-2,), (-3,)], 2, "test") == [1, 2, 3]
+    (fall,) = sink.of_kind("pool_fallback")
+    assert fall.payload["where"] == "make_pool"
+    assert "OSError" in fall.payload["error"]
