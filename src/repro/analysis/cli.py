@@ -180,10 +180,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         execute=not args.static_only,
                         label=label,
                     )
-                except FrontendError as exc:
-                    print(f"error: {path}: {exc}", file=sys.stderr)
-                    return 1
-                except (UnknownKernelError, RuntimeLaunchError, MemoryFault) as exc:
+                except (
+                    FrontendError, UnknownKernelError, RuntimeLaunchError, MemoryFault
+                ) as exc:
                     p.error(f"{path}: {exc}")
                 reports.append((label, rep))
 

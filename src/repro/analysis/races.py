@@ -35,7 +35,6 @@ replay works on concrete buffer ids and needs no such assumption.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import lcm, prod
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -44,7 +43,7 @@ import numpy as np
 
 from repro.core.affine import AffineContext
 from repro.core.candidates import strip_casts
-from repro.core.linexpr import ONE, LinExpr, Symbol, lid, render_symbol, wid
+from repro.core.linexpr import ONE, Coeff, LinExpr, Symbol, lid, render_symbol, wid
 from repro.ir.function import BasicBlock, Function
 from repro.ir.instructions import (
     GEP,
@@ -277,10 +276,10 @@ def _substitute(expr: LinExpr, local_size: Optional[Sequence[int]]) -> LinExpr:
     if local_size is None:
         return expr
     ndim = len(local_size)
-    out: Dict[Symbol, Fraction] = {}
+    out: Dict[Symbol, Coeff] = {}
 
-    def add(sym: Symbol, c: Fraction) -> None:
-        out[sym] = out.get(sym, Fraction(0)) + c
+    def add(sym: Symbol, c: Coeff) -> None:
+        out[sym] = out.get(sym, 0) + c
 
     for sym, c in expr.terms.items():
         kind = sym[0]
@@ -316,11 +315,11 @@ def _sym_class(sym: Symbol) -> str:
     return "unknown"  # gid (no geometry), slot, opaque
 
 
-def _split(expr: LinExpr) -> Tuple[Dict[int, Fraction], Dict[Symbol, Fraction], Fraction, List[Symbol]]:
+def _split(expr: LinExpr) -> Tuple[Dict[int, Coeff], Dict[Symbol, Coeff], Coeff, List[Symbol]]:
     """Split into (lid-dim -> coeff, shared-sym -> coeff, const, unknowns)."""
-    thread: Dict[int, Fraction] = {}
-    shared: Dict[Symbol, Fraction] = {}
-    const = Fraction(0)
+    thread: Dict[int, Coeff] = {}
+    shared: Dict[Symbol, Coeff] = {}
+    const: Coeff = 0
     unknown: List[Symbol] = []
     for sym, c in expr.terms.items():
         if sym == ONE:
@@ -328,9 +327,9 @@ def _split(expr: LinExpr) -> Tuple[Dict[int, Fraction], Dict[Symbol, Fraction], 
             continue
         cls = _sym_class(sym)
         if cls == "thread":
-            thread[sym[1]] = thread.get(sym[1], Fraction(0)) + c
+            thread[sym[1]] = thread.get(sym[1], 0) + c
         elif cls == "shared":
-            shared[sym] = shared.get(sym, Fraction(0)) + c
+            shared[sym] = shared.get(sym, 0) + c
         else:
             unknown.append(sym)
     return thread, shared, const, unknown
@@ -344,7 +343,7 @@ class PairDecision:
     category: str = ""
 
 
-def _lane_offsets(thread: Dict[int, Fraction], scale: int, local_size: Sequence[int]) -> np.ndarray:
+def _lane_offsets(thread: Dict[int, Coeff], scale: int, local_size: Sequence[int]) -> np.ndarray:
     grids = np.indices(tuple(local_size)).reshape(len(local_size), -1).astype(np.int64)
     out = np.zeros(grids.shape[1], dtype=np.int64)
     for d, c in thread.items():
@@ -377,9 +376,9 @@ def decide_pair(a: Access, b: Access, local_size: Optional[Sequence[int]]) -> Pa
         return PairDecision("undecided", "no work-group geometry", "no-geometry")
 
     # group-uniform parts must cancel for a decidable constant delta
-    delta: Dict[Symbol, Fraction] = dict(sa)
+    delta: Dict[Symbol, Coeff] = dict(sa)
     for sym, c in sb.items():
-        delta[sym] = delta.get(sym, Fraction(0)) - c
+        delta[sym] = delta.get(sym, 0) - c
     leftover = {s: c for s, c in delta.items() if c != 0}
     if leftover:
         syms = ", ".join(sorted(render_symbol(s) for s in leftover))

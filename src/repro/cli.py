@@ -10,8 +10,8 @@ Subcommands:
   matrix (Table IV / Fig. 10 / extension-GPU scoring), optionally
   fanned out with ``--workers N`` (see :mod:`repro.parallel.matrix`).
 * ``python -m repro.cli passes [...]`` — list the registered IR passes
-  and pipelines, or run a pipeline over a source file and print
-  per-pass rewrite counts, instruction deltas and wall time
+  and the compile pipeline, or run the pipeline over a source file and
+  print per-pass rewrite counts, instruction deltas and wall time
   (see :mod:`repro.session.passes`).
 * ``python -m repro.cli analyze [...]`` — the static/dynamic race and
   barrier-divergence analyzer over registered apps and/or ``.cl``
@@ -29,12 +29,13 @@ Subcommands:
 Every subcommand (and the default kernel command) accepts ``--config
 FILE`` (a JSON session config, see :mod:`repro.session.config`) and
 ``--trace-out PATH`` (structured JSONL event stream).  Bad arguments —
-an unreadable file, a non-positive count, a malformed ``--local-size``,
-a ``--kernel`` the file does not define, an ``--arrays`` name the kernel
-does not declare ``__local`` — are usage errors: exit 2,
-no traceback.  So is a bad configuration (an unknown ``REPRO_*``
-variable, a value outside a variable's choices, a broken ``--config``
-file): one ``error:`` line on stderr naming the variable, exit 2.
+an unreadable file, a source that does not parse or lower, a
+non-positive count, a malformed ``--local-size``, a ``--kernel`` the
+file does not define, an ``--arrays`` name the kernel does not declare
+``__local`` — are usage errors: exit 2, no traceback.  So is a bad
+configuration (an unknown ``REPRO_*`` variable, a value outside a
+variable's choices, a broken ``--config`` file): one ``error:`` line on
+stderr naming the variable, exit 2.
 """
 
 from __future__ import annotations
@@ -140,19 +141,17 @@ def read_source(p: argparse.ArgumentParser, path: str) -> str:
 
 
 def passes_main(argv=None) -> int:
-    """``repro passes``: inspect the pass registry, or run a pipeline
-    over a source file and print per-pass statistics."""
+    """``repro passes``: inspect the pass registry, or run the compile
+    pipeline over a source file and print per-pass statistics."""
     from repro.session import session_from_flags
-    from repro.session.passes import PASS_REGISTRY, PIPELINES
+    from repro.session.passes import DEFAULT_PIPELINE, PASS_REGISTRY
 
     p = argparse.ArgumentParser(
         prog="repro passes",
-        description="List registered IR passes and pipelines, or run a "
-        "pipeline over an OpenCL C file and report per-pass rewrite "
-        "counts, instruction deltas and wall time.",
+        description="List registered IR passes and the compile pipeline, "
+        "or run the pipeline over an OpenCL C file and report per-pass "
+        "rewrite counts, instruction deltas and wall time.",
     )
-    p.add_argument("--pipeline", default="default", choices=sorted(PIPELINES),
-                   help="pipeline to show or run (default: 'default')")
     p.add_argument("--run", metavar="FILE", default=None,
                    help="compile FILE unoptimised, then run the pipeline "
                    "and print per-pass statistics")
@@ -167,16 +166,14 @@ def passes_main(argv=None) -> int:
 
     if args.run is None:
         rows = [
-            [name, "x" if name in PIPELINES[args.pipeline] else "",
+            [name, "x" if name in DEFAULT_PIPELINE else "",
              PASS_REGISTRY[name].legality_arbiter or "-",
              PASS_REGISTRY[name].description]
             for name in sorted(PASS_REGISTRY)
         ]
         print(ascii_table(
-            ["pass", f"in '{args.pipeline}'", "legality arbiter",
-             "description"], rows,
-            title=f"registered passes (pipeline '{args.pipeline}': "
-            f"{' -> '.join(PIPELINES[args.pipeline])})",
+            ["pass", "in pipeline", "legality arbiter", "description"], rows,
+            title=f"registered passes (pipeline: {' -> '.join(DEFAULT_PIPELINE)})",
         ))
         rule_infos = [
             PASS_REGISTRY[name] for name in sorted(PASS_REGISTRY)
@@ -197,26 +194,16 @@ def passes_main(argv=None) -> int:
         defines[name] = value or "1"
     source = read_source(p, args.run)
     with session_from_flags(args.config, args.trace_out) as session:
-        # lower to virgin IR (no pipeline yet) so the per-pass stats show
+        # the lowered IR (no pipeline yet), so the per-pass stats show
         # what each pass actually does, not an idempotent re-run
-        from pycparser import CParser
-        from pycparser.c_parser import ParseError
-
-        from repro.frontend.lower import lower_translation_unit
-        from repro.frontend.preprocess import preprocess
-
         try:
-            pre = preprocess(source, defines)
-            ast = CParser().parse(pre.text, filename=args.run)
-            module = lower_translation_unit(ast, pre.kernel_names, args.run)
-        except (ParseError, FrontendError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        try:
+            module = session.compile_source(
+                source, defines, module_name=args.run, optimize=False, cache=False
+            )
             kernel = module.kernel(args.kernel)
-        except UnknownKernelError as exc:
+        except (FrontendError, UnknownKernelError) as exc:
             p.error(str(exc))
-        pm = session.pass_manager(pipeline=args.pipeline, verify_between=True)
+        pm = session.pass_manager(verify_between=True)
         with session.activate():
             results = pm.run_function(kernel)
     rows = [
@@ -226,8 +213,7 @@ def passes_main(argv=None) -> int:
     ]
     print(ascii_table(
         ["pass", "rewrites", "insts before", "insts after", "wall ms"], rows,
-        title=f"pipeline '{args.pipeline}' over {kernel.name} "
-        f"({args.run})",
+        title=f"pipeline over {kernel.name} ({args.run})",
     ))
     return 0
 
@@ -274,10 +260,7 @@ def _dispatch(argv) -> int:
     with session_from_flags(args.config, args.trace_out) as session:
         try:
             kernel = session.compile_kernel(source, args.kernel, defines=defines)
-        except FrontendError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        except UnknownKernelError as exc:
+        except (FrontendError, UnknownKernelError) as exc:
             p.error(str(exc))
 
         if args.before:

@@ -94,7 +94,7 @@ class AffineContext:
         if _depth > 128:
             return LinExpr.symbol(("opaque", value))
         if isinstance(value, Constant):
-            return LinExpr.constant(Fraction(value.value))
+            return LinExpr.constant(value.value)
         if isinstance(value, Argument):
             return LinExpr.symbol(("arg", value))
         if isinstance(value, Call):
@@ -139,11 +139,11 @@ class AffineContext:
             if op == Opcode.SHL and b.is_constant() and b.const().denominator == 1:
                 shift = b.const()
                 if 0 <= shift < 63:
-                    return a.scale(Fraction(2) ** int(shift))
+                    return a.scale(1 << int(shift))
             if op in (Opcode.SDIV, Opcode.UDIV) and b.is_constant() and b.const() != 0:
                 if a.is_constant():
                     # exact only when divisible; else opaque
-                    q = a.const() / b.const()
+                    q = Fraction(a.const(), b.const())
                     if q.denominator == 1:
                         return LinExpr.constant(q)
             if op in (Opcode.AND, Opcode.OR, Opcode.XOR) and a.is_constant() and b.is_constant():
@@ -172,7 +172,7 @@ def _distribute(expr: LinExpr, factor: LinExpr) -> Optional[LinExpr]:
             key: Symbol = f_sym
         else:
             key = prod_symbol(sym, f_sym)
-        out[key] = out.get(key, Fraction(0)) + coeff * f_coeff
+        out[key] = out.get(key, 0) + coeff * f_coeff
     return LinExpr(out)
 
 

@@ -231,9 +231,9 @@ class GroverPass:
             )
             # the vendor runtime recompiles the SPIR (paper Fig. 9):
             # normalise/CSE/hoist the freshly materialised index arithmetic
-            from repro.core.optimize import vendor_optimize
+            from repro.session.passes import PassManager
 
-            vendor_optimize(kernel)
+            PassManager().run_function(kernel)
         verify_function(kernel)
         events.emit(
             "grover_end",

@@ -2,9 +2,11 @@
 
 The paper abstracts each local data index as a linear function of the
 local thread index with constant coefficients (Equation 2).  We represent
-such functions as mappings ``symbol -> Fraction`` with an implicit
+such functions as mappings ``symbol -> coefficient`` with an implicit
 constant term; coefficients stay exact rationals so that the uniqueness
-and integrality checks of the solver are precise.
+and integrality checks of the solver are precise.  An integral
+coefficient is stored as an ``int`` (nearly all of them are), only a
+non-integral one as a :class:`~fractions.Fraction`; never a ``float``.
 
 Symbols are small tuples:
 
@@ -24,6 +26,9 @@ from typing import Dict, Iterable, Optional, Tuple, Union
 
 Symbol = Tuple[object, ...]
 
+#: an exact coefficient: ``int`` when integral, else ``Fraction``
+Coeff = Union[int, Fraction]
+
 #: the constant-term key
 ONE: Symbol = ("const",)
 
@@ -35,22 +40,23 @@ class LinExpr:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Optional[Dict[Symbol, Fraction]] = None) -> None:
+    def __init__(self, terms: Optional[Dict[Symbol, object]] = None) -> None:
         t = {}
         for k, v in (terms or {}).items():
-            f = Fraction(v)
-            if f != 0:
-                t[k] = f
-        self.terms: Dict[Symbol, Fraction] = t
+            if type(v) is not int:
+                v = _exact(v)
+            if v:
+                t[k] = v
+        self.terms: Dict[Symbol, Coeff] = t
 
     # -- constructors -----------------------------------------------------------
     @staticmethod
-    def constant(value: Union[int, Fraction]) -> "LinExpr":
-        return LinExpr({ONE: Fraction(value)})
+    def constant(value: object) -> "LinExpr":
+        return LinExpr({ONE: value})
 
     @staticmethod
-    def symbol(sym: Symbol, coeff: Union[int, Fraction] = 1) -> "LinExpr":
-        return LinExpr({sym: Fraction(coeff)})
+    def symbol(sym: Symbol, coeff: Coeff = 1) -> "LinExpr":
+        return LinExpr({sym: coeff})
 
     @staticmethod
     def zero() -> "LinExpr":
@@ -60,20 +66,20 @@ class LinExpr:
     def __add__(self, other: "LinExpr") -> "LinExpr":
         t = dict(self.terms)
         for k, v in other.terms.items():
-            t[k] = t.get(k, Fraction(0)) + v
+            t[k] = t.get(k, 0) + v
         return LinExpr(t)
 
     def __sub__(self, other: "LinExpr") -> "LinExpr":
         t = dict(self.terms)
         for k, v in other.terms.items():
-            t[k] = t.get(k, Fraction(0)) - v
+            t[k] = t.get(k, 0) - v
         return LinExpr(t)
 
     def __neg__(self) -> "LinExpr":
         return LinExpr({k: -v for k, v in self.terms.items()})
 
-    def scale(self, factor: Union[int, Fraction]) -> "LinExpr":
-        f = Fraction(factor)
+    def scale(self, factor: Coeff) -> "LinExpr":
+        f = _exact(factor)
         return LinExpr({k: v * f for k, v in self.terms.items()})
 
     def __mul__(self, other: "LinExpr") -> Optional["LinExpr"]:
@@ -91,11 +97,11 @@ class LinExpr:
     def is_constant(self) -> bool:
         return all(k == ONE for k in self.terms)
 
-    def const(self) -> Fraction:
-        return self.terms.get(ONE, Fraction(0))
+    def const(self) -> Coeff:
+        return self.terms.get(ONE, 0)
 
-    def coeff(self, sym: Symbol) -> Fraction:
-        return self.terms.get(sym, Fraction(0))
+    def coeff(self, sym: Symbol) -> Coeff:
+        return self.terms.get(sym, 0)
 
     def symbols(self) -> Iterable[Symbol]:
         return (k for k in self.terms if k != ONE)
@@ -144,7 +150,16 @@ class LinExpr:
         return f"LinExpr({self.render()})"
 
 
-def _frac_str(f: Fraction) -> str:
+def _exact(value: object) -> Coeff:
+    """``value`` as an exact coefficient: an ``int`` when it is integral,
+    else a ``Fraction`` (a float converts exactly)."""
+    if type(value) is int:
+        return value
+    f = Fraction(value)
+    return int(f) if f.denominator == 1 else f
+
+
+def _frac_str(f: Coeff) -> str:
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 

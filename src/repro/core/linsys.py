@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Set
 
-from repro.core.linexpr import LinExpr, Symbol, symbol_mentions_lid
+from repro.core.linexpr import Coeff, LinExpr, Symbol, symbol_mentions_lid
 
 
 class SolveError(Exception):
@@ -88,7 +88,7 @@ def solve_correspondence(
     n_un = len(unknowns)
 
     # rows: coefficients of the unknowns; rhs: LinExpr
-    rows: List[List[Fraction]] = []
+    rows: List[List[Coeff]] = []
     rhs: List[LinExpr] = []
     for d in range(n_eq):
         ls = ls_dims[d]
@@ -107,7 +107,7 @@ def solve_correspondence(
         rows[r], rows[pivot] = rows[pivot], rows[r]
         rhs[r], rhs[pivot] = rhs[pivot], rhs[r]
         pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
+        rows[r] = [Fraction(x, pv) for x in rows[r]]
         rhs[r] = rhs[r].scale(Fraction(1) / pv)
         for i in range(n_eq):
             if i != r and rows[i][c] != 0:

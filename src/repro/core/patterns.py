@@ -72,12 +72,12 @@ def split_by_stride(expr: LinExpr, stride: int, strict: bool = False) -> List[Li
                 raise PatternError("non-integral constant term")
             hi_c, lo_c = divmod(int(coeff), stride)
             if hi_c:
-                high[ONE] = high.get(ONE, Fraction(0)) + hi_c
+                high[ONE] = high.get(ONE, 0) + hi_c
             if lo_c:
-                low[ONE] = low.get(ONE, Fraction(0)) + lo_c
+                low[ONE] = low.get(ONE, 0) + lo_c
             continue
         if coeff.denominator == 1 and int(coeff) % stride == 0:
-            high[sym] = coeff / stride
+            high[sym] = Fraction(coeff, stride)
         else:
             low[sym] = coeff
     low_e, high_e = LinExpr(low), LinExpr(high)

@@ -1,8 +1,8 @@
 """Top-level frontend driver: OpenCL C source -> IR module / kernel.
 
 These are thin shims over the session layer: the actual compile
-pipeline — preprocess, parse, lower, the default pass pipeline, the
-vendor-optimise stage, verification — lives in
+pipeline — preprocess, parse, lower, the one pass pipeline (paper
+Fig. 9's vendor compile), verification — lives in
 :meth:`repro.session.Session.compile_source`, which also owns the LRU
 compile cache (keyed on ``(source, defines, module_name, optimize)``)
 and emits ``compile_start`` / ``compile_cache_hit`` /
@@ -43,7 +43,8 @@ def compile_source(
     """Compile OpenCL C source text into a verified IR module.
 
     ``cache=False`` bypasses the compile cache (used by benchmarks to
-    measure cold compiles).
+    measure cold compiles); ``optimize=False`` skips the pass pipeline
+    and returns the lowered IR.
     """
     from repro.session import current_session
 

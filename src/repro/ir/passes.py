@@ -14,7 +14,7 @@ from __future__ import annotations
 import operator
 from typing import Dict, List
 
-from repro.ir.function import Function, Module
+from repro.ir.function import Function
 from repro.ir.instructions import Alloca, Instruction, Load, Opcode, Store
 from repro.ir.values import Value
 
@@ -296,16 +296,3 @@ def common_subexpression_elimination(fn: Function) -> int:
                 table[k] = inst
     return removed
 
-
-def run_default_passes(mod: Module) -> None:
-    """Run the default post-lowering pipeline (promote, fold, CSE, LICM,
-    CSE) over every function.
-
-    Shim over the instrumented pass manager: the pipeline definition
-    lives in :data:`repro.session.passes.DEFAULT_PIPELINE` and is
-    ordering-identical to the historical inline loop (asserted
-    bit-for-bit by ``tests/test_pass_manager.py``).
-    """
-    from repro.session.passes import PassManager
-
-    PassManager().run(mod)

@@ -32,8 +32,6 @@ from repro.session.events import (
 from repro.session.passes import (
     DEFAULT_PIPELINE,
     PASS_REGISTRY,
-    PIPELINES,
-    VENDOR_PIPELINE,
     PassManager,
 )
 
@@ -53,7 +51,5 @@ __all__ = [
     "validate_jsonl",
     "DEFAULT_PIPELINE",
     "PASS_REGISTRY",
-    "PIPELINES",
-    "VENDOR_PIPELINE",
     "PassManager",
 ]

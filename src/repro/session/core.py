@@ -161,12 +161,9 @@ class Session:
 
     # -- compile pipeline ------------------------------------------------------
     def pass_manager(
-        self,
-        names: Optional[List[str]] = None,
-        verify_between: bool = False,
-        pipeline: str = "default",
+        self, names: Optional[List[str]] = None, verify_between: bool = False
     ) -> PassManager:
-        return PassManager(names=names, verify_between=verify_between, pipeline=pipeline)
+        return PassManager(names=names, verify_between=verify_between)
 
     def compile_source(
         self,
@@ -180,7 +177,8 @@ class Session:
 
         The implementation behind ``repro.frontend.compile_source``:
         session-owned LRU cache (every hit hands out a private deepcopy),
-        default pass pipeline via the :class:`PassManager`, and
+        the compile pipeline via the :class:`PassManager` (skipped with
+        ``optimize=False``, which leaves the lowered IR as it is), and
         ``compile_*`` events on the bus.
         """
         from pycparser import CParser
@@ -216,13 +214,8 @@ class Session:
             except ParseError as exc:
                 raise FrontendError(f"parse error: {exc}") from exc
             module = lower_translation_unit(ast, pre.kernel_names, module_name)
-            PassManager().run(module)
             if optimize:
-                # the vendor-compiler stage of the paper's Fig. 9 pipeline
-                from repro.core.optimize import vendor_optimize
-
-                for fn in module:
-                    vendor_optimize(fn)
+                PassManager().run(module)
             verify_module(module)
             events.emit(
                 "compile_end",

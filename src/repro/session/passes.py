@@ -1,17 +1,16 @@
 """Uniform named passes and the instrumented PassManager.
 
 Every IR transformation the pipeline runs — the post-lowering clean-ups,
-the "vendor compiler" pipeline of paper Fig. 9, the Grover pass itself —
-is registered here under a stable name with a one-line description.  A
-:class:`PassManager` runs a named sequence over a function or module and
-records, per pass: rewrite count, before/after IR size, and wall time —
-emitting a ``pass_applied`` event for each application and (optionally)
-running the verifier as a checkpoint between stages.
+the Grover pass itself, the rewrite rules — is registered here under a
+stable name with a one-line description.  A :class:`PassManager` runs a
+named sequence over a function or module and records, per pass: rewrite
+count, before/after IR size, and wall time — emitting a ``pass_applied``
+event for each application and (optionally) running the verifier as a
+checkpoint between stages.
 
-The default pipeline is ordering-identical to the historical
-``repro.ir.passes.run_default_passes`` (asserted bit-for-bit by
-``tests/test_pass_manager.py``), and ``run_default_passes`` itself is now
-a shim over ``PassManager().run(module)``.
+:data:`DEFAULT_PIPELINE` is the one compile pipeline: it models the
+vendor compile of the paper's Fig. 9, and runs once when a source is
+compiled and once more after a Grover transform.
 """
 
 from __future__ import annotations
@@ -29,8 +28,6 @@ __all__ = [
     "PassManager",
     "PASS_REGISTRY",
     "DEFAULT_PIPELINE",
-    "VENDOR_PIPELINE",
-    "PIPELINES",
     "register_pass",
     "get_pass",
 ]
@@ -210,17 +207,11 @@ def _register_builtin_passes() -> None:
 
 _register_builtin_passes()
 
-#: ordering-identical to the historical ``run_default_passes``
+#: the compile pipeline: clean up the lowered IR, canonicalise GEP
+#: indices, then CSE/hoist the index arithmetic (paper Fig. 9's vendor
+#: compile, which also recompiles the SPIR Grover rewrote)
 DEFAULT_PIPELINE: Tuple[str, ...] = (
     "promote-single-store-slots",
-    "fold-constants",
-    "cse",
-    "licm",
-    "cse",
-)
-
-#: ordering-identical to ``repro.core.optimize.vendor_optimize``
-VENDOR_PIPELINE: Tuple[str, ...] = (
     "fold-constants",
     "normalize-gep",
     "dce",
@@ -229,11 +220,6 @@ VENDOR_PIPELINE: Tuple[str, ...] = (
     "cse",
     "dce",
 )
-
-PIPELINES: Dict[str, Tuple[str, ...]] = {
-    "default": DEFAULT_PIPELINE,
-    "vendor": VENDOR_PIPELINE,
-}
 
 
 def _fn_stats(fn: Function) -> Tuple[int, int]:
@@ -253,15 +239,11 @@ class PassManager:
         self,
         names: Optional[Sequence[str]] = None,
         verify_between: bool = False,
-        pipeline: str = "default",
     ) -> None:
+        #: the ``pipeline`` field of ``pass_applied`` events
+        self.pipeline = "default" if names is None else "custom"
         if names is None:
-            names = PIPELINES.get(pipeline)
-            if names is None:
-                raise KeyError(
-                    f"unknown pipeline {pipeline!r}; known: {sorted(PIPELINES)}"
-                )
-        self.pipeline = pipeline
+            names = DEFAULT_PIPELINE
         self.passes: List[PassInfo] = [get_pass(n) for n in names]
         self.verify_between = verify_between
 

@@ -69,6 +69,29 @@ class TestAffineAnalysis:
         e = ctx.to_linexpr(local_store_gep(fn).indices[0])
         assert e.coeff(lid(0)) == 8
 
+    def test_constant_division_folds_only_when_exact(self):
+        # the lowered IR, so sdiv of two constants reaches the analysis
+        src = """
+__kernel void t(__global float* out, __global const float* in)
+{
+    __local float lm[16];
+    lm[7 / 2] = in[0];
+    lm[8 / 2] = in[1];
+    barrier(CLK_LOCAL_MEM_FENCE);
+    out[0] = lm[0];
+}
+"""
+        fn = compile_kernel(src, optimize=False)
+        ctx = AffineContext(fn)
+        stores = [
+            i for i in fn.instructions()
+            if isinstance(i, Store) and i.addrspace == AddressSpace.LOCAL
+        ]
+        inexact, exact = (ctx.to_linexpr(s.ptr.indices[0]) for s in stores)
+        (sym,) = inexact.symbols()
+        assert sym[0] == "opaque" and not inexact.is_constant()
+        assert exact == LinExpr.constant(4) and type(exact.const()) is int
+
     def test_group_id_symbol(self):
         src = """
 __kernel void t(__global float* out, __global const float* in)
@@ -138,6 +161,15 @@ class TestStrideDetection:
 
 
 class TestSplitByStride:
+    def test_split_divides_exactly(self):
+        # a coefficient past float precision: coeff / stride as a float
+        # would round 2**55 + 1 to 2**55
+        e = LinExpr({lid(1): 16 * (2**55 + 1), lid(0): 1})
+        low, high = split_by_stride(e, 16)
+        assert low == LinExpr.symbol(lid(0))
+        c = high.coeff(lid(1))
+        assert c == 2**55 + 1 and type(c) is int
+
     def test_basic_split(self):
         e = LinExpr({lid(1): Fraction(16), lid(0): Fraction(1)})
         low, high = split_by_stride(e, 16)

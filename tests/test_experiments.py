@@ -149,8 +149,10 @@ class TestCLI:
 
         f = tmp_path / "bad.cl"
         f.write_text("__kernel void k(__global float* o) { o[0] = ; }")
-        rc = main([str(f)])
-        assert rc == 1
+        with pytest.raises(SystemExit) as exc:
+            main([str(f)])
+        assert exc.value.code == 2  # a usage error, like any bad input
+        assert "error: parse error" in capsys.readouterr().err
 
     def test_cli_defines_and_arrays(self, tmp_path, capsys):
         from repro.cli import main

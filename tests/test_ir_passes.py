@@ -198,41 +198,50 @@ __kernel void k(__global float* out, __global const float* in, int n) {
 }
 """
 
-    def test_hoists_loop_invariant_mul(self):
+    def cleaned_kernel(self):
+        """The lowered kernel after the clean-ups that precede LICM in
+        the compile pipeline, but not LICM itself."""
         kernel = compile_kernel(self.SRC, optimize=False)
-        loop_invariant_code_motion(kernel)
-        verify_function(kernel)
-        # gid*4 must now be outside the loop: find the mul and check its block
+        promote_single_store_slots(kernel)
+        fold_constants(kernel)
+        common_subexpression_elimination(kernel)
+        return kernel
+
+    def test_hoists_loop_invariant_mul(self):
         from repro.ir.cfg import natural_loops
 
-        loops = natural_loops(kernel)
-        assert loops
-        body = loops[0].body
+        kernel = self.cleaned_kernel()
+        body = natural_loops(kernel)[0].body
         muls = [
             i
             for i in kernel.instructions()
             if isinstance(i, BinOp) and i.opcode == Opcode.MUL
         ]
-        assert muls and all(m.parent not in body for m in muls)
+        assert muls and all(m.parent in body for m in muls)
+        assert loop_invariant_code_motion(kernel) > 0
+        verify_function(kernel)
+        # gid*4 must now be outside the loop
+        body = natural_loops(kernel)[0].body
+        assert all(m.parent not in body for m in muls)
 
     def test_semantics_preserved(self):
         n = 8
         rng = np.random.default_rng(3)
         data = rng.random(64 * 4, dtype=np.float32)
 
-        k1 = compile_kernel(self.SRC, optimize=False)
+        k1 = self.cleaned_kernel()
         _, out1 = execute_kernel(
             k1, {"in": data, "n": n}, (64,), (16,), {"out": (np.float32, (64,))}
         )
-        k2 = compile_kernel(self.SRC, optimize=False)
-        loop_invariant_code_motion(k2)
+        k2 = self.cleaned_kernel()
+        assert loop_invariant_code_motion(k2) > 0
         _, out2 = execute_kernel(
             k2, {"in": data, "n": n}, (64,), (16,), {"out": (np.float32, (64,))}
         )
         np.testing.assert_allclose(out1["out"], out2["out"])
 
     def test_loop_varying_load_not_hoisted(self):
-        kernel = compile_kernel(self.SRC, optimize=False)
+        kernel = self.cleaned_kernel()
         from repro.ir.cfg import natural_loops
 
         loop_invariant_code_motion(kernel)
@@ -257,7 +266,7 @@ class TestFullPipelineEquivalence:
 
         app = get_app(app_id)
         out_opt = run_app(app, "with", "test").outputs
-        # recompile unoptimised by bypassing the vendor pipeline
+        # recompile as lowered, without the pass pipeline
         from repro.frontend import compile_kernel as ck
 
         kernel = ck(app.source, app.kernel_name, defines=app.defines, optimize=False)

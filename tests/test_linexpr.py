@@ -157,3 +157,73 @@ def test_neg_is_scale_minus_one(a):
 def test_equality_hash_consistent(a):
     b = LinExpr(dict(a.terms))
     assert a == b and hash(a) == hash(b)
+
+
+# -- integer coefficients against an all-Fraction reference --------------------
+
+exact_coeffs = st.one_of(
+    st.integers(-50, 50),
+    st.fractions(min_value=-50, max_value=50, max_denominator=8),
+)
+term_dicts = st.dictionaries(syms, exact_coeffs, max_size=5)
+
+
+def _reference(terms):
+    return {k: Fraction(v) for k, v in terms.items() if v != 0}
+
+
+def _combine(a, b, sign):
+    out = dict(a)
+    for k, v in b.items():
+        out[k] = out.get(k, Fraction(0)) + sign * v
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def _scaled(a, factor):
+    return {k: v * factor for k, v in a.items() if v * factor != 0}
+
+
+def _assert_canonical(e):
+    for v in e.terms.values():
+        assert v != 0
+        if v.denominator == 1:
+            assert type(v) is int
+        else:
+            assert type(v) is Fraction
+
+
+@given(term_dicts, term_dicts, exact_coeffs,
+       st.sampled_from(["add", "sub", "scale", "mul"]))
+def test_arithmetic_matches_fraction_reference(ta, tb, factor, op):
+    """add/sub/scale/mul agree with all-``Fraction`` arithmetic, and every
+    coefficient is an ``int`` when integral, a ``Fraction`` otherwise,
+    never a ``float``."""
+    a, b = LinExpr(ta), LinExpr(tb)
+    ra, rb = _reference(ta), _reference(tb)
+    _assert_canonical(a)
+    if op == "add":
+        got, want = a + b, _combine(ra, rb, 1)
+    elif op == "sub":
+        got, want = a - b, _combine(ra, rb, -1)
+    elif op == "scale":
+        got, want = a.scale(factor), _scaled(ra, Fraction(factor))
+    else:
+        got = a * b
+        if set(ra) <= {ONE}:
+            want = _scaled(rb, ra.get(ONE, Fraction(0)))
+        elif set(rb) <= {ONE}:
+            want = _scaled(ra, rb.get(ONE, Fraction(0)))
+        else:
+            assert got is None
+            return
+    assert got.terms == want
+    _assert_canonical(got)
+
+
+def test_float_inputs_convert_exactly():
+    assert LinExpr.constant(0.5).terms[ONE] == Fraction(1, 2)
+    two = LinExpr.constant(2.0).terms[ONE]
+    assert two == 2 and type(two) is int
+    assert type(LinExpr.symbol(lid(0), Fraction(6, 3)).coeff(lid(0))) is int
+    assert type(lx().scale(Fraction(1, 2)).scale(2).coeff(lid(0))) is int
+    assert LinExpr.zero().const() == 0 and LinExpr.zero().coeff(lid(0)) == 0

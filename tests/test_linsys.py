@@ -54,6 +54,27 @@ class TestBasicSolves:
         sol = solve_correspondence([sym(LX, 2)], [sym(K, 2)])
         assert sol[LX] == sym(K)
 
+    def test_pivot_of_two_divides_exactly(self):
+        # LS (2*lx + ly, ly), LL (wx, wy): the pivot row halves, so
+        # lx = wx/2 - wy/2 — exact halves, not integral
+        with pytest.raises(SolveError, match=r"1/2\*wx - 1/2\*wy"):
+            solve_correspondence(
+                [sym(LX, 2) + sym(LY), sym(LY)], [sym(wid(0)), sym(wid(1))]
+            )
+
+    @pytest.mark.parametrize("pivot", [2, 3])
+    def test_divided_pivot_row_stays_exact(self, pivot):
+        # LS (p*lx + ly, ly), LL (p*wx + wy, wy): lx = wx, ly = wy only
+        # if the 1/p left in the pivot row cancels exactly
+        sol = solve_correspondence(
+            [sym(LX, pivot) + sym(LY), sym(LY)],
+            [sym(wid(0), pivot) + sym(wid(1)), sym(wid(1))],
+        )
+        assert sol[LX] == sym(wid(0)) and sol[LY] == sym(wid(1))
+        assert all(
+            type(c) is int for e in sol.by_symbol.values() for c in e.terms.values()
+        )
+
     def test_mixed_dims(self):
         # LS (lx + ly, ly), LL (a, b) -> ly = b, lx = a - b
         A = ("slot", "a")

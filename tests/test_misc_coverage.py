@@ -234,7 +234,9 @@ __kernel void second(__global float* out)
         assert "Traceback" not in err
 
 
-    @pytest.mark.parametrize("source", ["missing", "directory", "not-utf8"])
+    @pytest.mark.parametrize(
+        "source", ["missing", "directory", "not-utf8", "syntax-error"]
+    )
     @pytest.mark.parametrize(
         "command", [[], ["analyze"], ["passes", "--run"]],
         ids=["kernel", "analyze", "passes"],
@@ -242,8 +244,9 @@ __kernel void second(__global float* out)
     def test_unreadable_source_is_a_usage_error(
         self, command, source, tmp_path, capsys
     ):
-        """Exit 2 with one ``error:`` line naming the file, never a
-        traceback, whatever makes the source unreadable."""
+        """Exit 2 with one ``error:`` line, never a traceback, whatever
+        makes the source unreadable or unparsable; an unreadable file is
+        named in that line."""
         from repro.cli import main
 
         path = tmp_path / "k.cl"
@@ -251,12 +254,18 @@ __kernel void second(__global float* out)
             path.mkdir()
         elif source == "not-utf8":
             path.write_bytes(b"__kernel void k(__global int* o) { o[0] = 1; } // \xff\n")
+        elif source == "syntax-error":
+            path.write_text("__kernel void k(__global int* o) { o[0] = ; }\n")
         with pytest.raises(SystemExit) as exc:
             main([*command, str(path)])
         assert exc.value.code == 2
         err = capsys.readouterr().err
         errors = [line for line in err.splitlines() if "error:" in line]
-        assert len(errors) == 1 and f"cannot read {path}" in errors[0]
+        assert len(errors) == 1
+        if source == "syntax-error":
+            assert "parse error" in errors[0]
+        else:
+            assert f"cannot read {path}" in errors[0]
         assert "Traceback" not in err
 
     def test_analyze_buffer_bytes_need_not_be_a_multiple_of_16(self, capsys):
