@@ -154,8 +154,19 @@ _FLOAT_FOLDS = {
 }
 
 
+#: integer opcodes whose right operand 0 is an identity (``x op 0 == x``)
+_ZERO_IDENTITY = frozenset({
+    Opcode.ADD, Opcode.SUB, Opcode.OR, Opcode.XOR,
+    Opcode.SHL, Opcode.LSHR, Opcode.ASHR,
+})
+#: integer opcodes whose right operand 1 is an identity (``x op 1 == x``)
+_ONE_IDENTITY = frozenset({Opcode.MUL, Opcode.SDIV, Opcode.UDIV})
+_COMMUTATIVE = frozenset({Opcode.ADD, Opcode.OR, Opcode.XOR, Opcode.MUL})
+
+
 def fold_constants(fn: Function) -> int:
-    """Fold binops/casts whose operands are all constants."""
+    """Fold binops/casts whose operands are all constants, and integer
+    identities (``x + 0``, ``x * 1``, ...) into their variable operand."""
 
     from repro.ir.instructions import BinOp, Cast
     from repro.ir.types import FloatType, IntType
@@ -168,20 +179,48 @@ def fold_constants(fn: Function) -> int:
         for bb in fn.blocks:
             for inst in list(bb.instructions):
                 result = None
-                if isinstance(inst, BinOp) and all(
-                    isinstance(o, Constant) for o in inst.operands
-                ):
-                    result = _fold_binop(inst)
+                if isinstance(inst, BinOp):
+                    if all(isinstance(o, Constant) for o in inst.operands):
+                        result = _fold_binop(inst)
+                        if result is not None:
+                            result = Constant(inst.type, result)
+                    else:
+                        result = _identity_operand(inst)
                 elif isinstance(inst, Cast) and isinstance(inst.value, Constant):
                     if isinstance(inst.type, (IntType, FloatType)):
-                        result = inst.value.value
+                        result = Constant(inst.type, inst.value.value)
                 if result is None:
                     continue
-                inst.replace_all_uses_with(Constant(inst.type, result))
+                inst.replace_all_uses_with(result)
                 inst.erase_from_parent()
                 folded += 1
                 changed = True
     return folded
+
+
+def _identity_operand(inst):
+    """``x`` for an integer binop of ``x`` and its opcode's identity
+    constant (on the right, or on either side of a commutative opcode),
+    else ``None``.  Float opcodes never fold: ``-0.0 + 0.0`` is
+    ``+0.0``."""
+    from repro.ir.types import IntType
+    from repro.ir.values import Constant
+
+    op = inst.opcode
+    if not isinstance(inst.type, IntType):
+        return None
+    if op in _ZERO_IDENTITY:
+        unit = 0
+    elif op in _ONE_IDENTITY:
+        unit = 1
+    else:
+        return None
+    lhs, rhs = inst.operands
+    if isinstance(rhs, Constant) and rhs.value == unit:
+        return lhs
+    if op in _COMMUTATIVE and isinstance(lhs, Constant) and lhs.value == unit:
+        return rhs
+    return None
 
 
 def _fold_binop(inst):

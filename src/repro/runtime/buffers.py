@@ -4,6 +4,12 @@ A runtime pointer is a 64-bit integer ``(buffer_id << OFFSET_BITS) | byte_offset
 All lanes of a vectorised access share one buffer (bases are uniform within
 a work-group), so gathers/scatters decode the buffer once and index its
 numpy backing store directly.
+
+A buffer is smaller than :data:`MAX_BUFFER_BYTES` (2 GiB), so the byte
+offset of every in-bounds access fits an int32: that is the width the
+traces record offsets at (:class:`repro.runtime.trace.MemEvent`).  Offsets
+are decoded and used for indexing as int64, so an out-of-bounds address
+still faults instead of wrapping into the buffer.
 """
 
 from __future__ import annotations
@@ -13,10 +19,14 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.runtime.errors import MemoryFault
+from repro.runtime.errors import MemoryFault, RuntimeLaunchError
 
 OFFSET_BITS = 40
 OFFSET_MASK = (1 << OFFSET_BITS) - 1
+
+#: exclusive upper bound of a buffer's size: every byte offset into a
+#: buffer fits an int32
+MAX_BUFFER_BYTES = 1 << 31
 
 #: pad allocations so any element-size view of the backing store is legal
 _PAD = 16
@@ -83,6 +93,11 @@ class Memory:
         self._next_id = 1
 
     def alloc(self, nbytes: int, name: str = "") -> Buffer:
+        if nbytes >= MAX_BUFFER_BYTES:
+            raise RuntimeLaunchError(
+                f"buffer {name or self._next_id} of {nbytes} B is not below "
+                f"the {MAX_BUFFER_BYTES} B limit"
+            )
         buf = Buffer(self, self._next_id, nbytes, name)
         self.buffers[self._next_id] = buf
         self._next_id += 1
@@ -105,9 +120,9 @@ class Memory:
 
     @staticmethod
     def split(addrs: np.ndarray) -> tuple:
-        """Vector decode: (uniform buffer id, byte offsets)."""
+        """Vector decode: (uniform buffer id, int64 byte offsets)."""
         ids = addrs >> OFFSET_BITS
         first = int(ids[0]) if len(ids) else 0
         if len(ids) and not (ids == first).all():
             raise MemoryFault("access spans multiple buffers")
-        return first, (addrs & OFFSET_MASK).astype(np.int64)
+        return first, addrs & OFFSET_MASK

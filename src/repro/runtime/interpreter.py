@@ -338,7 +338,7 @@ class GroupExecutor:
     def _load(self, inst: Load, mask: np.ndarray) -> np.ndarray:
         slot = self._slot_for(inst.ptr)
         if slot is not None:
-            return slot.copy() if slot.ndim == 2 else slot.copy()
+            return slot.copy()
         addrs = self.get(inst.ptr)
         buf_id, offs = Memory.split(np.where(mask, addrs, addrs[mask.argmax()] if mask.any() else 0))
         ty = inst.type
@@ -406,16 +406,18 @@ class GroupExecutor:
         space = inst.addrspace  # type: ignore[attr-defined]
         if space == AddressSpace.PRIVATE:
             return  # private slots/arrays model registers/stack; not traced
+        # boolean indexing and the int32 cast each make a fresh array,
+        # so the event owns both without a further copy
         lanes = self._lane_ids[mask]
-        offsets = offs if already_masked else offs[mask]
+        offsets = (offs if already_masked else offs[mask]).astype(np.int32)
         ty = inst.type if isinstance(inst, Load) else inst.value.type  # type: ignore[attr-defined]
         self.trace.events.append(
             MemEvent(
                 space=space,
                 is_store=is_store,
                 buffer_id=buf_id,
-                offsets=offsets.copy(),
-                lanes=lanes.copy(),
+                offsets=offsets,
+                lanes=lanes,
                 elem_size=ty.size,
                 phase=self.phase,
                 inst_id=inst.id,

@@ -89,7 +89,13 @@ from repro.ir.instructions import (
 from repro.ir.types import AddressSpace, ArrayType, VectorType
 from repro.ir.values import Argument, Constant, LocalArray, Value
 from repro.runtime import ops
-from repro.runtime.buffers import OFFSET_BITS, OFFSET_MASK, Buffer, Memory
+from repro.runtime.buffers import (
+    MAX_BUFFER_BYTES,
+    OFFSET_BITS,
+    OFFSET_MASK,
+    Buffer,
+    Memory,
+)
 from repro.runtime.builtins import WorkItemContext, eval_builtin
 from repro.runtime.errors import MemoryFault, RuntimeLaunchError
 from repro.runtime.interpreter import (
@@ -314,8 +320,9 @@ class TapeExecutor:
         self.arena_next = 0
         self.step_idx = 0
         #: one tuple per traced access: (space, is_store, buffer_id,
-        #: scratch_stride, offsets (G, L), lanes (L,), elem_size, phase,
-        #: inst_id, live), where ``live`` maps the offsets' rows to slots
+        #: scratch_stride, int32 offsets (G, L), lanes (L,), elem_size,
+        #: phase, inst_id, live), where ``live`` maps the offsets' rows
+        #: to slots
         self.records: List[tuple] = []
         self.bctx: Optional[_BatchedContext] = None
         self.slot_gids: List[Tuple[int, ...]] = []
@@ -580,12 +587,12 @@ class TapeExecutor:
                 am = am[keep]
                 G = len(self.live)
             if full:
-                offs = (addrs & OFFSET_MASK).astype(np.int64)
+                offs = addrs & OFFSET_MASK
                 offs_m = offs
             else:
                 safe = np.where(mask, addrs, addrs[:, j0:j0 + 1])
-                offs = (safe & OFFSET_MASK).astype(np.int64)
-                offs_m = (am & OFFSET_MASK).astype(np.int64)
+                offs = safe & OFFSET_MASK
+                offs_m = am & OFFSET_MASK
             ix = (offs // isz)[..., None] + comp if vec else offs // isz
             try:
                 val = self.memory.buffers[id0].view(dt)[ix]
@@ -595,8 +602,8 @@ class TapeExecutor:
             if record:
                 sid, stride = self.scratch_map.get(id0, (id0, 0))
                 self.records.append((
-                    space, False, sid, stride, offs_m, lanes, elem,
-                    self.phase, inst.id, self.live,
+                    space, False, sid, stride, offs_m.astype(np.int32),
+                    lanes, elem, self.phase, inst.id, self.live,
                 ))
             env[inst] = val
             return True
@@ -680,7 +687,7 @@ class TapeExecutor:
                 if v.ndim >= 2 + int(vec):
                     v = v[keep]
                 G = len(self.live)
-            offs = (am & OFFSET_MASK).astype(np.int64)
+            offs = am & OFFSET_MASK
             if vec:
                 ix = (offs // isz)[..., None] + comp
                 v = np.broadcast_to(v, (G, n, kc))[:, mask]
@@ -697,8 +704,8 @@ class TapeExecutor:
             if record:
                 sid, stride = self.scratch_map.get(id0, (id0, 0))
                 self.records.append((
-                    space, True, sid, stride, offs, lanes, elem,
-                    self.phase, inst.id, self.live,
+                    space, True, sid, stride, offs.astype(np.int32), lanes,
+                    elem, self.phase, inst.id, self.live,
                 ))
             return True
 
@@ -1105,6 +1112,14 @@ def execute_tape(
         return tuple(gid)
 
     gids = [gid_of(p) for p in picks]
+    # a batch stacks its groups' __local buffers in one scratch buffer;
+    # keeping that below the buffer limit keeps its offsets int32
+    local_bytes = max(
+        [b.nbytes for b in (*local_buffers.values(), *local_arg_buffers.values())],
+        default=0,
+    )
+    if local_bytes:
+        tape_batch = min(tape_batch, (MAX_BUFFER_BYTES - 1) // local_bytes)
 
     t0 = time.perf_counter()
     tape = TapeExecutor(

@@ -10,6 +10,13 @@ A trace is organised the way the devices consume it:
   runtimes execute a work-group (a loop over work-items *between
   barriers*, per Intel's/Twin Peaks' execution scheme cited in the
   paper).
+
+An event's byte offsets are int32: a buffer is below 2 GiB
+(:data:`repro.runtime.buffers.MAX_BUFFER_BYTES`), so every in-bounds
+offset fits, and the trace takes half the memory of an int64 one.  A
+consumer takes offsets of any integer width and widens them once, where
+they meet 64-bit arithmetic (the fingerprint, the CPU stream, the GPU
+transaction ids).
 """
 
 from __future__ import annotations
@@ -23,14 +30,18 @@ import numpy as np
 from repro.ir.types import AddressSpace
 
 
-@dataclass
+@dataclass(slots=True)
 class MemEvent:
-    """One vectorised memory access by a work-group."""
+    """One vectorised memory access by a work-group.
+
+    Both backends record ``offsets`` as int32; events built by hand may
+    carry any integer dtype, and every consumer accepts either.
+    """
 
     space: AddressSpace
     is_store: bool
     buffer_id: int
-    #: byte offsets within the buffer, one per active lane
+    #: byte offsets within the buffer, one per active lane (int32)
     offsets: np.ndarray
     #: flat local ids of the active lanes (same length as offsets)
     lanes: np.ndarray
@@ -83,9 +94,10 @@ class GroupTrace:
         whose lane column is the index of the event's lane ids among
         the group's distinct lane patterns (the tape shares a few lane
         arrays across all events, so each distinct content is hashed
-        once), and the offsets of all events are rebased and hashed as
-        one array.  The digest is cached; traces are immutable once the
-        interpreter returns them.
+        once), and the offsets of all events are widened to int64,
+        rebased and hashed as one array, so the digest does not depend
+        on the width the events carry their offsets at.  The digest is
+        cached; traces are immutable once the interpreter returns them.
         """
         if self._fingerprint is None:
             slots: dict = {}
@@ -131,7 +143,8 @@ class GroupTrace:
         Between consecutive barriers, work-items run to completion one
         after another; so the per-lane sub-streams of each phase are
         concatenated lane-major.  Returns arrays of (line-addressable)
-        byte offsets, buffer ids, sizes and store flags in that order.
+        int64 byte offsets, buffer ids, sizes and store flags in that
+        order.
         """
         sel = [e for e in self.events if e.space in spaces]
         if not sel:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from repro.perf.cpumodel import CPUModel
 from repro.perf.gpumodel import GPUModel
 from repro.perf.pricing import group_costs, kernel_cycles
 from repro.runtime import Memory, launch
+from repro.runtime.trace import GroupTrace
 
 #: the paper's Fig. 1(a) kernel — used all over the suite
 MT_SOURCE = r"""
@@ -101,6 +104,16 @@ def execute_kernel(kernel, args_spec, global_size, local_size, outs):
         for name, (dtype, shape) in outs.items()
     }
     return kernel, results
+
+
+def widened(g: GroupTrace) -> GroupTrace:
+    """``g`` with every event's offsets widened to int64 (the backends
+    record int32)."""
+    return GroupTrace(
+        g.group_id, g.work_items,
+        [dataclasses.replace(e, offsets=e.offsets.astype(np.int64)) for e in g.events],
+        g.inst_count, g.barriers,
+    )
 
 
 #: the per-group cost fields two pricings of one group must agree on,

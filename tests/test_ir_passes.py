@@ -13,7 +13,7 @@ from repro.ir.passes import (
     loop_invariant_code_motion,
     promote_single_store_slots,
 )
-from repro.ir.types import I32, I64
+from repro.ir.types import FLOAT, I32, I64
 from repro.ir.values import Constant
 from repro.ir.verifier import verify_function
 
@@ -110,6 +110,96 @@ class TestFoldConstants:
         fold_constants(fn)
         stores = [i for i in fn.instructions() if isinstance(i, Store)]
         assert stores[0].value.value == 16
+
+    @staticmethod
+    def _stored_after_fold(opcode, lhs, rhs, ty=I32):
+        """Fold ``lhs opcode rhs`` (``None`` names the argument ``x``);
+        returns (stored value, argument, folds)."""
+        fn = Function("f", [ty], ["x"])
+        x = fn.arg("x")
+        b = IRBuilder(fn.add_block("entry"))
+        v = b.binop(opcode, x if lhs is None else lhs, x if rhs is None else rhs)
+        slot = b.alloca(ty)
+        b.store(v, slot)
+        b.ret()
+        folds = fold_constants(fn)
+        verify_function(fn)
+        stores = [i for i in fn.instructions() if isinstance(i, Store)]
+        return stores[0].value, x, folds
+
+    @pytest.mark.parametrize("opcode", [
+        Opcode.ADD, Opcode.SUB, Opcode.OR, Opcode.XOR,
+        Opcode.SHL, Opcode.LSHR, Opcode.ASHR,
+    ])
+    def test_zero_on_the_right_is_an_identity(self, opcode):
+        value, x, folds = self._stored_after_fold(opcode, None, Constant(I32, 0))
+        assert value is x and folds == 1
+
+    @pytest.mark.parametrize("opcode", [Opcode.MUL, Opcode.SDIV, Opcode.UDIV])
+    def test_one_on_the_right_is_an_identity(self, opcode):
+        value, x, folds = self._stored_after_fold(opcode, None, Constant(I32, 1))
+        assert value is x and folds == 1
+
+    @pytest.mark.parametrize("opcode, unit", [
+        (Opcode.ADD, 0), (Opcode.OR, 0), (Opcode.XOR, 0), (Opcode.MUL, 1),
+    ])
+    def test_commutative_identity_on_the_left(self, opcode, unit):
+        value, x, folds = self._stored_after_fold(opcode, Constant(I32, unit), None)
+        assert value is x and folds == 1
+
+    @pytest.mark.parametrize("opcode, lhs, rhs", [
+        # not identities: the constant on the left of a non-commutative op
+        (Opcode.SUB, Constant(I32, 0), None),
+        (Opcode.SHL, Constant(I32, 0), None),
+        (Opcode.SDIV, Constant(I32, 1), None),
+        # not the identity constant
+        (Opcode.ADD, None, Constant(I32, 1)),
+        (Opcode.MUL, None, Constant(I32, 0)),
+        (Opcode.SREM, None, Constant(I32, 1)),
+        (Opcode.AND, None, Constant(I32, 0)),
+        # float ops never fold: -0.0 + 0.0 is +0.0
+        (Opcode.FADD, None, Constant(FLOAT, 0.0)),
+        (Opcode.FSUB, None, Constant(FLOAT, 0.0)),
+        (Opcode.FMUL, None, Constant(FLOAT, 1.0)),
+        (Opcode.FDIV, None, Constant(FLOAT, 1.0)),
+    ])
+    def test_non_identities_stay(self, opcode, lhs, rhs):
+        ty = FLOAT if opcode.is_float else I32
+        value, x, folds = self._stored_after_fold(opcode, lhs, rhs, ty)
+        assert isinstance(value, BinOp) and folds == 0
+
+    def test_pool_kernel_identity_folds_without_changing_outputs(self):
+        """Fuzz pool kernel ``generate_case(3, 384)`` lowers
+        ``lm1[(3 * li + 0)]`` to ``add i32 %x, 0``: the compile pipeline
+        folds it away, and the kernel computes the same outputs."""
+        from repro.frontend import compile_source
+        from repro.fuzz.generate import generate_case
+        from repro.fuzz.oracle import input_data
+        from repro.ir.passes import _identity_operand
+
+        case = generate_case(3, 384)
+
+        def identities(fn):
+            return [
+                i for i in fn.instructions()
+                if isinstance(i, BinOp) and _identity_operand(i) is not None
+            ]
+
+        outputs = {}
+        for optimize in (False, True):
+            kernel = compile_source(
+                case.source(), optimize=optimize, cache=False
+            ).kernel(case.kernel_name)
+            assert bool(identities(kernel)) is not optimize
+            total = int(np.prod(case.global_size))
+            _, res = execute_kernel(
+                kernel,
+                {"in": input_data(case.in_elems), "P": case.p_value},
+                case.global_size, case.local_size,
+                {"out": (np.float32, (total,))},
+            )
+            outputs[optimize] = res["out"]
+        assert outputs[True].tobytes() == outputs[False].tobytes()
 
 
 class TestCSE:

@@ -87,6 +87,21 @@ class TestMemoryRegistry:
         with pytest.raises(MemoryFault):
             Memory.split(addrs)
 
+    def test_alloc_refuses_a_buffer_of_two_gib(self, monkeypatch):
+        """The limit that keeps every byte offset an int32; it is checked
+        before anything is allocated."""
+        import repro.runtime.buffers as buffers
+
+        def no_buffer(*args, **kwargs):
+            raise AssertionError("allocated a buffer over the limit")
+
+        mem = Memory()
+        monkeypatch.setattr(buffers, "Buffer", no_buffer)
+        with pytest.raises(RuntimeLaunchError, match="limit"):
+            mem.alloc(1 << 31, "big")
+        assert mem.buffers == {} and mem._next_id == 1
+        assert buffers.MAX_BUFFER_BYTES == 1 << 31
+
     def test_separate_memories_independent(self):
         m1, m2 = Memory(), Memory()
         b1 = m1.alloc(8)

@@ -16,10 +16,10 @@ from repro.perf import CPUModel, GPUModel, price
 from repro.perf.devices import DEVICES, FERMI, MIC, NEHALEM, SNB
 from repro.perf.fastcache import FastSetAssocCache
 from repro.perf.pricing import group_costs
-from repro.runtime.trace import GroupTrace
+from repro.runtime.trace import GroupTrace, KernelTrace
 from repro.session.events import collect
 
-from tests.conftest import PRICED_FIELDS
+from tests.conftest import PRICED_FIELDS, widened
 
 SPECS = list(DEVICES.values())
 
@@ -50,6 +50,20 @@ def test_shared_call_equals_each_device_alone(app_id, memo):
                     assert getattr(got, f) == getattr(exp, f), (
                         f"{app_id}/{variant} {spec.name} group {g.group_id}: {f}"
                     )
+
+
+@pytest.mark.parametrize("app_id", TABLE_ORDER)
+def test_price_does_not_depend_on_offset_width(app_id, monkeypatch):
+    """The backends record int32 offsets; the same trace with int64
+    offsets costs the same on every device, memo off."""
+    monkeypatch.setenv("REPRO_PERF_MEMO", "0")
+    for variant in ("with", "without"):
+        trace = app_trace(app_id, variant, "test")
+        wide = KernelTrace(
+            [widened(g) for g in trace.groups], trace.total_groups,
+            trace.local_size, trace.global_size,
+        )
+        assert price(wide, SPECS) == price(trace, SPECS)
 
 
 def test_price_accepts_names_and_specs():

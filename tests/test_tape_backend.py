@@ -170,6 +170,32 @@ def test_tape_matches_reference_on_random_affine_kernels(coeffs):
     assert len(ref_report.findings) == len(tape_report.findings)
 
 
+def test_batch_keeps_stacked_local_memory_below_the_buffer_limit(monkeypatch):
+    """A batch stacks its groups' ``__local`` buffers in one scratch
+    buffer, whose offsets the trace records as int32: the batch shrinks
+    until that buffer is below the buffer limit, and the trace and
+    outputs stay the reference's."""
+    import repro.runtime.tape as tape
+
+    defines = dict(CA=3, CB=1, CC=1, CD=2, CE=5, CF=5, CG=2)
+    kernel = compile_kernel(_AFFINE_SOURCE, defines=defines)
+    data = np.random.default_rng(5).standard_normal(128).astype(np.float32)
+    spec = {"in": data}
+    outs = {"out": (np.float32, (128,))}
+    ref_trace, ref_out = _traced_launch(
+        kernel, spec, (128,), (16,), outs, backend="reference"
+    )
+    # lm is 256 B per group: at most 3 groups stack below 3 * 256 + 1 B
+    monkeypatch.setattr(tape, "MAX_BUFFER_BYTES", 3 * 256 + 1)
+    with events.collect() as sink:
+        trace, out = _traced_launch(
+            kernel, spec, (128,), (16,), outs, backend="tape"
+        )
+    assert [e.payload["batches"] for e in sink.of_kind("tape_replay")] == [3]
+    assert_traces_equal(ref_trace, trace, "capped batch")
+    assert_outputs_equal(ref_out, out, "capped batch")
+
+
 # ---------------------------------------------------------------------------
 # the Table III apps: tape == reference on real kernels
 # ---------------------------------------------------------------------------

@@ -5,6 +5,10 @@ The group memo of the performance models reuses a group's cost for
 every group with an equal fingerprint, so the digest may change but the
 partition it induces may not: two groups must get equal fingerprints
 exactly when the reference digest below says so.
+
+Both backends record byte offsets as int32, and a digest does not
+depend on that width: it equals the digest of the same trace with its
+offsets widened to int64.
 """
 
 from __future__ import annotations
@@ -14,7 +18,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.apps.registry import TABLE_ORDER
+from repro.apps.harness import compile_app, execute_app
+from repro.apps.registry import TABLE_ORDER, get_app
 from repro.experiments import app_trace
 from repro.fuzz.generate import generate_case
 from repro.fuzz.oracle import input_data
@@ -23,6 +28,8 @@ from repro.runtime import Memory
 from repro.runtime.errors import BarrierDivergenceError, MemoryFault, RuntimeLaunchError
 from repro.runtime.trace import GroupTrace, MemEvent
 from repro.session import Session
+
+from tests.conftest import widened
 
 #: the pool kernels ``perfbench/run.py --workload kernel-ingest --size
 #: tiny --seed 1`` ingests (``generate_case(3, i)``)
@@ -68,7 +75,8 @@ def assert_same_partition(groups) -> None:
     assert partition(new) == partition(reference_fingerprint(g) for g in groups)
 
 
-def test_partition_of_the_paper_traces():
+def paper_groups() -> list:
+    """The groups of the test-scale paper traces (the tape's, cached)."""
     traces = {
         id(t): t
         for t in (
@@ -77,11 +85,15 @@ def test_partition_of_the_paper_traces():
             for variant in ("with", "without")
         )
     }
-    assert_same_partition([g for t in traces.values() for g in t.groups])
+    return [g for t in traces.values() for g in t.groups]
 
 
-@pytest.mark.parametrize("backend", ["tape", "reference"])
-def test_partition_of_fresh_kernels(backend):
+def test_partition_of_the_paper_traces():
+    assert_same_partition(paper_groups())
+
+
+def ingest_groups(backend: str) -> list:
+    """The groups of the ``INGEST_TINY`` pool kernels that launch."""
     session = Session(env={}, exec_backend=backend)
     groups = []
     for index in INGEST_TINY:
@@ -102,7 +114,39 @@ def test_partition_of_fresh_kernels(backend):
             continue
         groups += res.trace.groups
     assert len(groups) > 12
-    assert_same_partition(groups)
+    return groups
+
+
+@pytest.mark.parametrize("backend", ["tape", "reference"])
+def test_partition_of_fresh_kernels(backend):
+    assert_same_partition(ingest_groups(backend))
+
+
+def offset_dtypes(groups) -> set:
+    return {e.offsets.dtype for g in groups for e in g.events}
+
+
+@pytest.mark.parametrize("backend", ["tape", "reference"])
+def test_backends_record_int32_offsets(backend):
+    groups = ingest_groups(backend)
+    with Session(env={}, exec_backend=backend).activate():
+        for app_id in TABLE_ORDER:
+            app = get_app(app_id)
+            for variant in ("with", "without"):
+                kernel, _ = compile_app(app, variant)
+                groups += execute_app(
+                    app, kernel, variant=variant, scale="test",
+                    collect_trace=True,
+                ).trace.groups
+    assert offset_dtypes(groups) == {np.dtype(np.int32)}
+
+
+def test_fingerprint_does_not_depend_on_offset_width():
+    groups = paper_groups() + ingest_groups("tape")
+    wide = [widened(g) for g in groups]
+    assert offset_dtypes(groups) == {np.dtype(np.int32)}
+    assert offset_dtypes(wide) == {np.dtype(np.int64)}
+    assert [g.fingerprint() for g in groups] == [g.fingerprint() for g in wide]
 
 
 def _event(buf=1, offs=(0, 4, 8, 12), lanes=None, store=False, phase=0, inst=7):
