@@ -134,6 +134,28 @@ def _divergence_finding(fn: Function, exc: BarrierDivergenceError) -> Finding:
 # ---------------------------------------------------------------------------
 
 
+def _analyze_app_variant(app, variant: str, scale: str, execute: bool,
+                         label: str, **grover_kwargs):
+    """Compile ``app``'s ``variant``, trace it at ``scale`` when
+    ``execute`` (a barrier divergence becomes a finding) and analyze it;
+    returns ``(kernel, grover report, analysis report)``."""
+    from repro.apps.harness import compile_app, execute_app
+
+    kernel, greport = compile_app(app, variant, **grover_kwargs)
+    trace = None
+    extra: List[Finding] = []
+    if execute:
+        try:
+            run = execute_app(app, kernel, variant=variant, scale=scale,
+                              collect_trace=True)
+            trace = run.trace
+        except BarrierDivergenceError as exc:
+            extra.append(_divergence_finding(kernel, exc))
+    report = analyze_kernel(kernel, app.make_problem(scale).local_size, trace,
+                            extra_findings=extra, label=label)
+    return kernel, greport, report
+
+
 def analyze_app(
     app_or_id,
     variant: str = "with",
@@ -141,27 +163,12 @@ def analyze_app(
     execute: bool = True,
 ) -> AnalysisReport:
     """Analyze one registered app's kernel (optionally traced at ``scale``)."""
-    from repro.apps.harness import compile_app, execute_app
     from repro.apps.registry import App, get_app
 
     app = app_or_id if isinstance(app_or_id, App) else get_app(app_or_id)
-    kernel, _report = compile_app(app, variant)
-    problem = app.make_problem(scale)
-    trace = None
-    extra: List[Finding] = []
-    if execute:
-        try:
-            run = execute_app(app, kernel, variant=variant, scale=scale, collect_trace=True)
-            trace = run.trace
-        except BarrierDivergenceError as exc:
-            extra.append(_divergence_finding(kernel, exc))
-    return analyze_kernel(
-        kernel,
-        problem.local_size,
-        trace,
-        extra_findings=extra,
-        label=f"{app.id}/{variant}",
-    )
+    return _analyze_app_variant(
+        app, variant, scale, execute, label=f"{app.id}/{variant}"
+    )[2]
 
 
 # ---------------------------------------------------------------------------
@@ -296,39 +303,18 @@ def differential_check(
     execute: bool = True,
 ) -> DifferentialResult:
     """Run the two arbiters over one registered app and cross-check them."""
-    from repro.apps.harness import compile_app, execute_app
     from repro.apps.registry import App, get_app
 
     app = app_or_id if isinstance(app_or_id, App) else get_app(app_or_id)
-    problem = app.make_problem(scale)
-
     # original kernel: analyzed with its local memory in place
-    kernel_with, _ = compile_app(app, "with")
-    trace = None
-    extra: List[Finding] = []
-    if execute:
-        try:
-            run = execute_app(app, kernel_with, variant="with", scale=scale,
-                              collect_trace=True)
-            trace = run.trace
-        except BarrierDivergenceError as exc:
-            extra.append(_divergence_finding(kernel_with, exc))
-    pre = analyze_kernel(kernel_with, problem.local_size, trace,
-                         extra_findings=extra, label=f"{app.id}/pre")
-
+    kernel_with, _, pre = _analyze_app_variant(
+        app, "with", scale, execute, label=f"{app.id}/pre"
+    )
     # transformed kernel: Grover, partial transforms allowed
-    kernel_wo, greport = compile_app(app, "without", allow_partial=True)
-    trace = None
-    extra = []
-    if execute:
-        try:
-            run = execute_app(app, kernel_wo, variant="without", scale=scale,
-                              collect_trace=True)
-            trace = run.trace
-        except BarrierDivergenceError as exc:
-            extra.append(_divergence_finding(kernel_wo, exc))
-    post = analyze_kernel(kernel_wo, problem.local_size, trace,
-                          extra_findings=extra, label=f"{app.id}/post")
+    _, greport, post = _analyze_app_variant(
+        app, "without", scale, execute, label=f"{app.id}/post",
+        allow_partial=True,
+    )
 
     result = DifferentialResult(
         kernel=kernel_with.name,

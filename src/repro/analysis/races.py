@@ -419,10 +419,6 @@ def decide_pair(a: Access, b: Access, local_size: Optional[Sequence[int]]) -> Pa
 # ---------------------------------------------------------------------------
 
 
-def _pair_key(a: Access, b: Access) -> tuple:
-    return tuple(sorted((a.inst.id, b.inst.id)))
-
-
 def analyze_races_static(
     fn: Function,
     local_size: Optional[Sequence[int]] = None,

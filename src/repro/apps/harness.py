@@ -79,7 +79,7 @@ def execute_app(
     if workers is not None and (isinstance(workers, bool) or workers != 1):
         raise RuntimeLaunchError(
             f"workers={workers!r}: launches run serially; fan out whole "
-            "cases instead (repro.parallel.run_matrix)"
+            "cases instead (repro.experiments.grid)"
         )
     problem = app.make_problem(scale)
 

@@ -8,7 +8,7 @@ Subcommands:
 
 * ``python -m repro.cli matrix [...]`` — the (app × device) experiment
   matrix (Table IV / Fig. 10 / extension-GPU scoring), optionally
-  fanned out with ``--workers N`` (see :mod:`repro.parallel.matrix`).
+  fanned out with ``--workers N`` (see :func:`repro.experiments.grid`).
 * ``python -m repro.cli passes [...]`` — list the registered IR passes
   and the compile pipeline, or run the pipeline over a source file and
   print per-pass rewrite counts, instruction deltas and wall time
@@ -144,7 +144,7 @@ def passes_main(argv=None) -> int:
     """``repro passes``: inspect the pass registry, or run the compile
     pipeline over a source file and print per-pass statistics."""
     from repro.session import session_from_flags
-    from repro.session.passes import DEFAULT_PIPELINE, PASS_REGISTRY
+    from repro.session.passes import DEFAULT_PIPELINE, PASS_REGISTRY, PassManager
 
     p = argparse.ArgumentParser(
         prog="repro passes",
@@ -203,9 +203,8 @@ def passes_main(argv=None) -> int:
             kernel = module.kernel(args.kernel)
         except (FrontendError, UnknownKernelError) as exc:
             p.error(str(exc))
-        pm = session.pass_manager(verify_between=True)
         with session.activate():
-            results = pm.run_function(kernel)
+            results = PassManager(verify_between=True).run_function(kernel)
     rows = [
         [r.pass_name, r.rewrites, r.insts_before, r.insts_after,
          f"{r.wall_s * 1e3:.3f}"]
@@ -230,7 +229,7 @@ def main(argv=None) -> int:
 
 def _dispatch(argv) -> int:
     if argv and argv[0] == "matrix":
-        from repro.parallel.matrix import main as matrix_main
+        from repro.experiments import main as matrix_main
 
         return matrix_main(list(argv[1:]))
     if argv and argv[0] == "passes":

@@ -175,7 +175,3 @@ def _distribute(expr: LinExpr, factor: LinExpr) -> Optional[LinExpr]:
         out[key] = out.get(key, 0) + coeff * f_coeff
     return LinExpr(out)
 
-
-def index_linexpr(ctx: AffineContext, index_values: List[Value]) -> List[LinExpr]:
-    """Abstract each GEP index operand."""
-    return [ctx.to_linexpr(v) for v in index_values]

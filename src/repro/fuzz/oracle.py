@@ -49,7 +49,7 @@ from repro.ir.verifier import VerificationError
 from repro.parallel.diff import trace_mismatch
 from repro.perf import devices
 from repro.perf.timing import estimate_cost
-from repro.runtime import Memory
+from repro.runtime import Memory, launch
 from repro.runtime.errors import (
     BarrierDivergenceError,
     MemoryFault,
@@ -134,14 +134,15 @@ def _run_backend(
     sink = events.CollectorSink()
     events.attach(sink)
     try:
-        res = exec_s.launch(
-            kernel,
-            tuple(global_size),
-            tuple(local_size),
-            {"out": out, "in": inb, "P": p_value},
-            memory=mem,
-            collect_trace=True,
-        )
+        with exec_s.activate():
+            res = launch(
+                kernel,
+                tuple(global_size),
+                tuple(local_size),
+                {"out": out, "in": inb, "P": p_value},
+                memory=mem,
+                collect_trace=True,
+            )
     except (BarrierDivergenceError, MemoryFault, RuntimeLaunchError) as exc:
         return {
             "error": type(exc).__name__,
@@ -389,15 +390,15 @@ def _check_transform_semantics(
     mem = Memory()
     outb = mem.alloc(total * 4, "out")
     inb = mem.from_array(in_data, "in")
-    exec_s = Session(env={}, exec_backend="reference")
     try:
-        exec_s.launch(
-            transformed_kernel,
-            tuple(global_size),
-            tuple(local_size),
-            {"out": outb, "in": inb, "P": p_value},
-            memory=mem,
-        )
+        with Session(env={}, exec_backend="reference").activate():
+            launch(
+                transformed_kernel,
+                tuple(global_size),
+                tuple(local_size),
+                {"out": outb, "in": inb, "P": p_value},
+                memory=mem,
+            )
     except (BarrierDivergenceError, MemoryFault, RuntimeLaunchError) as exc:
         out.mismatches.append(
             Mismatch(

@@ -48,10 +48,6 @@ def reverse_postorder(fn: Function) -> List[BasicBlock]:
     return list(reversed(postorder(fn)))
 
 
-def rpo_index(fn: Function) -> Dict[BasicBlock, int]:
-    return {bb: i for i, bb in enumerate(reverse_postorder(fn))}
-
-
 def immediate_dominators(fn: Function) -> Dict[BasicBlock, Optional[BasicBlock]]:
     """Cooper–Harvey–Kennedy iterative dominator algorithm."""
     rpo = reverse_postorder(fn)
@@ -147,13 +143,6 @@ def post_dominators(fn: Function) -> Dict[BasicBlock, Set[BasicBlock]]:
                 pdom[bb] = new
                 changed = True
     return pdom
-
-
-def block_post_dominates(
-    pdom: Dict[BasicBlock, Set[BasicBlock]], a: BasicBlock, b: BasicBlock
-) -> bool:
-    """Does ``a`` post-dominate ``b``?"""
-    return a in pdom[b]
 
 
 def back_edges(fn: Function) -> List[tuple]:

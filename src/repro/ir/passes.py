@@ -11,7 +11,6 @@ phi-node leaves.
 
 from __future__ import annotations
 
-import operator
 from typing import Dict, List
 
 from repro.ir.function import Function
@@ -145,15 +144,6 @@ def loop_invariant_code_motion(fn: Function) -> int:
     return hoisted_total
 
 
-#: float opcodes folded in Python arithmetic
-_FLOAT_FOLDS = {
-    Opcode.FADD: operator.add,
-    Opcode.FSUB: operator.sub,
-    Opcode.FMUL: operator.mul,
-    Opcode.FDIV: operator.truediv,
-}
-
-
 #: integer opcodes whose right operand 0 is an identity (``x op 0 == x``)
 _ZERO_IDENTITY = frozenset({
     Opcode.ADD, Opcode.SUB, Opcode.OR, Opcode.XOR,
@@ -226,12 +216,11 @@ def _identity_operand(inst):
 def _fold_binop(inst):
     """The value of a binop of two constants, or ``None`` to leave it.
 
-    Integer opcodes compute through :mod:`repro.runtime.ops` on
+    Every opcode computes through :mod:`repro.runtime.ops` on
     one-element arrays of the operand dtype, so a fold equals what the
-    runtime computes (wrap-around, truncating division, masked shift
-    counts); a zero divisor is left to the runtime.  A float
-    ``Constant`` holds an unrounded double, so float opcodes fold in
-    Python arithmetic.  ``lshr`` is not folded.
+    runtime computes (float32 rounding, wrap-around, truncating
+    division, masked shift counts); a zero divisor is left to the
+    runtime.  ``lshr`` is not folded.
     """
     import numpy as np
 
@@ -239,14 +228,10 @@ def _fold_binop(inst):
 
     lhs, rhs = inst.operands
     op = inst.opcode
-    if op in _FLOAT_FOLDS:
-        try:
-            return _FLOAT_FOLDS[op](lhs.value, rhs.value)
-        except ZeroDivisionError:
-            return None
     if op == Opcode.LSHR:
         return None
-    if op in (Opcode.SDIV, Opcode.UDIV, Opcode.SREM, Opcode.UREM) and not rhs.value:
+    divisions = (Opcode.FDIV, Opcode.SDIV, Opcode.UDIV, Opcode.SREM, Opcode.UREM)
+    if op in divisions and not rhs.value:
         return None
     with np.errstate(all="ignore"):
         return ops.BINOPS[op](ops.splat(lhs, 1), ops.splat(rhs, 1)).item()

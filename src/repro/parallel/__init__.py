@@ -4,13 +4,12 @@ The paper's evaluation is a grid of independent cases — 11 apps × 2
 variants × 6 devices — so that is where the parallelism lives: whole
 cases go through one :func:`fan_out` over one process-wide warm worker
 pool (:mod:`repro.parallel.pool`), with one failure contract.
-:func:`run_matrix` fans the (app × device) grid of Table IV / Fig. 10 /
-the extension-GPU scoring out one application per case
-(:mod:`repro.parallel.matrix`); search candidate scoring and fuzz
-campaigns call the same ``fan_out``, and the search's root-kernel gate
-runs beside them through ``fan_out``'s one-case entry point,
-:func:`submit_case`.  A single kernel launch always
-runs serially in the process that issued it.
+:func:`repro.experiments.grid` fans the (app × device) grid of Table IV /
+Fig. 10 / the extension-GPU scoring out one application per case;
+search candidate scoring and fuzz campaigns call the same ``fan_out``,
+and the search's root-kernel gate runs beside them through
+``fan_out``'s one-case entry point, :func:`submit_case`.  A single
+kernel launch always runs serially in the process that issued it.
 
 Fanned-out results are required to be *bit-identical* to serial
 execution; :mod:`repro.parallel.diff` is the differential layer that
@@ -21,13 +20,10 @@ enforces it (and the one the execution backends are checked against).
 
 from repro.parallel.diff import (
     DifferentialMismatch,
-    assert_cycles_equal,
-    assert_matrix_equal,
     assert_outputs_equal,
     assert_traces_equal,
     trace_mismatch,
 )
-from repro.parallel.matrix import MatrixResult, run_matrix
 from repro.parallel.pool import (
     WORKERS_ENV,
     WorkerPool,
@@ -41,18 +37,14 @@ from repro.parallel.pool import (
 
 __all__ = [
     "DifferentialMismatch",
-    "MatrixResult",
     "WORKERS_ENV",
     "WorkerPool",
     "acquire",
-    "assert_cycles_equal",
-    "assert_matrix_equal",
     "assert_outputs_equal",
     "assert_traces_equal",
     "fan_out",
     "make_pool",
     "resolve_workers",
-    "run_matrix",
     "shutdown_shared",
     "submit_case",
     "trace_mismatch",

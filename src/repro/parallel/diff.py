@@ -92,38 +92,3 @@ def assert_outputs_equal(
                 f"{prefix}output {name!r} differs at {len(bad)} bytes "
                 f"(first at byte {int(bad[0])})"
             )
-
-
-def assert_cycles_equal(
-    serial: float, parallel: float, context: str = ""
-) -> None:
-    if not (serial == parallel):
-        prefix = f"{context}: " if context else ""
-        raise DifferentialMismatch(
-            f"{prefix}cycle counts diverged: serial {serial!r} != parallel {parallel!r}"
-        )
-
-
-def assert_matrix_equal(
-    serial: Mapping[str, Mapping[str, float]],
-    parallel: Mapping[str, Mapping[str, float]],
-    context: str = "",
-) -> None:
-    """Exact comparison of device->app normalised-performance grids."""
-    prefix = f"{context}: " if context else ""
-    if set(serial) != set(parallel):
-        raise DifferentialMismatch(
-            f"{prefix}device sets differ: {sorted(serial)} != {sorted(parallel)}"
-        )
-    for dev in sorted(serial):
-        if set(serial[dev]) != set(parallel[dev]):
-            raise DifferentialMismatch(
-                f"{prefix}{dev}: app sets differ: "
-                f"{sorted(serial[dev])} != {sorted(parallel[dev])}"
-            )
-        for app, v in serial[dev].items():
-            w = parallel[dev][app]
-            if v != w:
-                raise DifferentialMismatch(
-                    f"{prefix}{dev}/{app}: {v!r} != {w!r}"
-                )

@@ -7,7 +7,8 @@
 * :mod:`repro.session.passes` — uniform named passes and the
   instrumented :class:`PassManager`;
 * :mod:`repro.session.core` — the :class:`Session` object tying the
-  three together and backing every public entry point.
+  three together; every public entry point reads its settings from the
+  active session (``with session.activate(): ...``).
 
 See DESIGN.md §10 for the architecture diagram, the event taxonomy and
 the configuration precedence table.

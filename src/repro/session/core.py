@@ -3,17 +3,19 @@
 A :class:`Session` resolves every ``REPRO_*`` knob through the layered
 registry of :mod:`repro.session.config` (defaults < config dict/file <
 environment < explicit keywords), owns the LRU compile cache, chooses the
-cache-simulation backend and the default worker count, and exposes every
-pipeline entry point — ``compile_source``, ``disable_local_memory``,
-``run_app``, ``launch``, ``run_matrix``, ``figure10``, ``table4``,
-``search`` — as methods that run with the session active, so
-config lookups deep inside ``perf/fastcache.py`` or ``parallel/pool.py``
-see *this* session's values.
+cache-simulation backend and the default worker count.  It implements
+two entry points itself, ``compile_source`` and ``disable_local_memory``
+(the analyzer-gated Grover pass); ``repro.frontend.compile_source`` and
+``repro.core.grover.disable_local_memory`` delegate to them through
+:func:`current_session`.
 
-The historical module-level functions remain as thin shims that delegate
-to :func:`current_session`, so existing code and the test suite keep
-working unchanged (and produce bit-identical results — asserted by
-``tests/test_session_entrypoints.py``).
+Every other entry point (``repro.runtime.launch``,
+``repro.apps.harness.run_app``, ``repro.experiments.grid``,
+``repro.search.run_search``, ...) is a plain function that reads its
+settings from :func:`current_session`; call it under ``with
+session.activate():`` so config lookups deep inside
+``perf/fastcache.py`` or ``parallel/pool.py`` see *this* session's
+values.
 """
 
 from __future__ import annotations
@@ -160,11 +162,6 @@ class Session:
         self.close()
 
     # -- compile pipeline ------------------------------------------------------
-    def pass_manager(
-        self, names: Optional[List[str]] = None, verify_between: bool = False
-    ) -> PassManager:
-        return PassManager(names=names, verify_between=verify_between)
-
     def compile_source(
         self,
         source: str,
@@ -298,70 +295,6 @@ class Session:
                 AnalysisUndecidedWarning,
                 stacklevel=3,
             )
-
-    # -- runtime ---------------------------------------------------------------
-    def launch(self, *args, **kwargs):
-        """Session-configured ``repro.runtime.launch`` (backend choice,
-        tape batch size and events resolve against this session; the
-        launch itself is always serial)."""
-        from repro.runtime.ndrange import launch
-
-        with self.activate():
-            return launch(*args, **kwargs)
-
-    # -- applications ----------------------------------------------------------
-    def compile_app(self, app, variant: str = "with", **grover_kwargs):
-        from repro.apps.harness import compile_app
-
-        with self.activate():
-            return compile_app(app, variant, **grover_kwargs)
-
-    def execute_app(self, app, kernel, **kwargs):
-        from repro.apps.harness import execute_app
-
-        with self.activate():
-            return execute_app(app, kernel, **kwargs)
-
-    def run_app(self, app, variant: str = "with", scale: str = "test", **kwargs):
-        from repro.apps.harness import run_app
-
-        with self.activate():
-            return run_app(app, variant, scale, **kwargs)
-
-    # -- experiments -----------------------------------------------------------
-    def run_matrix(self, **kwargs):
-        from repro.parallel.matrix import run_matrix
-
-        with self.activate():
-            return run_matrix(**kwargs)
-
-    def figure10(self, device_name: str, **kwargs):
-        from repro.experiments import figure10
-
-        with self.activate():
-            return figure10(device_name, **kwargs)
-
-    def table4(self, **kwargs):
-        from repro.experiments import table4
-
-        with self.activate():
-            return table4(**kwargs)
-
-    def search(self, options=None, **kwargs):
-        """Beam-search rewrite-rule pipelines (see :mod:`repro.search`).
-
-        Accepts a prebuilt :class:`~repro.search.SearchOptions` or its
-        keyword fields (``session.search(apps=("NVD-MT",), depth=2)``);
-        unset knobs resolve against this session's ``search_*`` config.
-        """
-        from repro.search import SearchOptions, run_search
-
-        if options is None:
-            options = SearchOptions(**kwargs)
-        elif kwargs:
-            raise TypeError("pass either options or keyword fields, not both")
-        with self.activate():
-            return run_search(options)
 
 
 #: activation stack; the top is what ``current_session()`` returns

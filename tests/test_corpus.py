@@ -25,7 +25,7 @@ from repro.fuzz.oracle import BACKENDS, input_data
 from repro.ir.instructions import GEP, Load
 from repro.ir.printer import print_function
 from repro.ir.values import LocalArray
-from repro.runtime import Memory
+from repro.runtime import Memory, launch
 from repro.session import Session
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
@@ -71,13 +71,14 @@ def test_corpus_backends_bit_identical(backend):
             total = int(np.prod(entry["global_size"]))
             out = mem.alloc(total * 4, "out")
             inb = mem.from_array(input_data(int(entry["in_elems"])), "in")
-            s.launch(
-                kernel,
-                tuple(entry["global_size"]),
-                tuple(entry["local_size"]),
-                {"out": out, "in": inb, "P": int(entry["p_value"])},
-                memory=mem,
-            )
+            with s.activate():
+                launch(
+                    kernel,
+                    tuple(entry["global_size"]),
+                    tuple(entry["local_size"]),
+                    {"out": out, "in": inb, "P": int(entry["p_value"])},
+                    memory=mem,
+                )
             outs[b] = out.read(np.float32, total)
         np.testing.assert_array_equal(
             outs["reference"].view(np.uint8), outs[backend].view(np.uint8)

@@ -9,8 +9,10 @@ from repro.experiments import (
     clear_caches,
     figure2,
     figure10,
+    grid,
     normalized_perf,
     table4,
+    table4_counts,
 )
 from repro.reporting import ascii_table, bar_series, normalized_perf_table
 
@@ -69,6 +71,34 @@ class TestExperimentDrivers:
                 assert normalized_perf(app_id, dev, "test") == expected
                 if dev in fig10:
                     assert fig10[dev].values[app_id] == expected
+
+    def test_grid_matches_direct_normalized_perf(self):
+        clear_caches()
+        direct = normalized_perf("NVD-MT", "SNB", "test")
+        values = grid(apps=["NVD-MT"], devices=["SNB"], workers=1, scale="test")
+        assert values == {"SNB": {"NVD-MT": direct}}  # exact float equality
+
+    def test_table4_counts_the_cpu_grid(self):
+        """Table IV is the gain/loss/similar count of the CPU grid, which
+        ``grid`` announces with one ``matrix_start``/``matrix_end``."""
+        from repro.session import events
+
+        with events.collect() as sink:
+            values = grid(scale="test", workers=1)
+        (start,) = sink.of_kind("matrix_start")
+        (end,) = sink.of_kind("matrix_end")
+        assert start.payload["apps"] == list(TABLE_ORDER)
+        assert start.payload["devices"] == ["SNB", "Nehalem", "MIC"]
+        assert start.payload["workers"] == 1 and end.payload["cases"] == 33
+        assert table4(scale="test").per_device == table4_counts(values)
+
+    def test_grid_rejects_unknown_ids_before_any_work(self):
+        from repro.session import events
+
+        for kw in ({"apps": ["NOPE"]}, {"devices": ["Nope"]}):
+            with events.collect() as sink, pytest.raises(KeyError):
+                grid(scale="test", workers=1, **kw)
+            assert not sink.events
 
     def test_normalized_perf_is_positive(self):
         v = normalized_perf("NVD-MT", "SNB", "test")

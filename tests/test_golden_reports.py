@@ -69,7 +69,8 @@ def test_session_path_matches_golden_byte_for_byte(app_id):
     path = GOLDEN_DIR / f"{app_id}.txt"
     if UPDATE or not path.exists():
         pytest.skip("golden files not pinned in this run")
-    _, report = Session(env={}).compile_app(get_app(app_id), "without")
+    with Session(env={}).activate():
+        _, report = compile_app(get_app(app_id), "without")
     assert str(report).rstrip("\n") + "\n" == path.read_text()
 
 

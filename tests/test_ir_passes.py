@@ -100,6 +100,35 @@ class TestFoldConstants:
         fold_constants(fn)  # must not crash
         assert count_insts(fn, BinOp) == 1
 
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_float_division_by_zero_not_folded(self, zero):
+        fn = Function("f", [], [])
+        b = IRBuilder(fn.add_block("entry"))
+        v = b.binop(Opcode.FDIV, Constant(FLOAT, 1.0), Constant(FLOAT, zero))
+        slot = b.alloca(FLOAT)
+        b.store(v, slot)
+        b.ret()
+        fold_constants(fn)
+        assert count_insts(fn, BinOp) == 1
+
+    def test_float_fold_rounds_as_the_runtime_does(self):
+        """``0.3f * 0.7f`` folds to the float32 product, so it reads
+        equal to ``x * y`` computed at run time from the same float32
+        values (a double-precision fold reads 0.21, the runtime
+        0.21000001)."""
+        kernel = compile_kernel("""
+        __kernel void k(__global float *out, float x, float y) {
+            out[0] = 0.3f * 0.7f;
+            out[1] = x * y;
+        }
+        """)
+        assert count_insts(kernel, BinOp) == 1  # only x * y is left
+        _, res = execute_kernel(
+            kernel, {"x": np.float32(0.3), "y": np.float32(0.7)},
+            (1,), (1,), {"out": (np.float32, (2,))},
+        )
+        assert res["out"][0] == res["out"][1] == np.float32(0.3) * np.float32(0.7)
+
     def test_shift_folds(self):
         fn = Function("f", [], [])
         b = IRBuilder(fn.add_block("entry"))

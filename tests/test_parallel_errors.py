@@ -136,12 +136,10 @@ def _use_failed_pool(monkeypatch, exc):
 
 
 def _matrix(workers):
-    from repro.parallel.matrix import run_matrix
+    from repro.experiments import grid
 
-    result = run_matrix(
-        apps=["AMD-MM", "AMD-MT"], devices=["SNB"], workers=workers, scale="test"
-    )
-    return result.values, len(result.apps)
+    apps = ["AMD-MM", "AMD-MT"]
+    return grid(apps, ["SNB"], scale="test", workers=workers), len(apps)
 
 
 def _search(workers):
@@ -206,11 +204,11 @@ def _run_small_matrix(monkeypatch, exc):
 def test_matrix_does_not_retry_deterministic_kernel_errors(monkeypatch, exc):
     """A kernel error from a worker is what the serial path raises:
     the same exception, not wrapped, and the case is not redone."""
-    import repro.parallel.matrix as matrix
+    import repro.experiments as experiments
     from repro.session import events
 
     redone = []
-    monkeypatch.setattr(matrix, "_matrix_case", lambda *a: redone.append(a))
+    monkeypatch.setattr(experiments, "_app_row", lambda *a: redone.append(a))
     with events.collect() as sink, pytest.raises(type(exc)) as excinfo:
         _run_small_matrix(monkeypatch, exc)
     assert excinfo.value is exc

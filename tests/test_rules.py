@@ -18,7 +18,7 @@ from repro.ir.instructions import is_barrier
 from repro.ir.printer import print_function
 from repro.ir.types import ArrayType
 from repro.rules import RULE_REGISTRY, RewriteRule, RuleContext, get_rule, register_rule, rule_names
-from repro.runtime import Memory
+from repro.runtime import Memory, launch
 from repro.session import Session
 from repro.session.passes import PASS_REGISTRY
 
@@ -37,13 +37,14 @@ def _execute(kernel, global_size, local_size, in_elems: int, p: int):
     out = mem.alloc(total * 4, "out")
     data = ((np.arange(in_elems) % 13) + 1).astype(np.float32)
     inb = mem.from_array(data, "in")
-    s.launch(
-        kernel,
-        tuple(global_size),
-        tuple(local_size),
-        {"out": out, "in": inb, "P": p},
-        memory=mem,
-    )
+    with s.activate():
+        launch(
+            kernel,
+            tuple(global_size),
+            tuple(local_size),
+            {"out": out, "in": inb, "P": p},
+            memory=mem,
+        )
     return out.read(np.float32, total).copy()
 
 

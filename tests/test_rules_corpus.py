@@ -21,7 +21,7 @@ from repro.fuzz import load_manifest
 from repro.fuzz.oracle import input_data
 from repro.parallel.diff import assert_traces_equal
 from repro.rules import RuleContext, get_rule
-from repro.runtime import Memory
+from repro.runtime import Memory, launch
 from repro.session import Session
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
@@ -41,14 +41,15 @@ def _launch(kernel, entry, backend: str):
     total = int(np.prod(entry["global_size"]))
     out = mem.alloc(total * 4, "out")
     inb = mem.from_array(input_data(int(entry["in_elems"])), "in")
-    res = s.launch(
-        kernel,
-        tuple(entry["global_size"]),
-        tuple(entry["local_size"]),
-        {"out": out, "in": inb, "P": int(entry["p_value"])},
-        memory=mem,
-        collect_trace=True,
-    )
+    with s.activate():
+        res = launch(
+            kernel,
+            tuple(entry["global_size"]),
+            tuple(entry["local_size"]),
+            {"out": out, "in": inb, "P": int(entry["p_value"])},
+            memory=mem,
+            collect_trace=True,
+        )
     return res.trace, out.read(np.float32, total).copy()
 
 

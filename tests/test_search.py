@@ -606,10 +606,13 @@ def test_cli_search_rejects_unknown_app(argv, message, capsys):
 
 
 def test_session_search_entry_point():
-    run = Session(env={}).search(apps=("NVD-MT",), depth=1, workers=1)
-    assert len(run.results) == 1 and run.results[0].verified
-    with pytest.raises(TypeError, match="not both"):
-        Session(env={}).search(SearchOptions(), depth=1)
+    """``run_search`` under an active session takes its unset knobs
+    from the session's ``search_*`` config."""
+    with Session(env={}, search_depth=1).activate():
+        run = run_search(SearchOptions(apps=("NVD-MT",), workers=1))
+    (result,) = run.results
+    assert result.verified
+    assert max(len(c.pipeline) for c in result.candidates) == 1
 
 
 def test_cli_passes_lists_rule_metadata(capsys):

@@ -1,16 +1,14 @@
 """Session entry points produce bit-identical results to the legacy path.
 
-The multi-layer refactor's safety net: every module-level function is
-now a shim over :func:`repro.session.current_session`, and an explicit
-:class:`Session` must reproduce the legacy results exactly — compiled
-IR, launch traces, model cycles and experiment-grid floats.
+``compile_source`` and ``disable_local_memory`` are implemented on
+:class:`Session`, and their module-level functions delegate to
+:func:`repro.session.current_session`: an explicit session must
+reproduce their results exactly, and a session's config must reach the
+code that runs under its ``activate()``.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.apps.registry import get_app
 from repro.frontend import compile_kernel, compile_source
 from repro.ir.printer import print_function
 from repro.session import Session, current_session
@@ -52,7 +50,7 @@ def test_cache_hits_hand_out_private_copies():
 
 
 # ---------------------------------------------------------------------------
-# transform + runtime paths
+# transform path
 # ---------------------------------------------------------------------------
 
 
@@ -69,76 +67,8 @@ def test_session_grover_matches_legacy():
     assert print_function(sess_k) == print_function(legacy_k)
 
 
-def test_session_launch_trace_bit_identical():
-    from repro.parallel.diff import assert_traces_equal
-    from repro.runtime import Memory, launch
-
-    kernel = compile_kernel(MT_SOURCE)
-    a = np.arange(32 * 32, dtype=np.float32)
-
-    def legacy_run():
-        mem = Memory()
-        args = {
-            "out": mem.alloc(32 * 32 * 4, "out"),
-            "in": mem.from_array(a, "in"),
-            "W": 32, "H": 32,
-        }
-        return launch(
-            kernel, (32, 32), (16, 16), args, memory=mem, collect_trace=True
-        )
-
-    def session_run():
-        mem = Memory()
-        args = {
-            "out": mem.alloc(32 * 32 * 4, "out"),
-            "in": mem.from_array(a, "in"),
-            "W": 32, "H": 32,
-        }
-        return Session(env={}).launch(
-            kernel, (32, 32), (16, 16), args, memory=mem, collect_trace=True
-        )
-
-    assert_traces_equal(legacy_run().trace, session_run().trace, "session launch")
-
-
-def test_session_execute_app_matches_legacy():
-    """Same compiled kernel, legacy vs session executor: traces are
-    bit-identical (inst ids included) and outputs byte-equal."""
-    from repro.apps.harness import compile_app, execute_app
-    from repro.parallel.diff import assert_traces_equal
-
-    app = get_app("NVD-MT")
-    kernel, _ = compile_app(app, "without")
-    legacy = execute_app(
-        app, kernel, variant="without", scale="test", collect_trace=True
-    )
-    via_session = Session(env={}).execute_app(
-        app, kernel, variant="without", scale="test", collect_trace=True
-    )
-    assert_traces_equal(legacy.trace, via_session.trace, "session execute_app")
-    for name in legacy.outputs:
-        np.testing.assert_array_equal(
-            legacy.outputs[name], via_session.outputs[name]
-        )
-
-
-def test_session_run_app_outputs_match_legacy():
-    """End-to-end run_app (fresh compile each side): numerical outputs
-    are byte-equal even though instruction ids differ per compile."""
-    from repro.apps.harness import run_app
-
-    app = get_app("NVD-MT")
-    legacy = run_app(app, "without", scale="test")
-    via_session = Session(env={}).run_app(app, "without", scale="test")
-    assert set(legacy.outputs) == set(via_session.outputs)
-    for name in legacy.outputs:
-        np.testing.assert_array_equal(
-            legacy.outputs[name], via_session.outputs[name]
-        )
-
-
 # ---------------------------------------------------------------------------
-# model + experiment paths
+# model path
 # ---------------------------------------------------------------------------
 
 
@@ -151,14 +81,3 @@ def test_session_config_reaches_the_models():
         assert isinstance(make_hierarchy(specs), CacheHierarchy)
     with Session(env={}, cache_backend="fast").activate():
         assert isinstance(make_hierarchy(specs), FastCacheHierarchy)
-
-
-def test_session_matrix_matches_direct_normalized_perf():
-    from repro.experiments import clear_caches, normalized_perf
-
-    clear_caches()
-    direct = normalized_perf("NVD-MT", "SNB", "test")
-    result = Session(env={}).run_matrix(
-        apps=["NVD-MT"], devices=["SNB"], workers=1, scale="test"
-    )
-    assert result.values["SNB"]["NVD-MT"] == direct  # exact float equality

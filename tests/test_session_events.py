@@ -292,12 +292,12 @@ def test_make_pool_failure_warns_without_sink(monkeypatch):
 
 def test_matrix_with_broken_pool_still_correct(monkeypatch):
     """A fanned-out matrix degrades to serial, warns, and stays bit-exact."""
-    from repro.parallel.matrix import run_matrix
+    from repro.experiments import grid
     from repro.parallel.pool import PoolFallbackWarning
 
     kw = dict(apps=["AMD-MM", "AMD-MT"], devices=["SNB"], scale="test")
-    serial = run_matrix(workers=1, **kw)
+    serial = grid(workers=1, **kw)
     _break_pools(monkeypatch)
     with pytest.warns(PoolFallbackWarning):
-        fanned = run_matrix(workers=2, **kw)
-    assert fanned.values == serial.values
+        fanned = grid(workers=2, **kw)
+    assert fanned == serial

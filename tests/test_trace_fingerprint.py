@@ -24,7 +24,7 @@ from repro.experiments import app_trace
 from repro.fuzz.generate import generate_case
 from repro.fuzz.oracle import input_data
 from repro.ir.types import AddressSpace
-from repro.runtime import Memory
+from repro.runtime import Memory, launch
 from repro.runtime.errors import BarrierDivergenceError, MemoryFault, RuntimeLaunchError
 from repro.runtime.trace import GroupTrace, MemEvent
 from repro.session import Session
@@ -106,10 +106,11 @@ def ingest_groups(backend: str) -> list:
             "P": case.p_value,
         }
         try:
-            res = session.launch(
-                kernel, case.global_size, case.local_size, args,
-                memory=mem, collect_trace=True,
-            )
+            with session.activate():
+                res = launch(
+                    kernel, case.global_size, case.local_size, args,
+                    memory=mem, collect_trace=True,
+                )
         except (BarrierDivergenceError, MemoryFault, RuntimeLaunchError):
             continue
         groups += res.trace.groups

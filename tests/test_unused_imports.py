@@ -1,4 +1,5 @@
-"""Pyflakes' F401 (imported but unused) over the directories CI lints.
+"""Pyflakes' F401 (imported but unused) over the directories CI lints,
+and unreferenced private module-level functions and classes in ``src``.
 
 CI's ``lint`` job runs ``ruff check src tests benchmarks examples`` with
 ``ruff.toml``, which selects F401 and exempts ``__init__.py`` re-export
@@ -9,24 +10,33 @@ An import counts as used when its bound name is read in the scope that
 imports it or in a scope nested inside it, is listed in ``__all__``, or
 its line carries ``# noqa: F401``.  ``from __future__`` imports are
 exempt.
+
+A module-level ``def _name`` or ``class _Name`` in ``src`` is dead when
+no file of the linted directories or ``perfbench/`` names it anywhere
+but in its definition: not as a name, an attribute, an imported name or
+a word of a string literal (``monkeypatch.setattr(mod, "_name", ...)``).
+Docstrings do not count as a use.
 """
 
 from __future__ import annotations
 
 import ast
 import os
-from typing import Iterator, List, Set
+import re
+from typing import Iterator, List, Set, Tuple
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _LINTED = ("src", "tests", "benchmarks", "examples")
 _SCOPES = (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def linted_files(with_init: bool = False) -> Iterator[str]:
-    """Every ``.py`` file CI lints; ``__init__.py`` files only when
-    ``with_init`` (ruff.toml exempts those re-export modules from F401
-    only)."""
-    for top in _LINTED:
+def linted_files(
+    with_init: bool = False, tops: Tuple[str, ...] = _LINTED
+) -> Iterator[str]:
+    """Every ``.py`` file CI lints (or under ``tops``); ``__init__.py``
+    files only when ``with_init`` (ruff.toml exempts those re-export
+    modules from F401 only)."""
+    for top in tops:
         for dirpath, dirnames, filenames in os.walk(os.path.join(_ROOT, top)):
             dirnames[:] = sorted(d for d in dirnames if not d.startswith("."))
             for name in sorted(filenames):
@@ -95,6 +105,64 @@ def unused_imports(path: str) -> List[str]:
     return found
 
 
+def _docstrings(tree: ast.AST) -> Set[int]:
+    """``id`` of every docstring node of ``tree``."""
+    out: Set[int] = set()
+    for node in ast.walk(tree):
+        body = getattr(node, "body", None)
+        if isinstance(node, _SCOPES) and body and isinstance(body[0], ast.Expr):
+            if isinstance(body[0].value, ast.Constant):
+                out.add(id(body[0].value))
+    return out
+
+
+def referenced_names(path: str) -> Set[str]:
+    """Every identifier ``path`` uses: names, attributes, imported names
+    and the words of its string literals other than docstrings."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    docs = _docstrings(tree)
+    names: Set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rsplit(".", 1)[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if id(node) not in docs:
+                names.update(re.findall(r"\w+", node.value))
+    return names
+
+
+def private_definitions(path: str) -> List[Tuple[str, int]]:
+    """``(name, line)`` of every module-level private function or class."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return [
+        (node.name, node.lineno) for node in tree.body
+        if isinstance(node, kinds)
+        and node.name.startswith("_") and not node.name.startswith("__")
+    ]
+
+
+def unreferenced_private_definitions(root: str = _ROOT) -> List[str]:
+    """``file:line: name`` for every private module-level function or
+    class under ``root/src`` that no scanned file references."""
+    tops = tuple(os.path.join(root, top) for top in _LINTED + ("perfbench",))
+    used: Set[str] = set()
+    for path in linted_files(with_init=True, tops=tops):
+        used |= referenced_names(path)
+    return [
+        f"{os.path.relpath(path, root)}:{line}: {name}"
+        for path in linted_files(with_init=True, tops=(os.path.join(root, "src"),))
+        for name, line in private_definitions(path)
+        if name not in used
+    ]
+
+
 def test_no_unused_imports():
     found = [hit for path in linted_files() for hit in unused_imports(path)]
     assert not found, "imported but unused (F401):\n" + "\n".join(found)
@@ -114,3 +182,36 @@ def test_the_scan_catches_an_unused_import(tmp_path):
     )
     found = [hit.rsplit(": ", 1)[1] for hit in unused_imports(str(bad))]
     assert found == ["os", "sys"]
+
+
+def test_no_unreferenced_private_definitions():
+    found = unreferenced_private_definitions()
+    assert not found, "private and never referenced:\n" + "\n".join(found)
+
+
+def test_the_scan_catches_an_unreferenced_private_definition(tmp_path):
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "mod.py").write_text(
+        "def _dead():\n"
+        "    \"\"\"Not _dead_class either.\"\"\"\n"
+        "class _DeadClass:\n"
+        "    pass\n"
+        "def _called():\n"
+        "    pass\n"
+        "def _patched():\n"
+        "    pass\n"
+        "def _imported():\n"
+        "    pass\n"
+        "def public():\n"
+        "    return _called()\n"
+    )
+    tests = tmp_path / "tests"
+    tests.mkdir()
+    (tests / "test_mod.py").write_text(
+        "from mod import _imported\n"
+        "def test(monkeypatch):\n"
+        "    monkeypatch.setattr(mod, '_patched', None)\n"
+    )
+    found = [hit.rsplit(": ", 1)[1] for hit in unreferenced_private_definitions(str(tmp_path))]
+    assert found == ["_dead", "_DeadClass"]

@@ -47,21 +47,17 @@ def _shared_pids():
 
 
 def test_matrix_reuses_worker_processes():
-    from repro.parallel.matrix import run_matrix
+    from repro.experiments import grid
     from repro.perf.devices import CPU_DEVICES
 
     dev = [next(iter(CPU_DEVICES))]
-    first = run_matrix(
-        apps=["AMD-MM", "AMD-MT"], devices=dev, workers=2, scale="test"
-    )
+    first = grid(["AMD-MM", "AMD-MT"], dev, scale="test", workers=2)
     pool1, pids1 = _shared_pids()
-    second = run_matrix(
-        apps=["AMD-MM", "AMD-MT"], devices=dev, workers=2, scale="test"
-    )
+    second = grid(["AMD-MM", "AMD-MT"], dev, scale="test", workers=2)
     pool2, pids2 = _shared_pids()
     assert pool1 is pool2
     assert pids1 == pids2  # same worker processes, not a fresh fork
-    assert first.values == second.values
+    assert first == second
 
 
 def test_fuzz_campaigns_reuse_worker_processes(tmp_path):
