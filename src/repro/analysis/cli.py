@@ -4,7 +4,9 @@ Targets are registered app ids (``--apps`` / ``--all-apps``) and/or
 ``.cl`` source files.  Each analyzed kernel prints one stable summary
 line; ``--golden FILE`` compares the lines against a checked-in golden
 summary and exits non-zero on drift (CI's ``analyze`` smoke job), and
-``--update-golden`` rewrites it.
+``--update-golden`` (or ``$REPRO_UPDATE_GOLDEN=1``) rewrites it, by the
+rules of :func:`repro.reporting.check_golden`, which ``repro search
+--golden`` shares.
 
 Examples::
 
@@ -65,7 +67,7 @@ def _named(convert: Callable[[str], object], what: str) -> Callable[[str], Tuple
 
 def build_parser() -> argparse.ArgumentParser:
     from repro.apps.registry import SCALES
-    from repro.cli import add_session_flags, parse_size
+    from repro.cli import add_golden_flags, add_session_flags, parse_size
 
     p = argparse.ArgumentParser(
         prog="repro analyze",
@@ -105,22 +107,18 @@ def build_parser() -> argparse.ArgumentParser:
                    "(default: 16 bytes per work-item)")
     p.add_argument("--verbose", "-v", action="store_true",
                    help="print every finding, not just the summary lines")
-    p.add_argument("--golden", default=None, metavar="FILE",
-                   help="compare summary lines against FILE; exit 1 on drift")
-    p.add_argument("--update-golden", action="store_true",
-                   help="rewrite --golden FILE with the current summary")
+    add_golden_flags(p, "summary lines")
     add_session_flags(p)
     return p
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    from repro.cli import read_source
+    from repro.cli import read_source, require_golden_file
+    from repro.reporting import check_golden
 
     p = build_parser()
     args = p.parse_args(argv)
-    if args.update_golden and not args.golden:
-        print("error: --update-golden requires --golden FILE", file=sys.stderr)
-        return 2
+    require_golden_file(p, args)
     if not args.files and not args.apps and not args.all_apps:
         print("error: nothing to analyze (pass files, --apps or --all-apps)",
               file=sys.stderr)
@@ -185,6 +183,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 ) as exc:
                     p.error(f"{path}: {exc}")
                 reports.append((label, rep))
+        update = args.update_golden or bool(session.get("update_golden"))
 
     lines = [rep.summary_line(label) for label, rep in reports]
     for (label, rep), line in zip(reports, lines):
@@ -194,28 +193,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 print(f"    {f.render()}")
 
     if args.golden:
-        golden_path = Path(args.golden)
-        if args.update_golden:
-            golden_path.parent.mkdir(parents=True, exist_ok=True)
-            golden_path.write_text("\n".join(lines) + "\n")
-            print(f"wrote {len(lines)} summary line(s) to {golden_path}")
-            return 0
-        if not golden_path.exists():
-            print(f"error: golden file {golden_path} does not exist "
-                  "(run with --update-golden)", file=sys.stderr)
-            return 1
-        expected = golden_path.read_text().splitlines()
-        if lines != expected:
-            print(f"\nANALYSIS DRIFT against {golden_path}:", file=sys.stderr)
-            for line in expected:
-                if line not in lines:
-                    print(f"  - {line}", file=sys.stderr)
-            for line in lines:
-                if line not in expected:
-                    print(f"  + {line}", file=sys.stderr)
-            return 1
-        print(f"\nverdicts match {golden_path} ({len(lines)} line(s))")
-
+        return check_golden(args.golden, "\n".join(lines) + "\n", update)
     return 0
 
 

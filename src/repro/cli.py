@@ -9,9 +9,9 @@ Subcommands:
 * ``python -m repro.cli matrix [...]`` — the (app × device) experiment
   matrix (Table IV / Fig. 10 / extension-GPU scoring), optionally
   fanned out with ``--workers N`` (see :func:`repro.experiments.grid`).
-* ``python -m repro.cli passes [...]`` — list the registered IR passes
-  and the compile pipeline, or run the pipeline over a source file and
-  print per-pass rewrite counts, instruction deltas and wall time
+* ``python -m repro.cli passes [...]`` — list the compile pipeline's
+  stages and the rewrite rules, or run the pipeline over a source file
+  and print per-pass rewrite counts, instruction deltas and wall time
   (see :mod:`repro.session.passes`).
 * ``python -m repro.cli analyze [...]`` — the static/dynamic race and
   barrier-divergence analyzer over registered apps and/or ``.cl``
@@ -108,6 +108,24 @@ def add_session_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
+def add_golden_flags(p: argparse.ArgumentParser, what: str) -> None:
+    """``--golden FILE`` and ``--update-golden``, which pin ``what`` in
+    CI (see :func:`repro.reporting.check_golden`)."""
+    p.add_argument("--golden", metavar="FILE", default=None,
+                   help=f"compare the {what} against FILE, exit 1 on drift; "
+                   "with --update-golden or $REPRO_UPDATE_GOLDEN=1, "
+                   "rewrite FILE instead")
+    p.add_argument("--update-golden", action="store_true",
+                   help=f"rewrite --golden FILE with the current {what}")
+
+
+def require_golden_file(p: argparse.ArgumentParser, args) -> None:
+    """``p.error`` (exit 2) for ``--update-golden`` without ``--golden``:
+    there is no file to rewrite."""
+    if args.update_golden and not args.golden:
+        p.error("--update-golden requires --golden FILE")
+
+
 def parse_size(text: str) -> Tuple[int, ...]:
     """An NDRange size ``X[,Y[,Z]]`` (``x`` also separates), as an
     argparse ``type=``: anything else is a usage error."""
@@ -141,16 +159,18 @@ def read_source(p: argparse.ArgumentParser, path: str) -> str:
 
 
 def passes_main(argv=None) -> int:
-    """``repro passes``: inspect the pass registry, or run the compile
-    pipeline over a source file and print per-pass statistics."""
+    """``repro passes``: list the compile pipeline's stages and the
+    rewrite rules, or run the pipeline over a source file and print
+    per-stage statistics."""
+    from repro.rules import RULE_REGISTRY
     from repro.session import session_from_flags
-    from repro.session.passes import DEFAULT_PIPELINE, PASS_REGISTRY, PassManager
+    from repro.session.passes import DEFAULT_PIPELINE, STAGES, run_pipeline
 
     p = argparse.ArgumentParser(
         prog="repro passes",
-        description="List registered IR passes and the compile pipeline, "
-        "or run the pipeline over an OpenCL C file and report per-pass "
-        "rewrite counts, instruction deltas and wall time.",
+        description="List the compile pipeline's stages and the rewrite "
+        "rules, or run the pipeline over an OpenCL C file and report "
+        "per-stage rewrite counts, instruction deltas and wall time.",
     )
     p.add_argument("--run", metavar="FILE", default=None,
                    help="compile FILE unoptimised, then run the pipeline "
@@ -165,27 +185,17 @@ def passes_main(argv=None) -> int:
     from repro.reporting import ascii_table
 
     if args.run is None:
-        rows = [
-            [name, "x" if name in DEFAULT_PIPELINE else "",
-             PASS_REGISTRY[name].legality_arbiter or "-",
-             PASS_REGISTRY[name].description]
-            for name in sorted(PASS_REGISTRY)
-        ]
         print(ascii_table(
-            ["pass", "in pipeline", "legality arbiter", "description"], rows,
-            title=f"registered passes (pipeline: {' -> '.join(DEFAULT_PIPELINE)})",
+            ["pass", "description"],
+            [[name, description] for name, (_, description) in STAGES.items()],
+            title=f"compile pipeline: {' -> '.join(DEFAULT_PIPELINE)}",
         ))
-        rule_infos = [
-            PASS_REGISTRY[name] for name in sorted(PASS_REGISTRY)
-            if PASS_REGISTRY[name].rule is not None
-        ]
-        if rule_infos:
-            print()
-            print("rewrite rules (probe/apply/legality protocol):")
-            for info in rule_infos:
-                print(f"  {info.name}")
-                print(f"    arbiter:  {info.legality_arbiter}")
-                print(f"    legality: {info.legality}")
+        print()
+        print("rewrite rules (applied by repro search):")
+        for rule in RULE_REGISTRY.values():
+            print(f"  {rule.name}: {rule.description}")
+            print(f"    arbiter:  {rule.legality_arbiter}")
+            print(f"    legality: {rule.legality}")
         return 0
 
     defines = {}
@@ -204,7 +214,7 @@ def passes_main(argv=None) -> int:
         except (FrontendError, UnknownKernelError) as exc:
             p.error(str(exc))
         with session.activate():
-            results = PassManager(verify_between=True).run_function(kernel)
+            results = run_pipeline(kernel, verify_between=True)
     rows = [
         [r.pass_name, r.rewrites, r.insts_before, r.insts_after,
          f"{r.wall_s * 1e3:.3f}"]

@@ -231,9 +231,9 @@ class GroverPass:
             )
             # the vendor runtime recompiles the SPIR (paper Fig. 9):
             # normalise/CSE/hoist the freshly materialised index arithmetic
-            from repro.session.passes import PassManager
+            from repro.session.passes import run_pipeline
 
-            PassManager().run_function(kernel)
+            run_pipeline(kernel)
         verify_function(kernel)
         events.emit(
             "grover_end",

@@ -32,7 +32,6 @@ from repro.perf.fastcache import (
     FastSetAssocCache,
     cache_backend,
     make_hierarchy,
-    set_cache_backend,
 )
 from repro.perf.devices import (
     CPUSpec,
@@ -53,7 +52,6 @@ __all__ = [
     "FastSetAssocCache",
     "cache_backend",
     "make_hierarchy",
-    "set_cache_backend",
     "CPUSpec",
     "GPUSpec",
     "DEVICES",

@@ -62,7 +62,6 @@ class CPUModel:
         spec: CPUSpec,
         warm_local: bool = True,
         memoize: Optional[bool] = None,
-        backend: Optional[str] = None,
     ) -> None:
         self.spec = spec
         #: model the __local arena as thread-resident (cache-warm); the
@@ -72,8 +71,6 @@ class CPUModel:
         #: relative access pattern (see GroupTrace.fingerprint);
         #: defaults to the REPRO_PERF_MEMO switch
         self.memoize = memo_enabled() if memoize is None else memoize
-        #: cache backend override ('fast'/'reference'); None = process default
-        self.backend = backend
         self._group_costs: Dict[bytes, CPUGroupCost] = {}
 
     def _hierarchy(self):
@@ -85,7 +82,7 @@ class CPUModel:
         if s.l3 is not None:
             # one thread's slice of the shared LLC
             specs.append((s.l3[0] / s.cores, s.l3[1], s.line_size, "LLC"))
-        return make_hierarchy(specs, backend=self.backend)
+        return make_hierarchy(specs)
 
     def time_group(self, gt: GroupTrace) -> CPUGroupCost:
         return group_costs(gt, [self])[0]

@@ -30,8 +30,9 @@ Two observations turn the per-access LRU walk into batch array work:
 
 Backend selection: the models default to this fast path; set the
 ``cache_backend`` session variable (``REPRO_CACHE_BACKEND=reference``,
-a ``--config`` entry, or :func:`set_cache_backend`) to force the
-reference oracle, e.g. when debugging a suspected simulator issue.  The
+a ``--config`` entry, or ``Session(cache_backend="reference")``) to
+force the reference oracle, e.g. when debugging a suspected simulator
+issue.  The
 ``perf_memo`` variable (``REPRO_PERF_MEMO=0``) disables group-trace
 memoization in the models the same way.  Both knobs live in the
 session config registry (:mod:`repro.session.config`); this module
@@ -57,24 +58,11 @@ def cache_backend() -> str:
     """The active simulation backend: ``'fast'`` or ``'reference'``.
 
     Resolved through the current session — defaults < config file/dict
-    (where :func:`set_cache_backend` writes) < ``$REPRO_CACHE_BACKEND``.
+    < ``$REPRO_CACHE_BACKEND`` < ``Session(cache_backend=...)``.
     """
     from repro.session import current_session
 
     return current_session().get("cache_backend")
-
-
-def set_cache_backend(name: str) -> str:
-    """Set the session-default backend; returns the previous one.
-
-    Writes the current session's config layer, so an explicit
-    ``$REPRO_CACHE_BACKEND`` still overrides it (historical semantics).
-    """
-    from repro.session import current_session
-
-    if name not in _VALID_BACKENDS:
-        raise ValueError(f"backend must be one of {_VALID_BACKENDS}, got {name!r}")
-    return current_session().set_config("cache_backend", name)
 
 
 def memo_enabled() -> bool:
@@ -446,8 +434,9 @@ def make_hierarchy(
 ):
     """Build a cache hierarchy on the selected backend.
 
-    ``backend`` overrides the process default (see :func:`cache_backend`);
-    pass ``'reference'`` to force the per-access oracle.
+    ``backend`` overrides the session's choice (see
+    :func:`cache_backend`); pass ``'reference'`` to force the
+    per-access oracle.
     """
     b = backend if backend is not None else cache_backend()
     if b == "fast":

@@ -8,7 +8,7 @@ Per vectorised memory event the work-group is cut into warps:
   block touched by the warp (the coalescing rule) — an uncoalesced
   column access explodes into ``warp_size`` transactions, which is what
   makes Matrix Transpose without local memory catastrophic on GPUs;
-  transactions then probe the (optional) L1 and the L2;
+  transactions then look up the (optional) L1 and the L2;
 * **local** (scratch-pad) accesses cost the bank-conflict degree of the
   warp: the maximum number of *distinct words* wanted from one bank.
 
@@ -52,13 +52,11 @@ class GPUModel:
         self,
         spec: GPUSpec,
         memoize: Optional[bool] = None,
-        backend: Optional[str] = None,
     ) -> None:
         self.spec = spec
         #: reuse the simulated cost of groups with an identical
         #: relative access pattern (see GroupTrace.fingerprint)
         self.memoize = memo_enabled() if memoize is None else memoize
-        self.backend = backend
         self._group_costs: Dict[bytes, GPUGroupCost] = {}
 
     def _caches(self):
@@ -67,7 +65,7 @@ class GPUModel:
         if s.global_l1:
             specs.append((s.l1_kb, s.l1_assoc, s.line_size, "L1"))
         specs.append((s.l2_kb / s.compute_units, s.l2_assoc, s.line_size, "L2"))
-        return make_hierarchy(specs, prefetch=False, backend=self.backend)
+        return make_hierarchy(specs, prefetch=False)
 
     def _degree_sum(self, local: List[MemEvent]) -> int:
         """Summed bank-conflict degree of all local events of a group.

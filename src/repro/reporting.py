@@ -1,7 +1,11 @@
-"""Plain-text rendering of the paper's tables and figure series."""
+"""Plain-text rendering of the paper's tables and figure series, and
+the golden-file check that pins a rendered report in CI."""
 
 from __future__ import annotations
 
+import difflib
+import sys
+from pathlib import Path
 from typing import Mapping, Sequence
 
 
@@ -58,3 +62,34 @@ def normalized_perf_table(
     for app in app_order:
         rows.append([app] + [f"{per_device[d][app]:.3f}" for d in per_device])
     return ascii_table(headers, rows, title="normalised performance (np > 1: removing local memory wins)")
+
+
+def check_golden(path: str, text: str, update: bool) -> int:
+    """Pin ``text`` against the golden file ``path``; an exit status.
+
+    With ``update`` the file is (re)written and the status is 0.
+    Otherwise the status is 0 when the file holds ``text`` line for
+    line, and 1 with an ``error:`` line on stderr when it cannot be read
+    or has drifted (followed by a unified diff).
+    """
+    golden = Path(path)
+    if update:
+        golden.parent.mkdir(parents=True, exist_ok=True)
+        golden.write_text(text)
+        print(f"# golden updated: {path}")
+        return 0
+    try:
+        expected = golden.read_text().splitlines()
+    except OSError as exc:
+        print(f"error: cannot read golden {path!r}: {exc.strerror or exc} "
+              "(write it with --update-golden)", file=sys.stderr)
+        return 1
+    current = text.splitlines()
+    if expected != current:
+        diff = "\n".join(difflib.unified_diff(
+            expected, current, fromfile=path, tofile="current", lineterm=""
+        ))
+        print(f"error: {path} drifted:\n{diff}", file=sys.stderr)
+        return 1
+    print(f"# golden ok: {path}")
+    return 0

@@ -4,16 +4,16 @@ The paper's transformation — reversing the ``GL -> LS ... barrier ... LL``
 software-cache pattern — is *one* semantics-preserving rewrite, and its
 own evaluation shows it wins only a third of the time.  This package
 makes "a rewrite" a first-class object (:class:`RewriteRule`): an
-applicability probe, an in-place ``apply`` and a named legality
-arbiter, so the pipeline-search engine
+in-place ``apply`` and a named legality arbiter, so the pipeline-search
+engine
 (:mod:`repro.search`) can compose and score *sequences* of rewrites
 instead of hard-coding one heuristic.
 
 Shipping rules:
 
 * :class:`~repro.rules.grover.DisableLocalMemoryRule` (``grover``) — the
-  paper's pass, ported bit-identically from the registered ``grover``
-  pass body;
+  paper's pass, a bit-identical adapter over
+  ``GroverPass(allow_partial=True)``;
 * :class:`~repro.rules.padding.LocalArrayPaddingRule`
   (``pad-local-arrays``) — pad the innermost dimension of multi-D
   ``__local`` arrays to break shared-memory bank conflicts;
@@ -24,9 +24,10 @@ Shipping rules:
   (``hoist-global-loads``) — hoist loop-invariant global loads into the
   loop preheader, across barrier phases.
 
-Every rule is also registered as a named pass in
-:data:`repro.session.passes.PASS_REGISTRY`, so ``PassManager`` pipelines
-and ``repro passes`` see them uniformly.
+:data:`RULE_REGISTRY` is the one place rules live: the search applies
+them (``repro.search.engine._apply_pipeline``) and ``repro passes``
+lists them.  They are not stages of the compile pipeline
+(:mod:`repro.session.passes`).
 """
 
 from repro.rules.base import (

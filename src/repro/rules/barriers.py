@@ -69,9 +69,6 @@ class BarrierEliminationRule(RewriteRule):
         "(per-site application of the Grover veto arbiter)"
     )
 
-    def probe(self, fn: Function, ctx: RuleContext) -> bool:
-        return fn.is_kernel and bool(_barrier_positions(fn))
-
     def apply(self, fn: Function, ctx: RuleContext) -> int:
         if not fn.is_kernel:
             return 0

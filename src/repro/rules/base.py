@@ -3,18 +3,14 @@
 A rewrite rule is a semantics-preserving IR transformation packaged with
 everything a search engine needs to reason about it:
 
-* ``probe(fn, ctx)`` — a cheap, read-only applicability test (is the
-  pattern even present?);
 * ``apply(fn, ctx)`` — the in-place transformation; returns the rewrite
   count (0 = nothing matched, the function is unchanged);
 * ``legality_arbiter`` / ``legality`` — the *name* and one-line
   description of the independent check that guards the rule.  Every
-  rule is gated by the static race/divergence analyzer exactly as the
-  Grover pass is: either the rule consults it internally per rewrite
-  site (``eliminate-barriers``), or the analyzer vets the whole kernel
-  around the application (:func:`repro.analysis.analyzer_veto`, the
-  gate of ``Session.disable_local_memory``'s ``$REPRO_ANALYZE`` and of
-  search winner verification).
+  rule is gated by the static race/divergence analyzer: either the
+  rule consults it internally per rewrite site (``eliminate-barriers``),
+  or the analyzer vets the whole transformed kernel when the search
+  verifies a winner (:func:`repro.analysis.analyzer_veto`).
 
 Rules are stateless and deterministic: applying the same rule to the
 same IR under the same :class:`RuleContext` always performs the same
@@ -45,8 +41,8 @@ class RuleContext:
     ``local_size`` is the work-group geometry of the launch the search
     is optimising for; rules that must bound thread-varying indices
     (padding) need it.  ``geometry(fn)`` falls back to the kernel's
-    declared ``reqd_work_group_size`` so standalone ``PassManager`` runs
-    still get exact reasoning when the kernel pins its own geometry.
+    declared ``reqd_work_group_size`` so a rule applied without launch
+    geometry still reasons exactly when the kernel pins its own.
     """
 
     local_size: Optional[Tuple[int, ...]] = None
@@ -62,7 +58,7 @@ class RuleContext:
 class RewriteRule:
     """Base class of all rewrite rules (see module docstring)."""
 
-    #: stable registry/pipeline name (also the pass name)
+    #: stable registry name (the search's pipeline element)
     name: str = ""
     #: one-line description (shown by ``repro passes``)
     description: str = ""
@@ -72,10 +68,6 @@ class RewriteRule:
     legality: str = ""
 
     # -- protocol -------------------------------------------------------------
-    def probe(self, fn: Function, ctx: RuleContext) -> bool:
-        """Cheap, read-only: could ``apply`` rewrite anything here?"""
-        raise NotImplementedError
-
     def apply(self, fn: Function, ctx: RuleContext) -> int:
         """Transform ``fn`` in place; returns the rewrite count."""
         raise NotImplementedError

@@ -1,9 +1,9 @@
 """The paper's pass as a rewrite rule.
 
-``apply`` is the registered ``grover`` pass body, verbatim: the port
+``apply`` runs ``GroverPass(allow_partial=True)`` unchanged: the port
 must be bit-identical on every app (the golden-report suite pins this),
-so the rule adds only metadata — the probe and the legality-arbiter
-name — around the exact historical call.
+so the rule adds only metadata — the legality-arbiter name — around
+that call.
 """
 
 from __future__ import annotations
@@ -35,12 +35,10 @@ class DisableLocalMemoryRule(RewriteRule):
     legality_arbiter = "eq3-invertibility + race/divergence veto"
     legality = (
         "per-array Eq. 3 index invertibility (unique, integral writer "
-        "solution), with the static race/divergence analyzer as the "
-        "independent $REPRO_ANALYZE arbiter around the whole rewrite"
+        "solution); the rule runs GroverPass directly, and the race/"
+        "divergence veto comes from search winner verification or the "
+        "Session's $REPRO_ANALYZE gate"
     )
-
-    def probe(self, fn: Function, ctx: RuleContext) -> bool:
-        return fn.is_kernel and _uses_local(fn)
 
     def apply(self, fn: Function, ctx: RuleContext) -> int:
         from repro.core.grover import GroverPass

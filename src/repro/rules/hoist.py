@@ -104,14 +104,6 @@ class GlobalLoadHoistRule(RewriteRule):
         "loop-invariant, and the load dominates every back edge"
     )
 
-    def probe(self, fn: Function, ctx: RuleContext) -> bool:
-        if not fn.is_kernel or not natural_loops(fn):
-            return False
-        return any(
-            isinstance(inst, Load) and inst.addrspace == AddressSpace.GLOBAL
-            for inst in fn.instructions()
-        )
-
     def apply(self, fn: Function, ctx: RuleContext) -> int:
         if not fn.is_kernel:
             return 0

@@ -92,12 +92,6 @@ class LocalArrayPaddingRule(RewriteRule):
         "(padding re-maps addresses; an out-of-range index would alias)"
     )
 
-    def probe(self, fn: Function, ctx: RuleContext) -> bool:
-        return fn.is_kernel and any(
-            isinstance(la.array_type.element, ArrayType)
-            for la in fn.local_arrays
-        )
-
     def apply(self, fn: Function, ctx: RuleContext) -> int:
         if not fn.is_kernel:
             return 0

@@ -345,24 +345,19 @@ def verify_pipeline(
     app: App,
     pipeline: Sequence[str],
     scale: str,
-    root_gate: Optional[Callable[[], RootGate]] = None,
+    root_gate: Callable[[], RootGate],
 ) -> Tuple[bool, str]:
     """Gate one pipeline's kernel; ``(ok, reason)``.
 
     ``root_gate`` is the getter :func:`search_app` holds for the
     untransformed kernel's :func:`_root_gate`.  The empty pipeline's
-    kernel is that root, so its verdict is the root gate's.  A
-    transform is re-derived from source and gated, in order: the static
-    race/divergence analyzer (a decided finding vetoes), its own
-    reference-vs-tape trace + output bit-identity, and byte-identical
-    outputs against the root's reference outputs — a root that failed
-    its gate has none, which rejects the transform.  With a root gate
-    the empty pipeline launches nothing and a transform costs one
-    compile and two launches.
-
-    Without ``root_gate`` the root is compiled here: the empty pipeline
-    costs one compile and two launches, a transform two compiles and
-    three (its baseline is an untraced reference run of the root).
+    kernel is that root, so its verdict is the root gate's and it
+    launches nothing.  A transform is re-derived from source and gated,
+    in order: the static race/divergence analyzer (a decided finding
+    vetoes), its own reference-vs-tape trace + output bit-identity, and
+    byte-identical outputs against the root's reference outputs — a
+    root that failed its gate has none, which rejects the transform.  A
+    transform costs one compile and two launches.
 
     Gate refusals come back as ``(False, reason)``; deterministic
     compile/verifier errors re-raise (same contract as
@@ -370,31 +365,23 @@ def verify_pipeline(
     and ``KeyboardInterrupt``/``SystemExit`` propagate untouched.
     """
     from repro.analysis import analyzer_veto
-    from repro.apps.harness import compile_app, execute_app
+    from repro.apps.harness import compile_app
     from repro.parallel.diff import assert_outputs_equal
     from repro.session import Session
 
     pipeline = tuple(pipeline)
-    if not pipeline and root_gate is not None:
+    if not pipeline:
         return root_gate()[:2]
     problem = app.make_problem(scale)
     try:
         with Session(env={}, exec_backend="tape").activate():
             kernel, _ = compile_app(app, "with")
             _apply_pipeline(kernel, pipeline, problem.local_size)
-            if pipeline:
-                analyzer_veto(kernel, problem.local_size, "post-transform")
-        if not pipeline:
-            return _root_gate(app, kernel, scale)[:2]
+            analyzer_veto(kernel, problem.local_size, "post-transform")
         outputs = _reference_vs_tape(app, kernel, scale)
-        if root_gate is None:
-            with Session(env={}, exec_backend="reference").activate():
-                root, _ = compile_app(app, "with")
-                base = execute_app(app, root, variant="with", scale=scale).outputs
-        else:
-            ok, reason, base = root_gate()
-            if not ok:
-                return False, f"default kernel failed verification: {reason}"
+        ok, reason, base = root_gate()
+        if not ok:
+            return False, f"default kernel failed verification: {reason}"
         # byte-identical outputs against the untransformed kernel: every
         # shipped rule preserves computed values exactly (it reorders or
         # re-homes memory traffic, never arithmetic)
@@ -642,9 +629,15 @@ def render_search(run: SearchRunResult) -> str:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    from repro.cli import add_session_flags, require_positive
+    from repro.cli import (
+        add_golden_flags,
+        add_session_flags,
+        require_golden_file,
+        require_positive,
+    )
     from repro.apps.registry import SCALES, validate_app_ids
     from repro.perf.devices import DEVICES
+    from repro.reporting import check_golden
     from repro.rules import rule_names
     from repro.session import session_from_flags
 
@@ -679,14 +672,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                    "default kernel's verification, which runs beside it; "
                    "above 1 every search starts a pool "
                    "(default: $REPRO_WORKERS, then 1)")
-    p.add_argument("--golden", metavar="FILE", default=None,
-                   help="compare the report against FILE (CI pinning); "
-                   "with $REPRO_UPDATE_GOLDEN=1 or --update-golden, "
-                   "rewrite FILE instead")
-    p.add_argument("--update-golden", action="store_true",
-                   help="rewrite --golden FILE with the current report")
+    add_golden_flags(p, "report")
     add_session_flags(p)
     args = p.parse_args(argv)
+    require_golden_file(p, args)
 
     # every argument is checked before the first candidate is priced
     app_ids = tuple(a.strip() for a in args.apps.split(",") if a.strip())
@@ -733,34 +722,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("error: some apps have no verifiable pipeline", file=sys.stderr)
         return 1
     if args.golden:
-        if update:
-            with open(args.golden, "w") as fh:
-                fh.write(report + "\n")
-            print(f"# golden updated: {args.golden}")
-        else:
-            import difflib
-
-            try:
-                with open(args.golden) as fh:
-                    expected = fh.read()
-            except OSError as exc:
-                print(f"error: cannot read golden {args.golden!r}: {exc}",
-                      file=sys.stderr)
-                return 1
-            if expected != report + "\n":
-                diff = "\n".join(
-                    difflib.unified_diff(
-                        expected.splitlines(),
-                        (report + "\n").splitlines(),
-                        fromfile=args.golden,
-                        tofile="current",
-                        lineterm="",
-                    )
-                )
-                print(f"error: search report drifted from {args.golden}:\n{diff}",
-                      file=sys.stderr)
-                return 1
-            print(f"# golden ok: {args.golden}")
+        return check_golden(args.golden, report + "\n", update)
     return 0
 
 

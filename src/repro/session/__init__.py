@@ -1,11 +1,11 @@
-"""Session + PassManager + event bus: the pipeline's control plane.
+"""Session + compile pipeline + event bus: the pipeline's control plane.
 
 * :mod:`repro.session.config` — the single registry of every ``REPRO_*``
   variable, with layered resolution and loud rejection of typos;
 * :mod:`repro.session.events` — the typed event bus (JSONL /
   in-memory sinks) threaded through compile, passes, launch and models;
-* :mod:`repro.session.passes` — uniform named passes and the
-  instrumented :class:`PassManager`;
+* :mod:`repro.session.passes` — the one compile pipeline and its
+  instrumented runner, :func:`run_pipeline`;
 * :mod:`repro.session.core` — the :class:`Session` object tying the
   three together; every public entry point reads its settings from the
   active session (``with session.activate(): ...``).
@@ -30,11 +30,7 @@ from repro.session.events import (
     emit,
     validate_jsonl,
 )
-from repro.session.passes import (
-    DEFAULT_PIPELINE,
-    PASS_REGISTRY,
-    PassManager,
-)
+from repro.session.passes import DEFAULT_PIPELINE, run_pipeline
 
 __all__ = [
     "ConfigError",
@@ -51,6 +47,5 @@ __all__ = [
     "emit",
     "validate_jsonl",
     "DEFAULT_PIPELINE",
-    "PASS_REGISTRY",
-    "PassManager",
+    "run_pipeline",
 ]

@@ -32,9 +32,7 @@ __all__ = [
     "ENV_REGISTRY",
     "validate_environ",
     "coerce_value",
-    "parse_env_value",
     "load_config_file",
-    "describe_registry",
 ]
 
 
@@ -262,10 +260,6 @@ def coerce_value(name: str, value: object, source: str) -> object:
     return var.coerce(value, source)
 
 
-def parse_env_value(var: ConfigVar, raw: str) -> object:
-    return var.parse_env(raw)
-
-
 def load_config_file(path: str) -> Dict[str, object]:
     """Load a ``--config`` JSON file ({"workers": 4, ...}) and validate it."""
     try:
@@ -279,14 +273,3 @@ def load_config_file(path: str) -> Dict[str, object]:
         name: coerce_value(name, value, source=f"config file {path!r}")
         for name, value in data.items()
     }
-
-
-def describe_registry() -> str:
-    """Human-readable table of every variable (``repro passes --config-help``)."""
-    lines = ["name                 env                        type  default   doc"]
-    for var in _VARS:
-        lines.append(
-            f"{var.name:<20} {var.env:<26} {var.type:<5} "
-            f"{str(var.default):<9} {var.doc}"
-        )
-    return "\n".join(lines)

@@ -37,7 +37,7 @@ from repro.session.config import (
     validate_environ,
 )
 from repro.session.events import JsonlSink
-from repro.session.passes import PassManager
+from repro.session.passes import run_pipeline
 
 __all__ = [
     "Session",
@@ -114,19 +114,6 @@ class Session:
             return self._config[name]
         return var.default
 
-    def set_config(self, name: str, value: object) -> object:
-        """Set a config-layer value (still below env vars); returns the
-        previous config-layer-or-default value."""
-        prev = (
-            self._config[name]
-            if name in self._config
-            else REGISTRY[name].default
-            if name in REGISTRY
-            else None
-        )
-        self._config[name] = coerce_value(name, value, source="set_config")
-        return prev
-
     def as_dict(self) -> Dict[str, object]:
         """Every registered setting at its resolved value."""
         return {name: self.get(name) for name in REGISTRY}
@@ -174,7 +161,7 @@ class Session:
 
         The implementation behind ``repro.frontend.compile_source``:
         session-owned LRU cache (every hit hands out a private deepcopy),
-        the compile pipeline via the :class:`PassManager` (skipped with
+        the compile pipeline via :func:`run_pipeline` (skipped with
         ``optimize=False``, which leaves the lowered IR as it is), and
         ``compile_*`` events on the bus.
         """
@@ -212,7 +199,8 @@ class Session:
                 raise FrontendError(f"parse error: {exc}") from exc
             module = lower_translation_unit(ast, pre.kernel_names, module_name)
             if optimize:
-                PassManager().run(module)
+                for fn in module:
+                    run_pipeline(fn)
             verify_module(module)
             events.emit(
                 "compile_end",

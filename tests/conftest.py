@@ -13,6 +13,7 @@ from repro.perf.gpumodel import GPUModel
 from repro.perf.pricing import group_costs, kernel_cycles
 from repro.runtime import Memory, launch
 from repro.runtime.trace import GroupTrace
+from repro.session import Session
 
 #: the paper's Fig. 1(a) kernel — used all over the suite
 MT_SOURCE = r"""
@@ -132,24 +133,28 @@ def assert_pricing_exact(trace, specs):
     on a CPU; transactions, memory and scratch-pad cycles on a GPU) and
     the cycles, and in the kernel total."""
 
-    def models(backend):
-        return [
-            (GPUModel if s.is_gpu else CPUModel)(s, memoize=False, backend=backend)
-            for s in specs
-        ]
+    def models():
+        return [(GPUModel if s.is_gpu else CPUModel)(s, memoize=False) for s in specs]
 
-    fast, ref = models("fast"), models("reference")
+    # the session's cache_backend picks the simulator a model prices with
+    on_fast = Session(env={}, cache_backend="fast")
+    on_ref = Session(env={}, cache_backend="reference")
+    fast, ref = models(), models()
     ref_totals = [0] * len(specs)
     for g in trace.groups:
-        for i, (spec, got, m) in enumerate(zip(specs, group_costs(g, fast), ref)):
-            exp = m.time_group(g)
+        with on_fast.activate():
+            fast_costs = group_costs(g, fast)
+        with on_ref.activate():
+            ref_costs = [m.time_group(g) for m in ref]
+        for i, (spec, got, exp) in enumerate(zip(specs, fast_costs, ref_costs)):
             ref_totals[i] += exp.cycles
             for f in PRICED_FIELDS[spec.is_gpu] + ("cycles",):
                 assert getattr(got, f) == getattr(exp, f), (
                     f"{spec.name} group {g.group_id}: fast {f} "
                     f"{getattr(got, f)} != reference {getattr(exp, f)}"
                 )
-    assert kernel_cycles(trace, fast) == [trace.scale * t for t in ref_totals]
+    with on_fast.activate():
+        assert kernel_cycles(trace, fast) == [trace.scale * t for t in ref_totals]
 
 
 @pytest.fixture(autouse=True)

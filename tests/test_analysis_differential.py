@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import repro.apps  # noqa: F401  (registers the 11 apps)
-from repro.analysis import RaceDetected, analyze_source, differential_check
+from repro.analysis import RaceDetected, analyze_kernel, analyze_source, differential_check
 from repro.apps.registry import all_apps
 from repro.core import GroverPass
 from repro.frontend import compile_kernel
@@ -199,15 +199,50 @@ def test_golden_summary_has_not_drifted(capsys):
     assert len(rows) == 26
 
 
-def test_analyzer_passes_are_registered_and_run():
-    from repro.session.passes import PassManager
+@pytest.mark.parametrize("how", ["flag", "env"])
+def test_golden_update_rules(tmp_path, capsys, monkeypatch, how):
+    """``analyze --golden`` follows the rules ``search --golden`` does:
+    ``--update-golden`` or ``$REPRO_UPDATE_GOLDEN=1`` rewrites the file,
+    a plain run then matches it, and drift exits 1."""
+    from repro.analysis.cli import main as analyze_main
+
+    golden = tmp_path / "analyze.txt"
+    golden.write_text("stale\n")
+    argv = [str(EXAMPLES / "divergent_barrier.cl"), "--static-only",
+            "--golden", str(golden)]
+    assert analyze_main(argv) == 1
+    assert "drifted" in capsys.readouterr().err
+    if how == "flag":
+        assert analyze_main(argv + ["--update-golden"]) == 0
+    else:
+        monkeypatch.setenv("REPRO_UPDATE_GOLDEN", "1")
+        assert analyze_main(argv) == 0
+        monkeypatch.delenv("REPRO_UPDATE_GOLDEN")
+    assert "# golden updated" in capsys.readouterr().out
+    assert "verdict=divergent" in golden.read_text()
+    assert analyze_main(argv) == 0
+    assert "# golden ok" in capsys.readouterr().out
+
+
+def test_update_golden_needs_a_golden_file(capsys):
+    from repro.analysis.cli import main as analyze_main
+
+    with pytest.raises(SystemExit) as exc:
+        analyze_main([str(EXAMPLES / "divergent_barrier.cl"), "--update-golden"])
+    assert exc.value.code == 2
+    assert "--update-golden requires --golden FILE" in capsys.readouterr().err
+
+
+def test_analyzer_finding_counts_via_analyze_kernel():
+    """The static analyzer finds the one divergent barrier of the
+    example and no race, and leaves the IR as it was."""
+    from repro.ir.printer import print_function
 
     src = (EXAMPLES / "divergent_barrier.cl").read_text()
     kernel = compile_kernel(src)
-    results = PassManager(["analyze-races", "analyze-divergence"]).run_function(
-        kernel
-    )
-    by_name = {r.pass_name: r for r in results}
-    assert by_name["analyze-divergence"].rewrites == 1
-    # diagnosis passes never mutate the IR
-    assert all(r.insts_before == r.insts_after for r in results)
+    before = print_function(kernel)
+    report = analyze_kernel(kernel)
+    kinds = [f.kind for f in report.findings]
+    assert kinds.count("barrier-divergence") == 1
+    assert not [k for k in kinds if k.startswith("race")]
+    assert print_function(kernel) == before

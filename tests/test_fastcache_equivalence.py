@@ -30,7 +30,6 @@ from repro.perf.fastcache import (
     cache_backend,
     lru_hits,
     make_hierarchy,
-    set_cache_backend,
 )
 from tests.conftest import assert_pricing_exact
 
@@ -327,17 +326,6 @@ def test_make_hierarchy_backends():
     assert isinstance(make_hierarchy(specs, backend="reference"), CacheHierarchy)
     with pytest.raises(ValueError):
         make_hierarchy(specs, backend="nope")
-
-
-def test_set_cache_backend_roundtrip():
-    prev = set_cache_backend("reference")
-    try:
-        assert cache_backend() == "reference"
-        specs = [(1, 2, 64, "L1")]
-        assert isinstance(make_hierarchy(specs), CacheHierarchy)
-    finally:
-        set_cache_backend(prev)
-    assert cache_backend() == prev
 
 
 def test_env_var_overrides_backend(monkeypatch):

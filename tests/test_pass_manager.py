@@ -1,14 +1,14 @@
-"""PassManager contracts: registry, idempotency, verification, bit-identity.
+"""Compile-pipeline contracts: idempotency, verification, bit-identity.
 
-* every registered rewrite pass is idempotent — a second consecutive
-  run reports 0 rewrites — and so is the compile pipeline as a whole,
-  on every app and every corpus kernel;
+* every pipeline stage is idempotent — a second consecutive run reports
+  0 rewrites — and so is the compile pipeline as a whole, on every app
+  and every corpus kernel;
 * the IR verifier holds between every stage of the pipeline for all
   11 Table III applications;
-* ``PassManager().run(module)`` produces bit-for-bit the IR of the
-  explicit pass-call sequence, and a compile runs it exactly once.
+* ``run_pipeline`` produces bit-for-bit the IR of the explicit
+  stage-call sequence, and a compile runs it exactly once per function;
 * Grover's post-transform recompile (Fig. 9's vendor compile) is the
-  same pipeline and reports its per-pass statistics.
+  same pipeline and reports its per-stage statistics.
 """
 
 from __future__ import annotations
@@ -24,8 +24,10 @@ from repro.frontend import compile_source
 from repro.frontend.lower import lower_translation_unit
 from repro.frontend.preprocess import preprocess
 from repro.ir.printer import print_function
-from repro.session import DEFAULT_PIPELINE, PassManager, collect
-from repro.session.passes import PASS_REGISTRY, get_pass, register_pass
+from repro.rules import RULE_REGISTRY, RuleContext, get_rule
+from repro.search.engine import _apply_pipeline
+from repro.session import DEFAULT_PIPELINE, collect, run_pipeline
+from repro.session.passes import STAGES
 from tests.conftest import MM_SOURCE, MT_SOURCE, REDUCTION_SOURCE
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
@@ -43,8 +45,13 @@ def _render(module):
     return "\n".join(print_function(fn) for fn in module)
 
 
+def _run(module, verify_between=False):
+    """The pipeline over every function of ``module``; all results."""
+    return [r for fn in module for r in run_pipeline(fn, verify_between)]
+
+
 # ---------------------------------------------------------------------------
-# registry
+# the stage table
 # ---------------------------------------------------------------------------
 
 
@@ -53,27 +60,35 @@ def test_registry_and_pipelines():
         "promote-single-store-slots", "fold-constants", "normalize-gep",
         "dce", "cse", "licm", "cse", "dce",
     )
-    for name in DEFAULT_PIPELINE:
-        assert name in PASS_REGISTRY
-    for info in PASS_REGISTRY.values():
-        assert info.description
-
-
-def test_unknown_names_raise():
-    with pytest.raises(KeyError, match="unknown pass"):
-        PassManager(names=["does-not-exist"])
-    with pytest.raises(KeyError, match="unknown pass"):
-        get_pass("does-not-exist")
-
-
-def test_duplicate_registration_rejected():
-    with pytest.raises(ValueError, match="already registered"):
-        register_pass("cse", "again")(lambda fn: 0)
+    assert set(STAGES) == set(DEFAULT_PIPELINE)
+    for _, description in STAGES.values():
+        assert description
 
 
 def test_names_property():
-    assert PassManager().names == list(DEFAULT_PIPELINE)
-    assert PassManager(names=["dce", "cse"]).names == ["dce", "cse"]
+    """A run reports one record per stage, named in pipeline order."""
+    kernel = lower(MT_SOURCE).kernel()
+    assert [r.pass_name for r in run_pipeline(kernel)] == list(DEFAULT_PIPELINE)
+    assert {r.function for r in run_pipeline(kernel)} == {kernel.name}
+
+
+def test_duplicate_registration_rejected():
+    """The rule registry, the one registry left, refuses a second rule
+    under a registered name and keeps the first."""
+    from repro.rules import DisableLocalMemoryRule, register_rule
+
+    first = RULE_REGISTRY["grover"]
+    with pytest.raises(ValueError, match="already registered"):
+        register_rule(DisableLocalMemoryRule())
+    assert RULE_REGISTRY["grover"] is first
+
+
+def test_unknown_names_raise():
+    """Stages are fixed; the one name lookup left is the rule registry,
+    through which the search applies a pipeline of rules."""
+    kernel = compile_source(MT_SOURCE, cache=False).kernel()
+    with pytest.raises(KeyError, match="unknown rule"):
+        _apply_pipeline(kernel, ("does-not-exist",), None)
 
 
 # ---------------------------------------------------------------------------
@@ -88,12 +103,12 @@ _REWRITE_PASSES = sorted(set(DEFAULT_PIPELINE))
                          ids=["MT", "MM", "REDUCTION"])
 def test_each_pass_idempotent_on_virgin_ir(pass_name, source):
     module = lower(source)
-    pm = PassManager(names=[pass_name])
-    pm.run(module)  # first run may rewrite freely
-    second = pm.run(module)
-    assert all(r.rewrites == 0 for r in second), (
-        f"{pass_name} rewrote again on its second run: "
-        f"{[(r.function, r.rewrites) for r in second if r.rewrites]}"
+    stage = STAGES[pass_name][0]
+    for fn in module:
+        stage(fn)  # first run may rewrite freely
+    second = {fn.name: stage(fn) for fn in module}
+    assert not any(second.values()), (
+        f"{pass_name} rewrote again on its second run: {second}"
     )
 
 
@@ -114,7 +129,7 @@ def test_pipeline_idempotent_as_a_whole(name):
     source, defines = _app_or_corpus_source(name)
     module = compile_source(source, defines, cache=False)
     before = _render(module)
-    assert all(r.rewrites == 0 for r in PassManager().run(module))
+    assert all(r.rewrites == 0 for r in _run(module))
     assert _render(module) == before
 
 
@@ -132,22 +147,22 @@ def test_pipelines_idempotent_as_a_whole(stage):
     vendor recompile).  At both, a second run changes nothing."""
     if stage == "default":
         module = lower(MM_SOURCE)
-        PassManager().run(module)
+        _run(module)
     else:
         module = _after_grover(MM_SOURCE)
     before = _render(module)
-    assert all(r.rewrites == 0 for r in PassManager().run(module))
+    assert all(r.rewrites == 0 for r in _run(module))
     assert _render(module) == before
 
 
 def test_grover_pass_idempotent_via_registry():
+    """The ``grover`` rule of :data:`RULE_REGISTRY`, applied twice."""
     module = lower(MT_SOURCE)
-    PassManager().run(module)
-    pm = PassManager(names=["grover"])
-    first = pm.run(module)
-    assert sum(r.rewrites for r in first) > 0  # the tile got removed
-    second = pm.run(module)
-    assert all(r.rewrites == 0 for r in second)  # nothing local remains
+    _run(module)
+    kernel = module.kernel()
+    rule, ctx = RULE_REGISTRY["grover"], RuleContext()
+    assert rule.apply(kernel, ctx) > 0  # the tile got removed
+    assert get_rule("grover").apply(kernel, ctx) == 0  # nothing local remains
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +175,7 @@ def test_verifier_holds_between_every_stage(app_id):
     app = get_app(app_id)
     module = lower(app.source, app.defines, name=app_id)
     with collect() as sink:
-        PassManager(verify_between=True).run(module)
+        _run(module, verify_between=True)
     checkpoints = sink.of_kind("verify_ok")
     n_fns = sum(1 for _ in module)
     assert len(checkpoints) == n_fns * len(DEFAULT_PIPELINE)
@@ -201,7 +216,7 @@ def _explicit_sequence(module):
                          ids=["MT", "MM", "REDUCTION"])
 def test_default_pipeline_matches_historical_sequence(source):
     managed = lower(source)
-    PassManager().run(managed)
+    _run(managed)
     assert _render(managed) == _render(_explicit_sequence(lower(source)))
 
 
@@ -219,7 +234,7 @@ def test_vendor_pipeline_matches_historical_sequence(source):
     IR it matches the explicit call sequence bit for bit, and Grover
     runs exactly its passes, in order."""
     managed = compile_source(source, cache=False)
-    PassManager().run(managed)
+    _run(managed)
     legacy = _explicit_sequence(compile_source(source, cache=False))
     assert _render(managed) == _render(legacy)
     events = _grover_pass_events(source)
@@ -227,12 +242,12 @@ def test_vendor_pipeline_matches_historical_sequence(source):
 
 
 def test_run_default_passes_is_the_pass_manager():
-    """The compile's pass step is one ``PassManager`` run of the default
-    pipeline, over every function of the module."""
+    """The compile's pass step is one :func:`run_pipeline` run per
+    function of the module."""
     with collect() as sink:
         compiled = compile_source(MM_SOURCE, cache=False)
     managed = lower(MM_SOURCE)
-    PassManager().run(managed)
+    _run(managed)
     assert _render(compiled) == _render(managed)
     applied = sink.of_kind("pass_applied")
     n_fns = sum(1 for _ in compiled)
@@ -265,13 +280,20 @@ def test_compile_runs_the_pipeline_once():
 
 
 def test_cli_passes_lists_registry(capsys):
+    """``repro passes`` names every stage and every registered rule with
+    its arbiter and legality."""
     from repro.cli import main
 
     assert main(["passes"]) == 0
     out = capsys.readouterr().out
-    for name in PASS_REGISTRY:
-        assert name in out
     assert " -> ".join(DEFAULT_PIPELINE) in out
+    rows = {line.split("|")[0].strip(): line for line in out.splitlines()}
+    for name, (_, description) in STAGES.items():
+        assert description in rows[name]
+    for rule in RULE_REGISTRY.values():
+        assert f"{rule.name}: {rule.description}" in out
+        assert f"arbiter:  {rule.legality_arbiter}" in out
+        assert f"legality: {rule.legality}" in out
 
 
 def test_cli_passes_runs_a_pipeline(tmp_path, capsys):

@@ -30,6 +30,23 @@ def _search(app_id="NVD-MT", **kw):
     return search_app(get_app(app_id), SearchOptions(apps=(app_id,), **kw))
 
 
+def _root_gate(app):
+    """The root-gate getter a search holds for ``app``: its
+    untransformed kernel's :func:`~repro.search.engine._root_gate`,
+    run once, on first call."""
+    import functools
+
+    from repro.apps.harness import compile_app
+    from repro.search.engine import _root_gate
+
+    root, _ = compile_app(app, "with")
+    return functools.cache(lambda: _root_gate(app, root, "test"))
+
+
+def _verify(app, pipeline, gate=None):
+    return verify_pipeline(app, pipeline, "test", gate or _root_gate(app))
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
@@ -185,19 +202,23 @@ def test_each_app_compiles_once_and_ships_only_rewriting_kernels(monkeypatch):
 
 
 def test_verify_accepts_default_and_legal_pipelines():
-    ok, reason = verify_pipeline(MT, (), "test")
+    gate = _root_gate(MT)
+    ok, reason = _verify(MT, (), gate)
     assert ok, reason
-    ok, reason = verify_pipeline(MT, ("pad-local-arrays",), "test")
+    ok, reason = _verify(MT, ("pad-local-arrays",), gate)
     assert ok, reason
 
 
-@pytest.mark.parametrize("pipeline, launches", [((), 2), (("grover",), 3)])
-def test_verify_launches_the_baseline_only_for_a_transform(pipeline, launches):
-    """The default kernel is its own baseline: verifying it launches the
-    traced reference and tape runs only; a transform adds the untraced
-    baseline launch its outputs are compared against."""
+@pytest.mark.parametrize("pipeline, launches", [((), 0), (("grover",), 2)])
+def test_verify_launches_only_the_transform(pipeline, launches):
+    """The default kernel's verdict is the root gate's: verifying it
+    launches nothing more; a transform adds its own traced reference and
+    tape runs, and its outputs are compared with the gate's."""
+    app = get_app("NVD-MM-B")
+    gate = _root_gate(app)
+    gate()
     with events.collect() as sink:
-        ok, reason = verify_pipeline(get_app("NVD-MM-B"), pipeline, "test")
+        ok, reason = _verify(app, pipeline, gate)
     assert ok, reason
     assert len(sink.of_kind("launch_start")) == launches
 
@@ -287,7 +308,7 @@ def test_the_root_gate_returns_no_trace():
 
 
 def test_verify_rejects_broken_pipelines():
-    ok, reason = verify_pipeline(MT, ("bogus",), "test")
+    ok, reason = _verify(MT, ("bogus",))
     assert not ok and "bogus" in reason
 
 
@@ -333,7 +354,7 @@ def test_evaluate_reraises_deterministic_toolchain_errors(monkeypatch):
     with pytest.raises(VerificationError, match="stub broke the IR"):
         evaluate_pipeline(MT, ("stub",), "test", 8, "Fermi")
     with pytest.raises(VerificationError, match="stub broke the IR"):
-        verify_pipeline(MT, ("stub",), "test")
+        _verify(MT, ("stub",))
 
     _install_stub_rule(monkeypatch, FrontendError("stub lowering bug"))
     with pytest.raises(FrontendError, match="stub lowering bug"):
@@ -345,7 +366,7 @@ def test_evaluate_keyboard_interrupt_propagates(monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         evaluate_pipeline(MT, ("stub",), "test", 8, "Fermi")
     with pytest.raises(KeyboardInterrupt):
-        verify_pipeline(MT, ("stub",), "test")
+        _verify(MT, ("stub",))
 
 
 def test_candidate_failure_reason_reaches_the_event(monkeypatch):
@@ -561,6 +582,36 @@ def test_cli_search_golden_drift_fails(tmp_path, capsys):
     assert "drifted" in capsys.readouterr().err
 
 
+def test_cli_search_golden_honours_the_update_variable(tmp_path, capsys,
+                                                       monkeypatch):
+    """``search --golden`` follows the rules ``analyze --golden`` does:
+    ``$REPRO_UPDATE_GOLDEN=1`` rewrites the file like ``--update-golden``."""
+    from repro.cli import main
+
+    golden = tmp_path / "search.txt"
+    golden.write_text("stale report\n")
+    argv = ["search", "--apps", "NVD-MT", "--depth", "1", "--workers", "1",
+            "--golden", str(golden)]
+    monkeypatch.setenv("REPRO_UPDATE_GOLDEN", "1")
+    assert main(argv) == 0
+    assert "# golden updated" in capsys.readouterr().out
+    monkeypatch.delenv("REPRO_UPDATE_GOLDEN")
+    assert main(argv) == 0
+    assert "# golden ok" in capsys.readouterr().out
+
+
+def test_cli_search_update_golden_needs_a_golden_file(capsys):
+    """``--update-golden`` without ``--golden`` has no file to rewrite:
+    a usage error before any search runs, as in ``repro analyze``."""
+    from repro.cli import main
+
+    with events.collect() as sink, pytest.raises(SystemExit) as exc:
+        main(["search", "--apps", "NVD-MT", "--update-golden"])
+    assert exc.value.code == 2
+    assert "--update-golden requires --golden FILE" in capsys.readouterr().err
+    assert not sink.events
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -620,7 +671,7 @@ def test_cli_passes_lists_rule_metadata(capsys):
 
     assert main(["passes"]) == 0
     out = capsys.readouterr().out
-    assert "legality arbiter" in out
+    assert "arbiter:" in out and "legality:" in out
     assert "eq3-invertibility" in out
     assert "counterfactual-race-analysis" in out
     assert "affine-bounds" in out

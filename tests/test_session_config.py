@@ -18,7 +18,6 @@ from repro.session.config import (
     ENV_REGISTRY,
     REGISTRY,
     coerce_value,
-    describe_registry,
     load_config_file,
     validate_environ,
 )
@@ -48,13 +47,6 @@ def test_registry_covers_every_historical_env_var():
     for var in REGISTRY.values():
         assert var.env == "REPRO_" + var.name.upper()
         assert var.doc  # every knob is documented
-
-
-def test_describe_registry_mentions_every_var():
-    text = describe_registry()
-    for var in REGISTRY.values():
-        assert var.name in text
-        assert var.env in text
 
 
 def test_unknown_repro_env_var_rejected_at_construction():
@@ -197,16 +189,8 @@ def test_config_file_errors(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# set_config / activation
+# activation
 # ---------------------------------------------------------------------------
-
-
-def test_set_config_returns_previous_and_stays_below_env():
-    s = Session(env={"REPRO_CACHE_BACKEND": "reference"})
-    prev = s.set_config("cache_backend", "fast")
-    assert prev == "fast"  # registry default (env is a separate layer)
-    # env still wins over the config layer set_config writes
-    assert s.get("cache_backend") == "reference"
 
 
 def test_activation_scopes_config_lookups():
